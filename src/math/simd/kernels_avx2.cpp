@@ -52,6 +52,16 @@ inline __m256d byte_mask2(char b0, char b1) {
   return _mm256_castsi256_pd(_mm256_set_m128i(m, m));
 }
 
+// values[idx[0..3]] by hardware gather. Written as the masked form with
+// a zero source and an all-ones mask — the same instruction and result
+// as _mm256_i32gather_pd, whose undefined source operand gcc 12 reports
+// as -Wmaybe-uninitialized once inlined into optimized builds.
+inline __m256d gather4(const double* values, __m128i idx) {
+  return _mm256_mask_i32gather_pd(
+      _mm256_setzero_pd(), values, idx,
+      _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
+}
+
 }  // namespace
 
 // Summation order: two 256-bit partial chains over elements
@@ -254,8 +264,8 @@ double gather_sum_avx2(std::span<const std::uint32_t> idx,
     __m128i v0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ix + k));
     __m128i v1 =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(ix + k + 4));
-    acc0 = _mm256_add_pd(acc0, _mm256_i32gather_pd(values, v0, 8));
-    acc1 = _mm256_add_pd(acc1, _mm256_i32gather_pd(values, v1, 8));
+    acc0 = _mm256_add_pd(acc0, gather4(values, v0));
+    acc1 = _mm256_add_pd(acc1, gather4(values, v1));
   }
   __m256d s = _mm256_add_pd(acc0, acc1);
   __m128d r = _mm_add_pd(_mm256_castpd256_pd128(s),
@@ -280,8 +290,8 @@ MassPair gather_mass_avx2(std::span<const std::uint32_t> idx,
     __m128i v0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ix + k));
     __m128i v1 =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(ix + k + 4));
-    __m256d p0 = _mm256_i32gather_pd(posterior, v0, 8);
-    __m256d p1 = _mm256_i32gather_pd(posterior, v1, 8);
+    __m256d p0 = gather4(posterior, v0);
+    __m256d p1 = gather4(posterior, v1);
     z0 = _mm256_add_pd(z0, p0);
     z1 = _mm256_add_pd(z1, p1);
     y0 = _mm256_add_pd(y0, _mm256_sub_pd(one, p0));

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bounds/column_model.h"
+#include "bounds/dataset_bound.h"
 #include "bounds/gibbs_bound.h"
 #include "core/em_ext.h"
 #include "core/streaming_em.h"
@@ -515,6 +516,60 @@ TEST(Checkpoint, GibbsKilledRunResumesBitIdentical) {
             baseline.effective_sample_size);
   EXPECT_EQ(resumed.r_hat, baseline.r_hat);
   EXPECT_FALSE(std::filesystem::exists(ckpt.checkpoint_path));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Checkpoint, GibbsDatasetBoundKilledRunResumesBitIdentical) {
+  // The dataset bound runs its patterns concurrently, so each pattern
+  // checkpoints to its own file, <path>.<first-occurrence column>.
+  Dataset d = tiny_dataset();  // patterns first seen at columns 0, 1, 2
+  ModelParams params;
+  params.source.assign(d.source_count(), SourceParams{0.7, 0.3, 0.8, 0.5});
+  params.z = 0.4;
+  GibbsBoundConfig config;
+  config.burn_in_sweeps = 20;
+  config.min_sweeps = 50;
+  config.max_sweeps = 400;
+  ThreadPool pool(4);
+  DatasetBoundResult baseline =
+      gibbs_dataset_bound(d, params, 11, config, &pool);
+  ASSERT_EQ(baseline.distinct_patterns, 3u);
+
+  std::string dir = temp_dir("gibbs_dataset_resume");
+  GibbsBoundConfig ckpt = config;
+  ckpt.checkpoint_path = dir + "/gibbs.ckpt";
+  std::vector<std::string> files;
+  for (const char* column : {"0", "1", "2"}) {
+    files.push_back(ckpt.checkpoint_path + "." + column);
+  }
+  fault::FaultConfig fc;
+  fc.seed = 43;
+  fc.kill_after_units = 1;  // die after one chain committed
+  {
+    fault::ScopedFaultInjection inj(fc);
+    EXPECT_THROW(gibbs_dataset_bound(d, params, 11, ckpt, &pool),
+                 fault::FaultInjectedError);
+  }
+  for (const std::string& file : files) {
+    EXPECT_TRUE(std::filesystem::exists(file)) << file;
+  }
+  EXPECT_FALSE(std::filesystem::exists(ckpt.checkpoint_path));
+
+  // Rerun under the same kill: it survives only if every pattern
+  // replays its chain from its own file instead of committing anew.
+  DatasetBoundResult resumed;
+  {
+    fault::ScopedFaultInjection inj(fc);
+    resumed = gibbs_dataset_bound(d, params, 11, ckpt, &pool);
+    EXPECT_EQ(fault::committed_units(), 0u);
+  }
+  EXPECT_EQ(resumed.distinct_patterns, baseline.distinct_patterns);
+  EXPECT_EQ(resumed.bound.error, baseline.bound.error);
+  EXPECT_EQ(resumed.bound.false_positive, baseline.bound.false_positive);
+  EXPECT_EQ(resumed.bound.false_negative, baseline.bound.false_negative);
+  for (const std::string& file : files) {
+    EXPECT_FALSE(std::filesystem::exists(file)) << file;
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -14,6 +14,8 @@
 
 #include "backend_guard.h"
 #include "bounds/column_model.h"
+#include "bounds/dataset_bound.h"
+#include "bounds/exact_bound.h"
 #include "bounds/gibbs_bound.h"
 #include "core/em_ext.h"
 #include "core/likelihood.h"
@@ -41,10 +43,14 @@ void expect_bitwise_equal(const std::vector<double>& a,
   }
 }
 
-Dataset make_dataset(std::uint64_t seed, std::size_t n, std::size_t m) {
+SimInstance make_instance(std::uint64_t seed, std::size_t n,
+                          std::size_t m) {
   Rng rng(seed);
-  SimKnobs knobs = SimKnobs::paper_defaults(n, m);
-  return generate_parametric(knobs, rng).dataset;
+  return generate_parametric(SimKnobs::paper_defaults(n, m), rng);
+}
+
+Dataset make_dataset(std::uint64_t seed, std::size_t n, std::size_t m) {
+  return make_instance(seed, n, m).dataset;
 }
 
 TEST(ClaimPartition, MatchesDependencyIndicatorsOnRandomDatasets) {
@@ -251,6 +257,67 @@ TEST(ParallelEngine, GibbsSingleChainUnaffectedByPoolChoice) {
   GibbsBoundResult got = gibbs_bound(model, 7, config);
   EXPECT_EQ(ref.bound.error, got.bound.error);
   EXPECT_EQ(ref.sweeps, got.sweeps);
+}
+
+void expect_same_dataset_bound(const DatasetBoundResult& a,
+                               const DatasetBoundResult& b,
+                               const char* what) {
+  expect_bitwise_equal(
+      {a.bound.error, a.bound.false_positive, a.bound.false_negative},
+      {b.bound.error, b.bound.false_positive, b.bound.false_negative},
+      what);
+  EXPECT_EQ(a.distinct_patterns, b.distinct_patterns) << what;
+  EXPECT_EQ(a.columns, b.columns) << what;
+}
+
+TEST(ParallelEngine, DatasetBoundsBitwiseEqualAcrossPoolSizes) {
+  ThreadPool pool1(1), pool4(4);
+  for (std::size_t n : {std::size_t{8}, std::size_t{20}}) {
+    SimInstance inst = make_instance(41 + n, n, 30);
+    DatasetBoundResult one =
+        exact_dataset_bound(inst.dataset, inst.true_params, &pool1);
+    DatasetBoundResult four =
+        exact_dataset_bound(inst.dataset, inst.true_params, &pool4);
+    expect_same_dataset_bound(one, four, "exact");
+  }
+  SimInstance inst = make_instance(53, 50, 30);
+  GibbsBoundConfig config;
+  config.min_sweeps = 200;
+  config.max_sweeps = 600;
+  DatasetBoundResult one =
+      gibbs_dataset_bound(inst.dataset, inst.true_params, 9, config, &pool1);
+  DatasetBoundResult four =
+      gibbs_dataset_bound(inst.dataset, inst.true_params, 9, config, &pool4);
+  EXPECT_GT(one.distinct_patterns, 1u);
+  expect_same_dataset_bound(one, four, "gibbs");
+}
+
+TEST(ParallelEngine, ExactDatasetBoundEqualsUnmemoizedColumnAverage) {
+  // Equal exposure patterns build equal column models, so computing each
+  // pattern once must not change a bit of the column average (summed in
+  // column order, then scaled by 1/m).
+  ThreadPool pool4(4);
+  for (std::size_t n : {std::size_t{8}, std::size_t{20}}) {
+    SimInstance inst = make_instance(61 + n, n, 30);
+    const Dataset& d = inst.dataset;
+    DatasetBoundResult got = exact_dataset_bound(d, inst.true_params, &pool4);
+    BoundResult sum;
+    for (std::size_t j = 0; j < d.assertion_count(); ++j) {
+      BoundResult b =
+          exact_bound(make_column_model(inst.true_params, d.dependency, j));
+      sum.error += b.error;
+      sum.false_positive += b.false_positive;
+      sum.false_negative += b.false_negative;
+    }
+    double inv = 1.0 / static_cast<double>(d.assertion_count());
+    EXPECT_LT(got.distinct_patterns, d.assertion_count()) << "n = " << n;
+    expect_bitwise_equal(
+        {sum.error * inv, sum.false_positive * inv,
+         sum.false_negative * inv},
+        {got.bound.error, got.bound.false_positive,
+         got.bound.false_negative},
+        "exact vs unmemoized");
+  }
 }
 
 TEST(ParallelTasks, EveryTaskRunsExactlyOnce) {

@@ -13,6 +13,7 @@
 //     Sharding is an execution strategy, never an approximation.
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -325,6 +326,21 @@ TEST(Shard, GibbsBoundBitIdenticalToFlat) {
     EXPECT_EQ(got.bound.false_positive, flat.bound.false_positive);
     EXPECT_EQ(got.bound.false_negative, flat.bound.false_negative);
   }
+}
+
+TEST(Shard, DatasetBoundsRejectMismatchedParams) {
+  Rng rng(7);
+  SimInstance inst =
+      generate_parametric(SimKnobs::paper_defaults(10, 30), rng);
+  ModelParams wider = inst.true_params;
+  wider.source.resize(30);
+  ShardedDataset sharded = ShardedDataset::build(inst.dataset, {8});
+  EXPECT_THROW(gibbs_dataset_bound(sharded, wider, 11),
+               std::invalid_argument);
+  EXPECT_THROW(gibbs_dataset_bound(inst.dataset, wider, 11),
+               std::invalid_argument);
+  EXPECT_THROW(exact_dataset_bound(inst.dataset, wider),
+               std::invalid_argument);
 }
 
 }  // namespace
