@@ -7,9 +7,15 @@
 //   * a per-window claim buffer, and
 //   * a StreamingEmExt whose per-source sufficient statistics persist
 //     across refreshes,
-// so each refresh() costs O(window), not O(history). Beliefs are tracked
-// per global cluster id and updated by the latest refresh that touched
-// the cluster.
+// so each refresh() re-estimates the clusters its window touched, never
+// the whole history. A refresh is still O(sources) per inner EM
+// iteration, by design: under EM-Ext silence is evidence (Table II), so
+// every user of the follower graph enters the log table and the M-step,
+// not only the window's claimants. Those per-source passes run on
+// StreamingEmConfig::pool, and only the sources with a claim or an
+// exposure in the window gather batch statistics (docs/MODEL.md §6).
+// Beliefs are tracked per global cluster id and updated by the latest
+// refresh that touched the cluster.
 #pragma once
 
 #include <unordered_map>

@@ -60,7 +60,7 @@ class FlatEmEngine {
   }
 
   void e_step(const ModelParams& params, Scratch& s) const {
-    s.table.set_params(params);
+    s.table.set_params(params, pool_);
     fused_e_step(s.table, pool_, s.e, s.column_ll);
   }
 

@@ -18,11 +18,20 @@ double cell_probability(const SourceParams& p, bool claimed, bool truth,
   return claimed ? rate : 1.0 - rate;
 }
 
-LikelihoodTable::LikelihoodTable(const Dataset& dataset)
-    : dataset_(dataset), partition_(&dataset.partition()) {
+LikelihoodTable::LikelihoodTable(const Dataset& dataset) { rebind(dataset); }
+
+void LikelihoodTable::rebind(const Dataset& dataset) {
+  dataset_ = &dataset;
+  partition_ = &dataset.partition();
   std::size_t m = dataset.assertion_count();
   exp_off_.resize(m + 1);
   cl_off_.resize(m + 1);
+  exp_idx_.clear();
+  cl_idx_.clear();
+  pair_offs_.clear();
+  single_offs_.clear();
+  pair_off_.clear();
+  single_off_.clear();
   std::size_t exp_total = 0;
   std::size_t cl_total = 0;
   for (std::size_t j = 0; j < m; ++j) {
@@ -132,8 +141,9 @@ LikelihoodTable::LikelihoodTable(const Dataset& dataset,
   set_params(params);
 }
 
-void LikelihoodTable::set_params(const ModelParams& params) {
-  std::size_t n = dataset_.source_count();
+void LikelihoodTable::set_params(const ModelParams& params,
+                                 ThreadPool* pool) {
+  std::size_t n = dataset_->source_count();
   if (params.source.size() != n) {
     throw std::invalid_argument(
         "LikelihoodTable: params/source count mismatch");
@@ -144,28 +154,35 @@ void LikelihoodTable::set_params(const ModelParams& params) {
   // historical clamp_prob lambda build, minus its scratch pack).
   static_assert(sizeof(SourceParams) == 4 * sizeof(double));
   logs_.build_from_rows(n, clamp_prob(params.z),
-                        reinterpret_cast<const double*>(params.source.data()));
+                        reinterpret_cast<const double*>(params.source.data()),
+                        pool);
 
   // Value rows for the precompiled gather schedule: [es | ci | cd+es]
-  // plus two zero sentinel rows (one O(n) pass, negligible next to the
-  // table build). Only built when the schedule exists and the AVX2
-  // backend is active at build time; the use site re-checks both
-  // conditions so a backend switch between build and query degrades to
-  // the select path instead of misreading.
-  super_.clear();
-  if (fold_ready_ && !pair_off_.empty() && simd::avx2_active()) {
-    const kernels::LogPair* es = logs_.exposed_silent();
-    const kernels::LogPair* ci = logs_.claim_indep();
-    const kernels::LogPair* cd = logs_.claim_dep();
-    super_.resize(3 * n + 2);
-    for (std::size_t i = 0; i < n; ++i) {
-      super_[i] = es[i];
-      super_[n + i] = ci[i];
-      super_[2 * n + i] = {cd[i].t + es[i].t, cd[i].f + es[i].f};
-    }
-    super_[3 * n] = {0.0, 0.0};
-    super_[3 * n + 1] = {0.0, 0.0};
+  // plus two zero sentinel rows, filled in the table build's source
+  // chunks (each source writes its own three rows). Only built when the
+  // schedule exists and the AVX2 backend is active at build time; the
+  // use site re-checks both conditions so a backend switch between
+  // build and query degrades to the select path instead of misreading.
+  if (!fold_ready_ || pair_off_.empty() || !simd::avx2_active()) {
+    super_.clear();
+    return;
   }
+  const kernels::LogPair* es = logs_.exposed_silent();
+  const kernels::LogPair* ci = logs_.claim_indep();
+  const kernels::LogPair* cd = logs_.claim_dep();
+  super_.resize(3 * n + 2);
+  kernels::LogPair* sup = super_.data();
+  kernels::for_each_chunk(
+      pool, n, kernels::kSourceChunk,
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          sup[i] = es[i];
+          sup[n + i] = ci[i];
+          sup[2 * n + i] = {cd[i].t + es[i].t, cd[i].f + es[i].f};
+        }
+      });
+  sup[3 * n] = {0.0, 0.0};
+  sup[3 * n + 1] = {0.0, 0.0};
 }
 
 void LikelihoodTable::prior_columns(std::size_t begin, std::size_t end,
@@ -235,14 +252,14 @@ void LikelihoodTable::prior_columns(std::size_t begin, std::size_t end,
 }
 
 std::vector<ColumnLogLikelihood> LikelihoodTable::all_columns() const {
-  std::vector<ColumnLogLikelihood> out(dataset_.assertion_count());
+  std::vector<ColumnLogLikelihood> out(dataset_->assertion_count());
   for (std::size_t j = 0; j < out.size(); ++j) out[j] = column(j);
   return out;
 }
 
 double LikelihoodTable::data_log_likelihood() const {
   double total = 0.0;
-  for (std::size_t j = 0; j < dataset_.assertion_count(); ++j) {
+  for (std::size_t j = 0; j < dataset_->assertion_count(); ++j) {
     ColumnLogLikelihood c = column(j);
     total += logsumexp(c.log_given_true + logs_.log_z(),
                        c.log_given_false + logs_.log_1mz());

@@ -50,16 +50,27 @@ class LikelihoodTable {
   // Convenience: bind and build in one step (one-shot callers).
   LikelihoodTable(const Dataset& dataset, const ModelParams& params);
 
+  // Binds the table to another dataset, rebuilding the structure-only
+  // column lists in place. The source-sized value buffers (log table,
+  // AVX2 supertable) keep their storage, so a caller that builds one
+  // table per batch over a fixed source universe (StreamingEmExt)
+  // allocates and first-touches them once instead of once per batch.
+  // Call set_params() before reading columns.
+  void rebind(const Dataset& dataset);
+
   // Recomputes the hoisted log terms from `params`, reusing the
   // existing buffers. `params` must have one entry per source in the
   // dataset (throws std::invalid_argument otherwise); probabilities are
-  // clamped internally so logs stay finite.
-  void set_params(const ModelParams& params);
+  // clamped internally so logs stay finite. The per-source rows (log
+  // table and AVX2 supertable) are filled in fixed kSourceChunk chunks
+  // on `pool` — nullptr runs the same chunks inline — so the table is
+  // bit-identical for any pool.
+  void set_params(const ModelParams& params, ThreadPool* pool = nullptr);
 
   std::size_t assertion_count() const {
-    return dataset_.assertion_count();
+    return dataset_->assertion_count();
   }
-  const Dataset& dataset() const { return dataset_; }
+  const Dataset& dataset() const { return *dataset_; }
 
   // Column log-likelihoods for assertion j (Eq. 4/5). Claim cells read
   // D_ij from the dataset's ClaimPartition cache; thread-safe. Inline:
@@ -73,10 +84,10 @@ class LikelihoodTable {
     // floating-point result — matches the per-claimant search the
     // kernels replaced).
     kernels::LogPair acc = kernels::gather_add(
-        logs_.base(), dataset_.dependency.exposed_sources(assertion),
+        logs_.base(), dataset_->dependency.exposed_sources(assertion),
         logs_.exposed_silent());
     acc = kernels::gather_add_select(
-        acc, dataset_.claims.claimants_of(assertion),
+        acc, dataset_->claims.claimants_of(assertion),
         partition_->claimant_dependent(assertion), logs_.claim_indep(),
         logs_.claim_dep());
     return {acc.t, acc.f};
@@ -117,8 +128,8 @@ class LikelihoodTable {
             single_off_[p + 1] - single_off_[p]};
   }
 
-  const Dataset& dataset_;
-  const ClaimPartition* partition_;  // owned by dataset_
+  const Dataset* dataset_ = nullptr;
+  const ClaimPartition* partition_ = nullptr;  // owned by *dataset_
   kernels::ExtLogTable logs_;        // hoisted per-source log terms
 
   // Structure-only CSR flattening of the dataset's per-column
@@ -148,9 +159,10 @@ class LikelihoodTable {
   // and the rest as 16-byte granules, interleaved [col 2p, col 2p+1]
   // per fixed column pair and padded with the zero sentinel row so both
   // streams are rectangular (padded slots add 0.0). set_params() only
-  // refreshes the value rows. The schedule changes summation grouping,
-  // so only the AVX2 backend (ULP contract) takes it; the scalar path
-  // keeps the source-order exposed+select walk for bit-identity.
+  // refreshes the value rows, in the table build's source chunks. The
+  // schedule changes summation grouping, so only the AVX2 backend (ULP
+  // contract) takes it; the scalar path keeps the source-order
+  // exposed+select walk for bit-identity.
   bool fold_ready_ = false;
   std::vector<kernels::LogPair> super_;  // [es | ci | cd+es | 0, 0]
   std::vector<std::uint32_t> pair_offs_;    // 32-byte granule offsets

@@ -124,10 +124,11 @@ class ShardedEmEngine {
     // static_assert lives in em_mstep.h's fused tail, same contract):
     // build_from_rows reads the params array directly and clamps each
     // rate in flight — bit-identical to the historical clamp_prob
-    // lambda build, minus its 4n-double scratch pack.
+    // lambda build, minus its 4n-double scratch pack — and builds the
+    // rows in fixed source chunks on the pool (same bits for any pool).
     s.table.build_from_rows(
         n, clamp_prob(params.z),
-        reinterpret_cast<const double*>(params.source.data()));
+        reinterpret_cast<const double*>(params.source.data()), pool_);
     s.e.posterior.resize(m);
     s.e.log_odds.resize(m);
     s.column_ll.resize(m);

@@ -1,6 +1,7 @@
 #include "core/streaming_em.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -38,14 +39,7 @@ StreamingEmExt::StreamingEmExt(std::size_t sources,
   stats_denom_b_.assign(sources, 0.0);
   stats_denom_f_.assign(sources, 0.0);
   stats_denom_g_.assign(sources, 0.0);
-  batch_indep_z_.assign(sources, 0.0);
-  batch_indep_y_.assign(sources, 0.0);
-  batch_dep_z_.assign(sources, 0.0);
-  batch_dep_y_.assign(sources, 0.0);
-  batch_denom_a_.assign(sources, 0.0);
-  batch_denom_b_.assign(sources, 0.0);
-  batch_denom_f_.assign(sources, 0.0);
-  batch_denom_g_.assign(sources, 0.0);
+  batch_stats_.assign(sources, em_detail::SourceMStatsPacked{});
 }
 
 StreamingBatchResult StreamingEmExt::observe(const Dataset& batch,
@@ -78,6 +72,7 @@ StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
         "StreamingEmExt::observe: batch source count mismatch");
   }
   std::size_t m = batch.assertion_count();
+  ThreadPool* pool = config_.pool != nullptr ? config_.pool : &global_pool();
 
   // On the very first batch, bootstrap theta from the batch's vote
   // prior (independent support) exactly like the offline estimator.
@@ -86,28 +81,46 @@ StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
     boot.shrinkage = config_.shrinkage;
     boot.clamp_eps = config_.clamp_eps;
     boot.max_iters = 1;
+    boot.pool = config_.pool;
     params_ = EmExtEstimator(boot).run_detailed(batch, 1).params;
   }
 
-  // One likelihood table per batch, rebuilt in place each inner
-  // iteration; the batch-statistics vectors are member scratch with
-  // every slot assigned below. The pre-kernel loop constructed a fresh
-  // table and nine fresh vectors per inner iteration.
-  LikelihoodTable table(batch);
+  // Active sources: a claim or an exposure in this batch, collected
+  // from the columns in ascending source order. Only they gather
+  // statistics. A silent source's gathers would all be empty sums, so
+  // its packed row stays zero, from which blended() below derives its
+  // exact statistics: zero numerators and the denominators
+  // total_z - 0.0 and total_y - (0.0 - 0.0). First re-zero the previous
+  // batch's rows.
+  std::vector<em_detail::SourceMStatsPacked>& stats = batch_stats_;
+  for (std::uint32_t i : active_) stats[i] = {};
+  active_.clear();
+  for (std::size_t j = 0; j < m; ++j) {
+    const std::vector<std::uint32_t>& claimants =
+        batch.claims.claimants_of(j);
+    const std::vector<std::uint32_t>& exposed =
+        batch.dependency.exposed_sources(j);
+    active_.insert(active_.end(), claimants.begin(), claimants.end());
+    active_.insert(active_.end(), exposed.begin(), exposed.end());
+  }
+  std::sort(active_.begin(), active_.end());
+  active_.erase(std::unique(active_.begin(), active_.end()), active_.end());
+  const ClaimPartition& part = batch.partition();
+
+  // One likelihood table per stream, rebound to this batch and rebuilt
+  // in place each inner iteration.
+  if (table_) {
+    table_->rebind(batch);
+  } else {
+    table_.emplace(batch);
+  }
+  LikelihoodTable& table = *table_;
   std::vector<double>& posterior = posterior_;
   posterior.assign(m, 0.5);
-  std::vector<double>& bz = batch_indep_z_;
-  std::vector<double>& by = batch_indep_y_;
-  std::vector<double>& dz = batch_dep_z_;
-  std::vector<double>& dy = batch_dep_y_;
-  std::vector<double>& da = batch_denom_a_;
-  std::vector<double>& db = batch_denom_b_;
-  std::vector<double>& df = batch_denom_f_;
-  std::vector<double>& dg = batch_denom_g_;
   bool poisoned = false;
   for (std::size_t inner = 0; inner < config_.iters_per_batch; ++inner) {
     // E-step on this batch under the current theta.
-    table.set_params(params_);
+    table.set_params(params_, pool);
     all_posteriors(table, posterior);
     fault::maybe_corrupt_posterior(posterior);
     if (!all_finite(posterior)) {
@@ -118,81 +131,107 @@ StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
       break;
     }
 
-    // Batch sufficient statistics.
+    // Batch sufficient statistics of the active sources; each source
+    // owns its row. The partition's split claim lists replace the
+    // per-claim dependency search, and each accumulator keeps its
+    // addition order.
     double total_z = 0.0;
     for (double p : posterior) total_z += p;
     double total_y = static_cast<double>(m) - total_z;
-    for (std::size_t i = 0; i < n; ++i) {
-      double exposed_z = kernels::gather_sum(
-          batch.dependency.exposed_assertions(i), posterior.data());
-      double exposed_count = static_cast<double>(
-          batch.dependency.exposed_assertions(i).size());
-      // Split claim lists from the partition cache replace the per-claim
-      // dependency search; each accumulator keeps its addition order.
-      kernels::MassPair dep = kernels::gather_mass(
-          batch.partition().dependent_claims(i), posterior.data());
-      kernels::MassPair indep = kernels::gather_mass(
-          batch.partition().independent_claims(i), posterior.data());
-      dz[i] = dep.z;
-      dy[i] = dep.y;
-      bz[i] = indep.z;
-      by[i] = indep.y;
-      da[i] = total_z - exposed_z;
-      db[i] = total_y - (exposed_count - exposed_z);
-      df[i] = exposed_z;
-      dg[i] = exposed_count - exposed_z;
-    }
+    kernels::for_each_chunk(
+        pool, active_.size(), kernels::kSourceChunk,
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+          for (std::size_t k = begin; k < end; ++k) {
+            std::uint32_t i = active_[k];
+            const std::vector<std::uint32_t>& exposed =
+                batch.dependency.exposed_assertions(i);
+            kernels::MassPair dep = kernels::gather_mass(
+                part.dependent_claims(i), posterior.data());
+            kernels::MassPair indep = kernels::gather_mass(
+                part.independent_claims(i), posterior.data());
+            stats[i] = {indep.z,
+                        indep.y,
+                        dep.z,
+                        dep.y,
+                        kernels::gather_sum(exposed, posterior.data()),
+                        static_cast<double>(exposed.size())};
+          }
+        });
 
     // Recursive update: decay history, add the batch. Only the final
     // inner iteration commits to the running statistics; earlier inner
     // iterations refine theta against a blended view so warm starts do
-    // not double-count the batch.
+    // not double-count the batch. blended(i) is source i's eight
+    // running statistics {num_a, den_a, num_b, den_b, num_f, den_f,
+    // num_g, den_g} after the batch, with the denominators derived from
+    // the packed exposure pair as in em_detail::SourceMStatsPacked.
     double lambda = config_.forgetting;
-    auto blend = [&](const std::vector<double>& hist,
-                     const std::vector<double>& fresh, std::size_t i) {
-      return lambda * hist[i] + fresh[i];
+    auto blended = [&](std::size_t i) {
+      const em_detail::SourceMStatsPacked& b = stats[i];
+      const double t1 = b.exposed_count - b.exposed_z;
+      return std::array<double, 8>{
+          lambda * stats_claim_indep_z_[i] + b.claim_indep_z,
+          lambda * stats_denom_a_[i] + (total_z - b.exposed_z),
+          lambda * stats_claim_indep_y_[i] + b.claim_indep_y,
+          lambda * stats_denom_b_[i] + (total_y - t1),
+          lambda * stats_claim_dep_z_[i] + b.claim_dep_z,
+          lambda * stats_denom_f_[i] + b.exposed_z,
+          lambda * stats_claim_dep_y_[i] + b.claim_dep_y,
+          lambda * stats_denom_g_[i] + t1};
     };
 
-    // Pooled rates for shrinkage.
-    double pnum_a = 0, pden_a = 0, pnum_b = 0, pden_b = 0;
-    double pnum_f = 0, pden_f = 0, pnum_g = 0, pden_g = 0;
+    // Pooled rates for shrinkage: a serial sum in source order. Its
+    // shape is part of the stream's bits (every later batch reads the
+    // rates it anchors), so it does not move onto the pool.
+    std::array<double, 8> pooled{};
     for (std::size_t i = 0; i < n; ++i) {
-      pnum_a += blend(stats_claim_indep_z_, bz, i);
-      pden_a += blend(stats_denom_a_, da, i);
-      pnum_b += blend(stats_claim_indep_y_, by, i);
-      pden_b += blend(stats_denom_b_, db, i);
-      pnum_f += blend(stats_claim_dep_z_, dz, i);
-      pden_f += blend(stats_denom_f_, df, i);
-      pnum_g += blend(stats_claim_dep_y_, dy, i);
-      pden_g += blend(stats_denom_g_, dg, i);
+      std::array<double, 8> v = blended(i);
+      for (std::size_t k = 0; k < 8; ++k) pooled[k] += v[k];
     }
-    auto pooled = [](double num, double den) {
-      return den > 0.0 ? num / den : 0.5;
-    };
-    double mu_a = pooled(pnum_a, pden_a);
-    double mu_b = pooled(pnum_b, pden_b);
-    double mu_f = pooled(pnum_f, pden_f);
-    double mu_g = pooled(pnum_g, pden_g);
+    double mu[4];
+    double cells[4];
+    for (std::size_t r = 0; r < 4; ++r) {
+      double num = pooled[2 * r];
+      double den = pooled[2 * r + 1];
+      mu[r] = den > 0.0 ? num / den : 0.5;
+      cells[r] = config_.shrinkage > 0.0
+                     ? config_.shrinkage / std::max(mu[r], 1e-9)
+                     : 0.0;
+    }
 
-    auto map_rate = [&](double num, double den, double mu,
+    // MAP update, fused with the commit on the final inner iteration:
+    // one chunked pass in which each source writes only its own
+    // parameters and running statistics.
+    const bool commit = inner + 1 == config_.iters_per_batch;
+    auto map_rate = [&](double num, double den, std::size_t r,
                         double& out) {
-      double cells = config_.shrinkage > 0.0
-                         ? config_.shrinkage / std::max(mu, 1e-9)
-                         : 0.0;
-      double d = den + cells;
-      if (d > 0.0) out = clamp_prob((num + cells * mu) / d,
-                                    config_.clamp_eps);
+      double d = den + cells[r];
+      if (d > 0.0) {
+        out = clamp_prob((num + cells[r] * mu[r]) / d, config_.clamp_eps);
+      }
     };
-    for (std::size_t i = 0; i < n; ++i) {
-      map_rate(blend(stats_claim_indep_z_, bz, i),
-               blend(stats_denom_a_, da, i), mu_a, params_.source[i].a);
-      map_rate(blend(stats_claim_indep_y_, by, i),
-               blend(stats_denom_b_, db, i), mu_b, params_.source[i].b);
-      map_rate(blend(stats_claim_dep_z_, dz, i),
-               blend(stats_denom_f_, df, i), mu_f, params_.source[i].f);
-      map_rate(blend(stats_claim_dep_y_, dy, i),
-               blend(stats_denom_g_, dg, i), mu_g, params_.source[i].g);
-    }
+    kernels::for_each_chunk(
+        pool, n, kernels::kSourceChunk,
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            std::array<double, 8> v = blended(i);
+            SourceParams& p = params_.source[i];
+            map_rate(v[0], v[1], 0, p.a);
+            map_rate(v[2], v[3], 1, p.b);
+            map_rate(v[4], v[5], 2, p.f);
+            map_rate(v[6], v[7], 3, p.g);
+            if (commit) {
+              stats_claim_indep_z_[i] = v[0];
+              stats_denom_a_[i] = v[1];
+              stats_claim_indep_y_[i] = v[2];
+              stats_denom_b_[i] = v[3];
+              stats_claim_dep_z_[i] = v[4];
+              stats_denom_f_[i] = v[5];
+              stats_claim_dep_y_[i] = v[6];
+              stats_denom_g_[i] = v[7];
+            }
+          }
+        });
     params_.z = clamp_prob(
         (lambda * stats_z_num_ + total_z) /
             (lambda * stats_z_den_ + static_cast<double>(m)),
@@ -201,18 +240,7 @@ StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
       params_.z = std::clamp(params_.z, config_.z_floor,
                              1.0 - config_.z_floor);
     }
-
-    if (inner + 1 == config_.iters_per_batch) {
-      for (std::size_t i = 0; i < n; ++i) {
-        stats_claim_indep_z_[i] = blend(stats_claim_indep_z_, bz, i);
-        stats_claim_indep_y_[i] = blend(stats_claim_indep_y_, by, i);
-        stats_claim_dep_z_[i] = blend(stats_claim_dep_z_, dz, i);
-        stats_claim_dep_y_[i] = blend(stats_claim_dep_y_, dy, i);
-        stats_denom_a_[i] = blend(stats_denom_a_, da, i);
-        stats_denom_b_[i] = blend(stats_denom_b_, db, i);
-        stats_denom_f_[i] = blend(stats_denom_f_, df, i);
-        stats_denom_g_[i] = blend(stats_denom_g_, dg, i);
-      }
+    if (commit) {
       stats_z_num_ = lambda * stats_z_num_ + total_z;
       stats_z_den_ = lambda * stats_z_den_ + static_cast<double>(m);
     }
@@ -224,8 +252,7 @@ StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
   result.stats_committed = !poisoned;
   // The result vectors are moved to the caller, so (unlike the scratch
   // above) there is nothing to reuse here.
-  table.set_params(params_);
-  ThreadPool* pool = config_.pool != nullptr ? config_.pool : &global_pool();
+  table.set_params(params_, pool);
   EStepResult e = fused_e_step(table, pool);
   fault::maybe_corrupt_posterior(e.posterior);
   result.belief = std::move(e.posterior);

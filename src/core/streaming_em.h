@@ -41,9 +41,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "core/em_mstep.h"
 #include "core/estimator.h"
+#include "core/likelihood.h"
 #include "core/params.h"
 
 namespace ss {
@@ -62,10 +65,13 @@ struct StreamingEmConfig {
   double shrinkage = 8.0;
   // Bounds on the learned prior z (see EmExtConfig::z_floor).
   double z_floor = 0.05;
-  // Pool for the fused E-step; nullptr = the process-global pool.
-  // Chunk boundaries depend only on (count, grain), so results are
-  // bit-identical across pool sizes — tests pin a 1-thread and a
-  // 4-thread pool against each other to prove it.
+  // Pool for every pass of observe(): the first-batch bootstrap, the
+  // per-source log-table build, the batch statistics of the active
+  // sources, the MAP update + commit pass and the fused E-step;
+  // nullptr = the process-global pool. Chunk boundaries depend only on
+  // (count, grain) and the pooled-rate sums stay serial in source
+  // order, so results are bit-identical across pool sizes — tests pin
+  // 1-, 2- and 4-thread pools against each other to prove it.
   ThreadPool* pool = nullptr;
 };
 
@@ -141,19 +147,20 @@ class StreamingEmExt {
   double stats_z_num_ = 0.0;
   double stats_z_den_ = 0.0;
   // Batch-local scratch reused across observe() calls and inner
-  // iterations (the pre-kernel code allocated all nine vectors afresh
-  // once per inner iteration). The batch-statistics vectors are sized
-  // to the fixed source universe at construction; `posterior_` adapts
-  // to each batch's assertion count in place.
+  // iterations. `table_` is rebound to each batch (its source-sized
+  // buffers are allocated once per stream) and is never read between
+  // observe() calls. `posterior_` adapts to each batch's assertion count
+  // in place. `batch_stats_` holds the batch's statistics in the packed
+  // M-step layout, one row per source of the fixed universe; only the
+  // rows of `active_` — the sources with a claim or an exposure in the
+  // batch — are gathered, and every other row is all-zero, which
+  // derives exactly the statistics a silent source has (see
+  // observe()). The previous batch's active rows are re-zeroed before
+  // the next batch gathers, however that batch ended.
+  std::optional<LikelihoodTable> table_;
   std::vector<double> posterior_;
-  std::vector<double> batch_indep_z_;
-  std::vector<double> batch_indep_y_;
-  std::vector<double> batch_dep_z_;
-  std::vector<double> batch_dep_y_;
-  std::vector<double> batch_denom_a_;
-  std::vector<double> batch_denom_b_;
-  std::vector<double> batch_denom_f_;
-  std::vector<double> batch_denom_g_;
+  std::vector<em_detail::SourceMStatsPacked> batch_stats_;
+  std::vector<std::uint32_t> active_;
 };
 
 }  // namespace ss

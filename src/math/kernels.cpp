@@ -16,6 +16,58 @@ double tree_sum(ThreadPool* pool, const double* values, std::size_t n) {
       [](double a, double b) { return a + b; });
 }
 
+void ExtLogTable::build_rows(std::size_t n, double z, const double* rates4,
+                             bool clamp, ThreadPool* pool) {
+  if (exposed_silent_.size() != n) {
+    exposed_silent_.resize(n);
+    claim_indep_.resize(n);
+    claim_dep_.resize(n);
+    silent_.resize(n);
+  }
+  log_z_ = std::log(z);
+  log_1mz_ = std::log1p(-z);
+  LogPair* es = exposed_silent_.data();
+  LogPair* ci = claim_indep_.data();
+  LogPair* cd = claim_dep_.data();
+  LogPair* sil = silent_.data();
+  const bool avx2 = simd::avx2_active();
+  for_each_chunk(
+      pool, n, kSourceChunk,
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        if (avx2) {
+          simd::ext_table_rows_avx2(end - begin, rates4 + 4 * begin, clamp,
+                                    es + begin, ci + begin, cd + begin,
+                                    sil + begin);
+          return;
+        }
+        for (std::size_t i = begin; i < end; ++i) {
+          const double* r = rates4 + 4 * i;
+          double a = clamp ? clamp_prob(r[0]) : r[0];
+          double b = clamp ? clamp_prob(r[1]) : r[1];
+          double f = clamp ? clamp_prob(r[2]) : r[2];
+          double g = clamp ? clamp_prob(r[3]) : r[3];
+          double log_na = std::log1p(-a);
+          double log_nb = std::log1p(-b);
+          double log_nf = std::log1p(-f);
+          double log_ng = std::log1p(-g);
+          sil[i] = {log_na, log_nb};
+          es[i] = {log_nf - log_na, log_ng - log_nb};
+          ci[i] = {std::log(a) - log_na, std::log(b) - log_nb};
+          cd[i] = {std::log(f) - log_nf, std::log(g) - log_ng};
+        }
+      });
+  // The all-silent baseline: the stored pairs added in source order,
+  // the same additions a running sum inside the row loop makes, so the
+  // bits do not depend on how the rows above were scheduled.
+  double base_t = 0.0;
+  double base_f = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    base_t += sil[i].t;
+    base_f += sil[i].f;
+  }
+  base_ = {base_t, base_f};
+}
+
 std::size_t finalize_params(std::size_t n, const double* stats6,
                             double total_z, double total_y,
                             const double* cells, const double* cmu,

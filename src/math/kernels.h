@@ -96,6 +96,12 @@ namespace kernels {
 // partials -> 8 pairwise rounds).
 inline constexpr std::size_t kTreeReduceBlock = 4096;
 
+// Sources per chunk of the per-source passes that write one slot per
+// source (ExtLogTable rows, the likelihood supertable, the streaming
+// M-step). Fixed, so a source's slot is written by the same chunk for
+// any pool; n <= kSourceChunk is one chunk, run inline.
+inline constexpr std::size_t kSourceChunk = 4096;
+
 // Number of leaf blocks the tree has for `count` elements.
 inline std::size_t tree_block_count(std::size_t count) {
   return (count + kTreeReduceBlock - 1) / kTreeReduceBlock;
@@ -117,6 +123,24 @@ T tree_combine(std::vector<T>& partials, CombineFn&& combine) {
   return partials[0];
 }
 
+// Runs body(chunk, begin, end) over the fixed `grain`-element chunks of
+// [0, count): through `pool` when one is given and there is more than
+// one chunk, inline in chunk order otherwise. Chunk boundaries depend
+// only on (count, grain), so a body that writes disjoint slots produces
+// the same bits either way — the inline path is the same chunks, not a
+// serial twin of the parallel one.
+template <typename Body>
+void for_each_chunk(ThreadPool* pool, std::size_t count, std::size_t grain,
+                    Body&& body) {
+  if (pool != nullptr && count > grain) {
+    pool->parallel_for_chunks(count, grain, body);
+    return;
+  }
+  for (std::size_t c = 0, b = 0; b < count; ++c, b += grain) {
+    body(c, b, std::min(count, b + grain));
+  }
+}
+
 // Tree reduction over [0, count): block_fn(begin, end) -> T computes one
 // leaf partial (serially, in element order), combine(a, b) -> T merges
 // two. Leaves are evaluated through `pool` when given (each leaf writes
@@ -129,19 +153,10 @@ T tree_reduce(ThreadPool* pool, std::size_t count, T zero,
   if (blocks == 0) return zero;
   if (blocks == 1) return block_fn(std::size_t{0}, count);
   std::vector<T> partials(blocks);
-  if (pool != nullptr) {
-    pool->parallel_for_chunks(
-        count, kTreeReduceBlock,
-        [&](std::size_t c, std::size_t b, std::size_t e) {
-          partials[c] = block_fn(b, e);
-        });
-  } else {
-    for (std::size_t c = 0; c < blocks; ++c) {
-      std::size_t b = c * kTreeReduceBlock;
-      std::size_t e = std::min(count, b + kTreeReduceBlock);
-      partials[c] = block_fn(b, e);
-    }
-  }
+  for_each_chunk(pool, count, kTreeReduceBlock,
+                 [&](std::size_t c, std::size_t b, std::size_t e) {
+                   partials[c] = block_fn(b, e);
+                 });
   return tree_combine(partials, combine);
 }
 
@@ -243,28 +258,22 @@ void finalize_columns_avx2(const double* la, const double* lb,
                            double* log_odds, double* column_ll);
 void finalize_pairs_avx2(const double* la, const double* lb, std::size_t n,
                          double* posterior, double* log_odds);
-// Table builds over a caller-packed rate scratch: `rates` holds
-// {a, b, f, g} (ext) or {p_true, p_false} (rate) per source,
-// contiguously. `base` is overwritten with the all-silent sums,
-// accumulated in source order.
-void ext_table_rows_avx2(std::size_t n, const double* rates,
+// Ext table rows for n sources: `rates` holds {a, b, f, g} per source,
+// contiguously (the SourceParams memory layout). With `clamp` the
+// kernel applies the canonical clamp_prob clamp in-register before the
+// row math, replicating std::clamp's branch semantics with ordered
+// compare + blend — a NaN rate survives the clamp and takes the scalar
+// degenerate row, exactly like clamp_prob(NaN). `silent` receives each
+// source's all-silent pair [log(1-a), log(1-b)]; the caller sums the
+// pairs in source order (ExtLogTable::base).
+void ext_table_rows_avx2(std::size_t n, const double* rates, bool clamp,
                          kernels::LogPair* exposed_silent,
                          kernels::LogPair* claim_indep,
                          kernels::LogPair* claim_dep,
-                         kernels::LogPair* base);
-// As ext_table_rows_avx2, but `rates` holds *unclamped* {a, b, f, g}
-// rows (the SourceParams memory layout) and the kernel applies the
-// canonical clamp_prob clamp in-register before the row math. The
-// clamp replicates std::clamp's branch semantics with ordered
-// compare + blend — a NaN rate survives the clamp and takes the
-// scalar degenerate row, exactly like clamp_prob(NaN) fed to the
-// scratch path — so the output bits equal build() over
-// clamp_prob-wrapped rates, without the 4n-double scratch round trip.
-void ext_table_rows_clamped_avx2(std::size_t n, const double* rates,
-                                 kernels::LogPair* exposed_silent,
-                                 kernels::LogPair* claim_indep,
-                                 kernels::LogPair* claim_dep,
-                                 kernels::LogPair* base);
+                         kernels::LogPair* silent);
+// Rate table rows over a caller-packed {p_true, p_false} scratch.
+// `base` is overwritten with the all-silent sums, accumulated in source
+// order.
 void rate_table_rows_avx2(std::size_t n, const double* rates,
                           kernels::LogPair* silent, kernels::LogPair* claim,
                           kernels::LogPair* base);
@@ -583,91 +592,49 @@ std::size_t finalize_params(std::size_t n, const double* stats6,
 
 // Four-rate table for the dependency-aware model (Table II): baseline
 // "everyone silent and unexposed" sums plus the three correction pairs
-// LikelihoodTable applies per column. `rates(i)` must return the
-// already-clamped {a, b, f, g} for source i; the scalar build performs
-// exactly the eight transcendentals per source of the pre-kernel
-// constructor, in the same order, and reallocates only when the source
-// count grows. The avx2 build packs the rates into a scratch row and
-// evaluates all four log/log1p pairs of a source as one vector
-// (simd::ext_table_rows_avx2); the base sums still accumulate in
-// source order, so the only divergence from scalar is the polynomial
-// transcendental itself.
+// LikelihoodTable applies per column. Both builds run the same row
+// pass: the scalar backend performs exactly the eight transcendentals
+// per source of the pre-kernel constructor, the avx2 backend evaluates
+// all four log/log1p pairs of a source as one vector
+// (simd::ext_table_rows_avx2), and buffers are reallocated only when
+// the source count changes.
+//
+// Parallel build. Rows are computed in fixed kSourceChunk-source
+// chunks, on the pool when one is given. Each source's all-silent pair
+// [log(1-a), log(1-b)] is stored rather than added to a running sum,
+// and base() is then summed serially over the stored pairs in source
+// order — the same additions, on the same values, that a running sum
+// inside the row loop makes — so the table is bit-identical for any
+// pool, including none.
 class ExtLogTable {
  public:
+  // `rates(i)` must return the already-clamped {a, b, f, g} for source
+  // i. Packs the rates into a scratch row per source, then builds
+  // serially (tests and the reference engines; the EM engines use
+  // build_from_rows).
   template <typename Rates>
   void build(std::size_t n, double z, Rates&& rates) {
-    resize(n);
-    log_z_ = std::log(z);
-    log_1mz_ = std::log1p(-z);
-    if (n > 0 && simd::avx2_active()) {
-      if (rate_scratch_.size() < 4 * n) rate_scratch_.resize(4 * n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto r = rates(i);  // {a, b, f, g}, clamped by the caller
-        rate_scratch_[4 * i + 0] = r[0];
-        rate_scratch_[4 * i + 1] = r[1];
-        rate_scratch_[4 * i + 2] = r[2];
-        rate_scratch_[4 * i + 3] = r[3];
-      }
-      simd::ext_table_rows_avx2(n, rate_scratch_.data(),
-                                exposed_silent_.data(), claim_indep_.data(),
-                                claim_dep_.data(), &base_);
-      return;
-    }
-    double base_t = 0.0;
-    double base_f = 0.0;
+    if (rate_scratch_.size() < 4 * n) rate_scratch_.resize(4 * n);
     for (std::size_t i = 0; i < n; ++i) {
       const auto r = rates(i);  // {a, b, f, g}, clamped by the caller
-      double log_na = std::log1p(-r[0]);
-      double log_nb = std::log1p(-r[1]);
-      double log_nf = std::log1p(-r[2]);
-      double log_ng = std::log1p(-r[3]);
-      base_t += log_na;
-      base_f += log_nb;
-      exposed_silent_[i] = {log_nf - log_na, log_ng - log_nb};
-      claim_indep_[i] = {std::log(r[0]) - log_na, std::log(r[1]) - log_nb};
-      claim_dep_[i] = {std::log(r[2]) - log_nf, std::log(r[3]) - log_ng};
+      rate_scratch_[4 * i + 0] = r[0];
+      rate_scratch_[4 * i + 1] = r[1];
+      rate_scratch_[4 * i + 2] = r[2];
+      rate_scratch_[4 * i + 3] = r[3];
     }
-    base_ = {base_t, base_f};
+    build_rows(n, z, rate_scratch_.data(), /*clamp=*/false, nullptr);
   }
 
   // Builds straight from n contiguous *unclamped* {a, b, f, g} rate
   // rows (the SourceParams memory layout; callers static_assert the
   // 4-double layout at the reinterpret_cast site), applying the
   // default clamp_prob per rate in flight. Bit-identical to build()
-  // over clamp_prob-wrapped rates — the scalar path clamps then runs
-  // the exact eight transcendentals above, the avx2 path clamps
-  // in-register with std::clamp's branch semantics — but skips the
-  // per-iteration 4n-double scratch pack the lambda build pays, which
-  // at 10^6 sources is a 32 MB write + read per EM iteration.
-  void build_from_rows(std::size_t n, double z, const double* rates4) {
-    resize(n);
-    log_z_ = std::log(z);
-    log_1mz_ = std::log1p(-z);
-    if (n > 0 && simd::avx2_active()) {
-      simd::ext_table_rows_clamped_avx2(n, rates4, exposed_silent_.data(),
-                                        claim_indep_.data(),
-                                        claim_dep_.data(), &base_);
-      return;
-    }
-    double base_t = 0.0;
-    double base_f = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* r = rates4 + 4 * i;
-      double a = clamp_prob(r[0]);
-      double b = clamp_prob(r[1]);
-      double f = clamp_prob(r[2]);
-      double g = clamp_prob(r[3]);
-      double log_na = std::log1p(-a);
-      double log_nb = std::log1p(-b);
-      double log_nf = std::log1p(-f);
-      double log_ng = std::log1p(-g);
-      base_t += log_na;
-      base_f += log_nb;
-      exposed_silent_[i] = {log_nf - log_na, log_ng - log_nb};
-      claim_indep_[i] = {std::log(a) - log_na, std::log(b) - log_nb};
-      claim_dep_[i] = {std::log(f) - log_nf, std::log(g) - log_ng};
-    }
-    base_ = {base_t, base_f};
+  // over clamp_prob-wrapped rates, without the per-iteration 4n-double
+  // scratch pack — a 32 MB write + read per EM iteration at 10^6
+  // sources. Rows run on `pool` (nullptr = inline, same chunks).
+  void build_from_rows(std::size_t n, double z, const double* rates4,
+                       ThreadPool* pool = nullptr) {
+    build_rows(n, z, rates4, /*clamp=*/true, pool);
   }
 
   std::size_t source_count() const { return exposed_silent_.size(); }
@@ -683,18 +650,16 @@ class ExtLogTable {
   const LogPair* claim_dep() const { return claim_dep_.data(); }
 
  private:
-  void resize(std::size_t n) {
-    if (exposed_silent_.size() != n) {
-      exposed_silent_.resize(n);
-      claim_indep_.resize(n);
-      claim_dep_.resize(n);
-    }
-  }
+  // The row pass both builds share (kernels.cpp): rows in kSourceChunk
+  // chunks on `pool`, then the serial source-order base sum.
+  void build_rows(std::size_t n, double z, const double* rates4, bool clamp,
+                  ThreadPool* pool);
 
   std::vector<LogPair> exposed_silent_;
   std::vector<LogPair> claim_indep_;
   std::vector<LogPair> claim_dep_;
-  std::vector<double> rate_scratch_;  // avx2 build input, {a,b,f,g} rows
+  std::vector<LogPair> silent_;  // log(1-a) | log(1-b), summed into base_
+  std::vector<double> rate_scratch_;  // build() input, {a,b,f,g} rows
   LogPair base_;
   double log_z_ = 0.0;
   double log_1mz_ = 0.0;

@@ -411,69 +411,36 @@ inline bool any_degenerate_rate(__m256d r) {
 
 // One source per iteration: its four rates occupy the four lanes, so
 // the eight scalar transcendentals become one log1p_pd and one log_pd.
-// The base sums accumulate in source order, exactly like scalar — the
-// only divergence is the polynomial evaluation itself. Degenerate
-// (unclamped) rates fall back to the scalar row.
-void ext_table_rows_avx2(std::size_t n, const double* rates,
+// Each source's all-silent pair [log(1-a), log(1-b)] is stored, not
+// summed — the caller adds the pairs in source order, which is exactly
+// the running two-lane add this kernel used to make, so the rows of any
+// chunk can be built independently. With `clamp`, each loaded vector is
+// clamped to [kProbEps, 1 - kProbEps] in-register first: the compare +
+// blend pair replicates std::clamp's branch semantics (both ordered
+// compares are false on a NaN lane, so NaN survives, as it does through
+// clamp_prob). Degenerate rates — outside (0, 1) after the optional
+// clamp, NaN included — take the scalar row, which re-clamps with the
+// identical scalar expression; the only divergence from the scalar
+// build is the polynomial transcendental itself.
+void ext_table_rows_avx2(std::size_t n, const double* rates, bool clamp,
                          LogPair* exposed_silent, LogPair* claim_indep,
-                         LogPair* claim_dep, LogPair* base) {
-  __m128d base_acc = _mm_setzero_pd();
-  for (std::size_t i = 0; i < n; ++i) {
-    __m256d r = _mm256_loadu_pd(rates + 4 * i);  // [a, b, f, g]
-    if (any_degenerate_rate(r)) {
-      double a = rates[4 * i], b = rates[4 * i + 1];
-      double f = rates[4 * i + 2], g = rates[4 * i + 3];
-      double log_na = std::log1p(-a);
-      double log_nb = std::log1p(-b);
-      double log_nf = std::log1p(-f);
-      double log_ng = std::log1p(-g);
-      base_acc = _mm_add_pd(base_acc, _mm_setr_pd(log_na, log_nb));
-      exposed_silent[i] = {log_nf - log_na, log_ng - log_nb};
-      claim_indep[i] = {std::log(a) - log_na, std::log(b) - log_nb};
-      claim_dep[i] = {std::log(f) - log_nf, std::log(g) - log_ng};
-      continue;
-    }
-    __m256d ln = vec::log1p_pd(vec::negate_pd(r));  // log(1-rate) lanes
-    __m256d lp = vec::log_pd(r);                  // log(rate) lanes
-    __m256d diff = _mm256_sub_pd(lp, ln);
-    __m128d ln_lo = _mm256_castpd256_pd128(ln);   // [log_na, log_nb]
-    __m128d ln_hi = _mm256_extractf128_pd(ln, 1); // [log_nf, log_ng]
-    base_acc = _mm_add_pd(base_acc, ln_lo);
-    _mm_storeu_pd(&exposed_silent[i].t, _mm_sub_pd(ln_hi, ln_lo));
-    _mm_storeu_pd(&claim_indep[i].t, _mm256_castpd256_pd128(diff));
-    _mm_storeu_pd(&claim_dep[i].t, _mm256_extractf128_pd(diff, 1));
-  }
-  _mm_storeu_pd(&base->t, base_acc);
-}
-
-// As ext_table_rows_avx2 over *unclamped* rate rows: each loaded
-// vector is clamped to [kProbEps, 1 - kProbEps] in-register before
-// the row math. The compare + blend pair replicates std::clamp's
-// branch semantics exactly — both ordered compares are false on a NaN
-// lane, so NaN survives both blends (clamp_prob(NaN) == NaN) and the
-// degenerate check routes the row to the scalar fallback, which
-// re-clamps with the identical scalar expression. Clamped lanes are
-// bitwise what clamp_prob produced in the caller-packed scratch path,
-// so the table bits are unchanged.
-void ext_table_rows_clamped_avx2(std::size_t n, const double* rates,
-                                 LogPair* exposed_silent,
-                                 LogPair* claim_indep, LogPair* claim_dep,
-                                 LogPair* base) {
+                         LogPair* claim_dep, LogPair* silent) {
   constexpr double kProbEps = 1e-9;  // clamp_prob's default eps
   const __m256d lo = _mm256_set1_pd(kProbEps);
   const __m256d hi = _mm256_set1_pd(1.0 - kProbEps);
   // Scalar twin of the vector clamp, for the degenerate fallback row;
   // written as std::clamp's branch chain so NaN propagates.
-  auto clamp1 = [](double v) {
+  auto clamp1 = [clamp](double v) {
     constexpr double l = 1e-9;
     constexpr double h = 1.0 - 1e-9;
-    return v < l ? l : (h < v ? h : v);
+    return clamp ? (v < l ? l : (h < v ? h : v)) : v;
   };
-  __m128d base_acc = _mm_setzero_pd();
   for (std::size_t i = 0; i < n; ++i) {
     __m256d r = _mm256_loadu_pd(rates + 4 * i);  // [a, b, f, g]
-    r = _mm256_blendv_pd(r, lo, _mm256_cmp_pd(r, lo, _CMP_LT_OQ));
-    r = _mm256_blendv_pd(r, hi, _mm256_cmp_pd(hi, r, _CMP_LT_OQ));
+    if (clamp) {
+      r = _mm256_blendv_pd(r, lo, _mm256_cmp_pd(r, lo, _CMP_LT_OQ));
+      r = _mm256_blendv_pd(r, hi, _mm256_cmp_pd(hi, r, _CMP_LT_OQ));
+    }
     if (any_degenerate_rate(r)) {
       double a = clamp1(rates[4 * i]), b = clamp1(rates[4 * i + 1]);
       double f = clamp1(rates[4 * i + 2]), g = clamp1(rates[4 * i + 3]);
@@ -481,7 +448,7 @@ void ext_table_rows_clamped_avx2(std::size_t n, const double* rates,
       double log_nb = std::log1p(-b);
       double log_nf = std::log1p(-f);
       double log_ng = std::log1p(-g);
-      base_acc = _mm_add_pd(base_acc, _mm_setr_pd(log_na, log_nb));
+      silent[i] = {log_na, log_nb};
       exposed_silent[i] = {log_nf - log_na, log_ng - log_nb};
       claim_indep[i] = {std::log(a) - log_na, std::log(b) - log_nb};
       claim_dep[i] = {std::log(f) - log_nf, std::log(g) - log_ng};
@@ -492,12 +459,11 @@ void ext_table_rows_clamped_avx2(std::size_t n, const double* rates,
     __m256d diff = _mm256_sub_pd(lp, ln);
     __m128d ln_lo = _mm256_castpd256_pd128(ln);   // [log_na, log_nb]
     __m128d ln_hi = _mm256_extractf128_pd(ln, 1); // [log_nf, log_ng]
-    base_acc = _mm_add_pd(base_acc, ln_lo);
+    _mm_storeu_pd(&silent[i].t, ln_lo);
     _mm_storeu_pd(&exposed_silent[i].t, _mm_sub_pd(ln_hi, ln_lo));
     _mm_storeu_pd(&claim_indep[i].t, _mm256_castpd256_pd128(diff));
     _mm_storeu_pd(&claim_dep[i].t, _mm256_extractf128_pd(diff, 1));
   }
-  _mm_storeu_pd(&base->t, base_acc);
 }
 
 // Two sources per iteration ([pt0, pf0, pt1, pf1] lanes); base sums
@@ -794,12 +760,8 @@ void finalize_pairs_avx2(const double*, const double*, std::size_t,
                          double*, double*) {
   std::abort();
 }
-void ext_table_rows_avx2(std::size_t, const double*, LogPair*, LogPair*,
-                         LogPair*, LogPair*) {
-  std::abort();
-}
-void ext_table_rows_clamped_avx2(std::size_t, const double*, LogPair*,
-                                 LogPair*, LogPair*, LogPair*) {
+void ext_table_rows_avx2(std::size_t, const double*, bool, LogPair*,
+                         LogPair*, LogPair*, LogPair*) {
   std::abort();
 }
 void rate_table_rows_avx2(std::size_t, const double*, LogPair*, LogPair*,

@@ -33,3 +33,13 @@ double total_error(Pool& pool, const std::vector<double>& xs) {
   for (double v : xs) rest += v;
   return total + sum + stolen + rest;
 }
+
+template <typename F> void for_each_chunk(Pool* pool, int n, int grain, F f);
+
+double chunked_error(Pool& pool, const std::vector<double>& xs) {
+  double chunked = 0.0;
+  for_each_chunk(&pool, 4, 2, [&](int, int begin, int end) {
+    for (int i = begin; i < end; ++i) chunked += xs[i];
+  });
+  return chunked;
+}

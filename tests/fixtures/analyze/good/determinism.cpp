@@ -1,7 +1,8 @@
 // Good fixture for checker C: per-chunk partials written to owned
 // slots, a region-local accumulator, an ordered_reduce body, a
-// parallel_tasks body that only scatters into its own slot, and a
-// tree_reduce block fold — all sanctioned shapes. Note the file
+// parallel_tasks body that only scatters into its own slot, a
+// tree_reduce block fold, and a for_each_chunk body that writes one
+// slot per element — all sanctioned shapes. Note the file
 // references the tree primitives, so a hand-rolled serial fold here
 // WOULD fire; the canonical tree_sum call below does not.
 #include <vector>
@@ -17,6 +18,8 @@ double tree_sum(Pool* pool, const double* xs, unsigned n);
 
 template <typename BlockFn>
 double tree_reduce(Pool* pool, int n, double zero, BlockFn f);
+
+template <typename F> void for_each_chunk(Pool* pool, int n, int grain, F f);
 
 double total_error(Pool& pool, const std::vector<double>& xs,
                    std::vector<double>* partials) {
@@ -41,6 +44,11 @@ double total_error(Pool& pool, const std::vector<double>& xs,
     double acc = 0.0;
     for (int i = begin; i < end; ++i) acc += xs[i];
     return acc;
+  });
+  for_each_chunk(&pool, 4, 2, [&](int, int begin, int end) {
+    for (int i = begin; i < end; ++i) {
+      (*partials)[static_cast<unsigned>(i)] = xs[i];
+    }
   });
   return total + ordered + treed;
 }

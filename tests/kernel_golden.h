@@ -19,11 +19,14 @@
 #include "bounds/gibbs_bound.h"
 #include "core/em_ext.h"
 #include "core/streaming_em.h"
+#include "data/dependency.h"
 #include "estimators/average_log.h"
 #include "estimators/em_ipsn12.h"
 #include "estimators/em_social.h"
 #include "estimators/truth_finder.h"
+#include "graph/digraph.h"
 #include "simgen/parametric_gen.h"
+#include "util/fault_inject.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -109,6 +112,61 @@ inline std::uint64_t golden_streaming() {
   for (std::uint64_t seed : {201u, 202u, 203u}) {
     Dataset batch = golden_dataset(seed, 100, 150);
     StreamingBatchResult r = stream.observe(batch);
+    h.vec(r.belief);
+    h.vec(r.log_odds);
+    h.f64(r.log_likelihood);
+  }
+  hash_params(h, stream.params());
+  return h.value();
+}
+
+// StreamingEmExt above the per-source chunk size (kernels::
+// kSourceChunk): a 6,000-source universe in which each batch's 300
+// claims come from a 2,400-source band that slides with the batch, so
+// most sources are silent in any one batch and sources move between
+// active and silent from batch to batch; exposures follow a sparse
+// random follower graph. Batch 3 is poisoned by fault injection on its
+// third inner iteration (seed 18 at rate 0.5 fires on the third draw),
+// so it exits early after two iterations gathered statistics. The hash
+// covers every batch's beliefs, log-odds, log-likelihood and commit
+// flag, then the final params; recorded against the dense-statistics
+// streaming M-step, before the active-source rewrite.
+inline std::uint64_t golden_streaming_sparse(ThreadPool* pool) {
+  constexpr std::size_t kSources = 6000;
+  constexpr std::size_t kAssertions = 40;
+  Rng rng(301);
+  Digraph follows(kSources);
+  for (std::size_t u = 0; u < kSources; ++u) {
+    for (int e = 0; e < 3; ++e) follows.add_edge(u, rng.uniform_u32(kSources));
+  }
+  StreamingEmConfig config;
+  config.pool = pool;
+  StreamingEmExt stream(kSources, config);
+  Hash h;
+  for (std::size_t b = 0; b < 6; ++b) {
+    std::vector<Claim> claims;
+    for (int k = 0; k < 300; ++k) {
+      std::size_t source = (b * 900 + rng.uniform_u32(2400)) % kSources;
+      claims.push_back({static_cast<std::uint32_t>(source),
+                        rng.uniform_u32(kAssertions),
+                        rng.uniform(0.0, 10.0)});
+    }
+    Dataset batch;
+    batch.claims = SourceClaimMatrix(kSources, kAssertions, claims);
+    batch.dependency =
+        DependencyIndicators::from_graph(batch.claims, follows);
+    fault::FaultConfig faults;  // seed 0: disarmed
+    if (b == 3) {
+      faults.seed = 18;
+      faults.posterior_nan_rate = 0.5;
+      faults.max_injections = 1;
+    }
+    StreamingBatchResult r;
+    {
+      fault::ScopedFaultInjection inject(faults);
+      r = stream.observe(batch);
+    }
+    h.u64(r.stats_committed ? 1 : 0);
     h.vec(r.belief);
     h.vec(r.log_odds);
     h.f64(r.log_likelihood);

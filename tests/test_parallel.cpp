@@ -7,11 +7,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "apollo/live.h"
 #include "backend_guard.h"
 #include "bounds/column_model.h"
 #include "bounds/dataset_bound.h"
@@ -21,7 +25,11 @@
 #include "core/likelihood.h"
 #include "core/posterior.h"
 #include "data/claim_partition.h"
+#include "kernel_golden.h"
+#include "math/kernels.h"
 #include "simgen/parametric_gen.h"
+#include "twitter/scenario.h"
+#include "twitter/simulator.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -428,6 +436,176 @@ TEST(ParallelEngine, StressRepeatedParallelRunsAreStable) {
     expect_bitwise_equal(ref.estimate.belief, got.estimate.belief,
                          "belief");
   }
+}
+
+// ---------------------------------------------------------------------
+// Per-source passes above the chunk size: the log-table rows, the AVX2
+// supertable and the streaming M-step run in fixed kernels::kSourceChunk
+// chunks on the pool, and must not move a bit.
+
+bool same_bits(double a, double b) {
+  std::uint64_t x, y;
+  std::memcpy(&x, &a, 8);
+  std::memcpy(&y, &b, 8);
+  return x == y;
+}
+
+std::vector<simd::Backend> available_backends() {
+  std::vector<simd::Backend> out = {simd::Backend::kScalar};
+  if (simd::avx2_runtime_supported()) out.push_back(simd::Backend::kAvx2);
+  return out;
+}
+
+void expect_tables_bitwise_equal(const kernels::ExtLogTable& a,
+                                 const kernels::ExtLogTable& b) {
+  ASSERT_EQ(a.source_count(), b.source_count());
+  EXPECT_TRUE(same_bits(a.base().t, b.base().t)) << "base.t";
+  EXPECT_TRUE(same_bits(a.base().f, b.base().f)) << "base.f";
+  EXPECT_TRUE(same_bits(a.log_z(), b.log_z())) << "log_z";
+  EXPECT_TRUE(same_bits(a.log_1mz(), b.log_1mz())) << "log_1mz";
+  const std::pair<const kernels::LogPair*, const kernels::LogPair*>
+      arrays[] = {{a.exposed_silent(), b.exposed_silent()},
+                  {a.claim_indep(), b.claim_indep()},
+                  {a.claim_dep(), b.claim_dep()}};
+  for (std::size_t k = 0; k < 3; ++k) {
+    for (std::size_t i = 0; i < a.source_count(); ++i) {
+      ASSERT_TRUE(same_bits(arrays[k].first[i].t, arrays[k].second[i].t) &&
+                  same_bits(arrays[k].first[i].f, arrays[k].second[i].f))
+          << "correction array " << k << " source " << i;
+    }
+  }
+}
+
+TEST(ParallelEngine, ExtLogTableBuildBitwiseEqualAcrossPoolSizes) {
+  // Three full chunks plus a ragged tail, over raw (unclamped) rows
+  // salted with NaN, out-of-range, infinite and exactly-degenerate
+  // rates — including rows on both sides of every chunk boundary.
+  const std::size_t chunk = kernels::kSourceChunk;
+  const std::size_t n = 3 * chunk + 17;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double odd[] = {nan,  -0.25, 1.5,          0.0,  1.0,
+                        1e-9, 1e-12, 1.0 - 1e-9,   -inf, inf};
+  Rng rng(41);
+  std::vector<double> rows(4 * n);
+  for (double& r : rows) r = rng.uniform(0.01, 0.99);
+  for (std::size_t k = 0; k < rows.size(); k += 97) {
+    rows[k] = odd[(k / 97) % std::size(odd)];
+  }
+  for (std::size_t i : {chunk - 1, chunk, 2 * chunk, 3 * chunk, n - 1}) {
+    rows[4 * i + i % 4] = odd[i % std::size(odd)];
+  }
+
+  ThreadPool pool1(1), pool2(2), pool4(4);
+  for (simd::Backend backend : available_backends()) {
+    test_support::ScopedBackend pin(backend);
+    kernels::ExtLogTable ref;
+    ref.build_from_rows(n, 0.37, rows.data());
+    for (ThreadPool* pool : {&pool1, &pool2, &pool4}) {
+      kernels::ExtLogTable got;
+      got.build_from_rows(n, 0.37, rows.data(), pool);
+      expect_tables_bitwise_equal(ref, got);
+    }
+    if (backend == simd::Backend::kScalar) {
+      // The stored-pair base is the running sum the unchunked build
+      // accumulated: log(1-a) and log(1-b) added in source order.
+      double base_t = 0.0;
+      double base_f = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        base_t += std::log1p(-clamp_prob(rows[4 * i]));
+        base_f += std::log1p(-clamp_prob(rows[4 * i + 1]));
+      }
+      EXPECT_TRUE(same_bits(ref.base().t, base_t));
+      EXPECT_TRUE(same_bits(ref.base().f, base_f));
+    }
+  }
+}
+
+TEST(ParallelEngine, LikelihoodSetParamsBitwiseEqualWithAndWithoutPool) {
+  // Above the chunk size the AVX2 supertable is filled on the pool;
+  // prior_columns reads it (and, on scalar, the select-path tables).
+  Dataset d = make_dataset(43, 3 * kernels::kSourceChunk + 17, 60);
+  ModelParams params;
+  Rng rng(47);
+  params.z = 0.41;
+  params.source.resize(d.source_count());
+  for (SourceParams& s : params.source) {
+    s.a = rng.uniform(0.05, 0.9);
+    s.b = rng.uniform(0.05, 0.9);
+    s.f = rng.uniform(0.05, 0.9);
+    s.g = rng.uniform(0.05, 0.9);
+  }
+  const std::size_t m = d.assertion_count();
+  ThreadPool pool1(1), pool2(2), pool4(4);
+  for (simd::Backend backend : available_backends()) {
+    test_support::ScopedBackend pin(backend);
+    LikelihoodTable serial(d);
+    serial.set_params(params);
+    std::vector<double> la(m), lb(m);
+    serial.prior_columns(0, m, la.data(), lb.data());
+    for (ThreadPool* pool : {&pool1, &pool2, &pool4}) {
+      LikelihoodTable pooled(d);
+      pooled.set_params(params, pool);
+      std::vector<double> pa(m), pb(m);
+      pooled.prior_columns(0, m, pa.data(), pb.data());
+      expect_bitwise_equal(la, pa, "prior_columns.la");
+      expect_bitwise_equal(lb, pb, "prior_columns.lb");
+    }
+  }
+}
+
+// golden::golden_streaming_sparse on the scalar backend, recorded with
+// the dense-statistics streaming M-step (every source gathered into
+// eight dense arrays each inner iteration, all passes serial).
+constexpr std::uint64_t kGoldenStreamingSparse = 0xd262ab14fbd70461ull;
+
+TEST(ParallelEngine, StreamingAboveChunkSizeMatchesGolden) {
+  ThreadPool pool1(1), pool4(4);
+  {
+    test_support::ScopedBackend pin(simd::Backend::kScalar);
+    EXPECT_EQ(golden::golden_streaming_sparse(&pool1),
+              kGoldenStreamingSparse);
+    EXPECT_EQ(golden::golden_streaming_sparse(&pool4),
+              kGoldenStreamingSparse);
+  }
+  // Under the dispatched backend (AVX2 where the host has it) the
+  // stream is still identical for any pool.
+  EXPECT_EQ(golden::golden_streaming_sparse(&pool1),
+            golden::golden_streaming_sparse(&pool4));
+}
+
+TEST(ParallelEngine, LiveApolloRefreshesBitwiseEqualAcrossPoolSizes) {
+  TwitterScenario scenario = scenario_by_name("Ukraine").scaled(0.5);
+  TwitterSimulation sim = simulate_twitter(scenario, 23);
+  ASSERT_GT(sim.follows.node_count(), kernels::kSourceChunk);
+  auto run = [&](ThreadPool& pool) {
+    LiveApolloConfig config;
+    config.em.pool = &pool;
+    LiveApollo live(sim.follows, config);
+    std::vector<double> out;
+    auto refresh = [&] {
+      LiveRefreshResult r = live.refresh();
+      out.insert(out.end(), r.belief.begin(), r.belief.end());
+      out.insert(out.end(), r.log_odds.begin(), r.log_odds.end());
+    };
+    double next = 48.0;
+    for (const Tweet& tweet : sim.tweets) {
+      if (tweet.time >= next) {
+        refresh();
+        next += 48.0;
+      }
+      live.ingest(tweet);
+    }
+    refresh();
+    EXPECT_GT(live.refreshes(), 3u);
+    for (const SourceParams& s : live.params().source) {
+      out.insert(out.end(), {s.a, s.b, s.f, s.g});
+    }
+    out.push_back(live.params().z);
+    return out;
+  };
+  ThreadPool pool1(1), pool4(4);
+  expect_bitwise_equal(run(pool1), run(pool4), "live refreshes");
 }
 
 }  // namespace

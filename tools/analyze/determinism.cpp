@@ -46,7 +46,7 @@ void DeterminismChecker::scan_file(
   if (scan::in_dir(scan::normalize(file.path), "math")) return;
 
   static const std::regex dispatch_re(
-      R"(\b(parallel_for_chunks|parallel_for|parallel_tasks|ordered_reduce|tree_reduce)\s*\()");
+      R"(\b(parallel_for_chunks|parallel_for|parallel_tasks|for_each_chunk|ordered_reduce|tree_reduce)\s*\()");
   static const std::regex compound_re(
       R"(([A-Za-z_]\w*)\s*((?:\[[^\]]*\]|\.[A-Za-z_]\w*)*)\s*(\+=|-=))");
   static const std::regex helper_re(
