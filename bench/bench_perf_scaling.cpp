@@ -17,7 +17,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -187,338 +186,6 @@ void run_thread_sweep() {
   ss::bench::write_result("perf_scaling", doc);
 }
 
-// ---- Kernel speedup axis (PR 3) -----------------------------------
-//
-// Baseline leg: a faithful in-binary reimplementation of the pre-kernel
-// (commit cbc8d85) serial hot loops — six split per-source log arrays,
-// a branch per claim cell, a two-transcendental column epilogue
-// (sigmoid + logsumexp), and four logs per source per Gibbs sweep.
-// Kernel leg: the math/kernels.h path the estimators now run. Both legs
-// run on the same data and must agree BITWISE on every output before
-// any timing is recorded; timings go to <results_dir>/BENCH_PR3.json.
-// SS_PERF_CHECK=1 runs the identity checks only (no google-benchmark,
-// no timing, no JSON) so the `perf-smoke` ctest label is free of
-// timing flakiness.
-
-// The pre-kernel LikelihoodTable's hoisted state: split per-hypothesis
-// arrays (two cache misses per incidence where the kernel path pays
-// one).
-struct BaselineLogs {
-  std::vector<double> es_t, es_f;  // exposed-silent corrections
-  std::vector<double> ci_t, ci_f;  // independent-claim corrections
-  std::vector<double> cd_t, cd_f;  // dependent-claim corrections
-  double base_t = 0.0, base_f = 0.0;
-  double log_z = 0.0, log_1mz = 0.0;
-};
-
-void build_baseline_logs(const ModelParams& params, BaselineLogs& t) {
-  std::size_t n = params.source.size();
-  t.es_t.resize(n);
-  t.es_f.resize(n);
-  t.ci_t.resize(n);
-  t.ci_f.resize(n);
-  t.cd_t.resize(n);
-  t.cd_f.resize(n);
-  double z = clamp_prob(params.z);
-  t.log_z = std::log(z);
-  t.log_1mz = std::log1p(-z);
-  t.base_t = 0.0;
-  t.base_f = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double a = clamp_prob(params.source[i].a);
-    double b = clamp_prob(params.source[i].b);
-    double f = clamp_prob(params.source[i].f);
-    double g = clamp_prob(params.source[i].g);
-    double log_na = std::log1p(-a);
-    double log_nb = std::log1p(-b);
-    double log_nf = std::log1p(-f);
-    double log_ng = std::log1p(-g);
-    t.base_t += log_na;
-    t.base_f += log_nb;
-    t.es_t[i] = log_nf - log_na;
-    t.es_f[i] = log_ng - log_nb;
-    t.ci_t[i] = std::log(a) - log_na;
-    t.ci_f[i] = std::log(b) - log_nb;
-    t.cd_t[i] = std::log(f) - log_nf;
-    t.cd_f[i] = std::log(g) - log_ng;
-  }
-}
-
-// Serial fused E-step exactly as the pre-kernel engine ran it per EM
-// iteration (see cbc8d85's fused_e_step): fresh result vectors every
-// call, branchy column walk over split arrays, sigmoid + logsumexp
-// epilogue, then the canonical slot-sum pass. The allocation and the
-// second pass are deliberately kept — removing them is part of what
-// this PR's kernel path is being measured against.
-struct BaselineEStep {
-  std::vector<double> posterior;
-  std::vector<double> log_odds;
-  double log_likelihood = 0.0;
-};
-
-BaselineEStep baseline_e_step(const Dataset& d, const BaselineLogs& t) {
-  std::size_t m = d.assertion_count();
-  BaselineEStep out;
-  out.posterior.resize(m);
-  out.log_odds.resize(m);
-  std::vector<double> column_ll(m);
-  const ClaimPartition& part = d.partition();
-  for (std::size_t j = 0; j < m; ++j) {
-    double lt = t.base_t;
-    double lf = t.base_f;
-    kernels::gather_add_reference(lt, lf, d.dependency.exposed_sources(j),
-                                  t.es_t.data(), t.es_f.data());
-    kernels::gather_add_select_reference(
-        lt, lf, d.claims.claimants_of(j), part.claimant_dependent(j),
-        t.ci_t.data(), t.ci_f.data(), t.cd_t.data(), t.cd_f.data());
-    double la = lt + t.log_z;
-    double lb = lf + t.log_1mz;
-    out.posterior[j] = normalize_log_pair(la, lb);
-    out.log_odds[j] = la - lb;
-    column_ll[j] = logsumexp(la, lb);
-  }
-  double total = 0.0;
-  for (double v : column_ll) total += v;
-  out.log_likelihood = total;
-  return out;
-}
-
-// Restores whatever backend was active when the sweep started, on
-// every exit path.
-struct BackendRestore {
-  simd::Backend prev = simd::active_backend();
-  ~BackendRestore() { simd::force_backend(prev); }
-};
-
-bool bits_equal(const std::vector<double>& a,
-                const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         (a.empty() || std::memcmp(a.data(), b.data(),
-                                   a.size() * sizeof(double)) == 0);
-}
-
-bool bits_equal(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-// One E-step workload: both legs on the same dataset + params. The
-// timed region is the per-iteration hot path (column scan + epilogue);
-// the log-table build is identical work in both legs and is hoisted
-// out, as the estimators themselves now do.
-struct KernelRow {
-  const char* workload;
-  double baseline_ms = 0.0;
-  double kernel_ms = 0.0;
-  bool identical = false;
-};
-
-KernelRow run_e_step_workload(const char* name, const Dataset& d,
-                              const ModelParams& params, int reps,
-                              bool check_only) {
-  KernelRow row;
-  row.workload = name;
-  d.partition();  // build the CSR cache outside both timers
-
-  BaselineLogs base;
-  build_baseline_logs(params, base);
-  BaselineEStep b = baseline_e_step(d, base);
-
-  LikelihoodTable table(d, params);
-  EStepResult e;
-  std::vector<double> col_ll;
-  fused_e_step(table, nullptr, e, col_ll);
-
-  row.identical = bits_equal(b.posterior, e.posterior) &&
-                  bits_equal(b.log_odds, e.log_odds) &&
-                  bits_equal(b.log_likelihood, e.log_likelihood);
-  if (!row.identical || check_only) return row;
-
-  // One E-step here is ~0.1 ms; batch calls inside each timed region so
-  // timer granularity and scheduler noise don't dominate. Both legs use
-  // the same batch size.
-  constexpr int kInner = 16;
-  row.baseline_ms = min_wall_ms(reps, [&] {
-    for (int k = 0; k < kInner; ++k) {
-      benchmark::DoNotOptimize(baseline_e_step(d, base).log_likelihood);
-    }
-  }) / kInner;
-  row.kernel_ms = min_wall_ms(reps, [&] {
-    for (int k = 0; k < kInner; ++k) {
-      fused_e_step(table, nullptr, e, col_ll);
-      benchmark::DoNotOptimize(e.log_likelihood);
-    }
-  }) / kInner;
-  return row;
-}
-
-// Gibbs sweep-weight workload: `sweeps` full-state refreshes with one
-// bit flipped per sweep (so the compiler cannot hoist the inner loop).
-// Baseline recomputes the four logs per source per sweep exactly like
-// the pre-kernel sampler's refresh_logs; the kernel leg hoists them
-// once into SweepWeights.
-KernelRow run_gibbs_weights_workload(std::size_t n, std::size_t sweeps,
-                                     int reps, bool check_only) {
-  KernelRow row;
-  row.workload = "gibbs_state_refresh";
-  Rng rng(21);
-  std::vector<double> p1(n), p0(n);
-  std::vector<char> bits(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    p1[i] = std::clamp(rng.uniform(0.0, 1.0), 1e-12, 1.0 - 1e-12);
-    p0[i] = std::clamp(rng.uniform(0.0, 1.0), 1e-12, 1.0 - 1e-12);
-    bits[i] = rng.bernoulli(0.5) ? 1 : 0;
-  }
-
-  auto baseline = [&]() {
-    double acc = 0.0;
-    std::vector<char> state = bits;
-    for (std::size_t s = 0; s < sweeps; ++s) {
-      state[s % n] ^= 1;
-      double lt = 0.0;
-      double lf = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        lt += state[i] ? std::log(p1[i]) : std::log1p(-p1[i]);
-        lf += state[i] ? std::log(p0[i]) : std::log1p(-p0[i]);
-      }
-      acc += lt - lf;
-    }
-    return acc;
-  };
-  auto kernel = [&]() {
-    double acc = 0.0;
-    std::vector<kernels::SweepWeights> w;
-    kernels::build_sweep_weights(p1, p0, w);
-    std::vector<char> state = bits;
-    for (std::size_t s = 0; s < sweeps; ++s) {
-      state[s % n] ^= 1;
-      kernels::LogPair lp = kernels::sum_state_logs(state, w.data());
-      acc += lp.t - lp.f;
-    }
-    return acc;
-  };
-
-  row.identical = bits_equal(baseline(), kernel());
-  if (!row.identical || check_only) return row;
-  row.baseline_ms = min_wall_ms(reps, [&] {
-    benchmark::DoNotOptimize(baseline());
-  });
-  row.kernel_ms = min_wall_ms(reps, [&] {
-    benchmark::DoNotOptimize(kernel());
-  });
-  return row;
-}
-
-bool run_kernel_sweep(bool check_only) {
-  const int reps = env_int("SS_FAST", 0) != 0 ? 5 : 15;
-
-  // This sweep's contract is bitwise identity against the pre-kernel
-  // (PR 3) scalar engine, so both legs run pinned to the scalar
-  // backend regardless of what dispatch would pick; the AVX2-vs-scalar
-  // comparison lives in run_backend_sweep under its ULP contract.
-  BackendRestore restore;
-  simd::force_backend(simd::Backend::kScalar);
-
-  // Kirkuk-scale sparse matrix (the acceptance workload) and the dense
-  // 200x2000 parametric instance.
-  TwitterScenario scenario = scenario_by_name("Kirkuk");
-  BuiltDataset kirkuk = make_twitter_dataset(scenario, 42);
-  Rng prng(23);
-  ModelParams kirkuk_params =
-      random_init_params(kirkuk.dataset.source_count(), prng);
-
-  Rng rng(8);
-  SimInstance dense =
-      generate_parametric(SimKnobs::paper_defaults(200, 2000), rng);
-
-  std::vector<KernelRow> rows;
-  rows.push_back(run_e_step_workload("e_step_kirkuk", kirkuk.dataset,
-                                     kirkuk_params, reps, check_only));
-  rows.push_back(run_e_step_workload("e_step_dense_200x2000",
-                                     dense.dataset, dense.true_params,
-                                     reps, check_only));
-  std::size_t sweeps = check_only ? 64 : 2000;
-  rows.push_back(
-      run_gibbs_weights_workload(200, sweeps, reps, check_only));
-
-  bool all_identical = true;
-  std::printf("\nKernel vs pre-kernel baseline (%s)\n",
-              check_only ? "identity check only"
-                         : "min-of-reps wall ms, serial");
-  std::printf("%26s %14s %12s %10s %10s\n", "workload", "baseline_ms",
-              "kernel_ms", "speedup", "identical");
-  for (const KernelRow& row : rows) {
-    all_identical = all_identical && row.identical;
-    double speedup =
-        row.kernel_ms > 0.0 ? row.baseline_ms / row.kernel_ms : 0.0;
-    std::printf("%26s %14.4f %12.4f %9.2fx %10s\n", row.workload,
-                row.baseline_ms, row.kernel_ms, speedup,
-                row.identical ? "yes" : "NO");
-  }
-  if (!all_identical) {
-    std::fprintf(stderr,
-                 "FATAL: kernel output diverged from the pre-kernel "
-                 "baseline reimplementation\n");
-    return false;
-  }
-  if (check_only) {
-    std::printf("kernel outputs bit-identical to baseline; timing "
-                "skipped (SS_PERF_CHECK=1)\n");
-    return true;
-  }
-
-  // Informational: the full estimator on Kirkuk@0.25 under the kernel
-  // engine, against the static seed-commit measurement.
-  TwitterScenario quarter = scenario_by_name("Kirkuk").scaled(0.25);
-  BuiltDataset built25 = make_twitter_dataset(quarter, 42);
-  built25.dataset.partition();
-  EmExtEstimator em;
-  double em_ms = min_wall_ms(reps, [&] {
-    benchmark::DoNotOptimize(em.run(built25.dataset, 1));
-  });
-  std::printf("%26s %14s %12.3f %10s (seed commit: 71.6 ms)\n",
-              "em_ext_full_kirkuk25", "-", em_ms, "-");
-
-  JsonValue doc = JsonValue::object();
-  doc["bench"] = "BENCH_PR3";
-  doc["reps"] = static_cast<std::size_t>(reps);
-  doc["note"] =
-      "serial per-iteration E-step speedup of the math/kernels.h layer "
-      "over an in-binary reimplementation of the pre-kernel (commit "
-      "cbc8d85) engine. Baseline leg reproduces the old fused_e_step "
-      "faithfully: fresh result vectors every call, split per-hypothesis "
-      "arrays, branch per claim, sigmoid + logsumexp epilogue, separate "
-      "slot-sum pass. Kernel leg is the shipped path: reused scratch, "
-      "CSR-flattened index streams, paired interleaved LogPair gathers, "
-      "branchless select, single-exp epilogue. Both legs hoist the "
-      "log-parameter table build (identical work). Outputs asserted "
-      "bit-identical before timing. Target: >= 1.5x on e_step_kirkuk.";
-  doc["target_workload"] = "e_step_kirkuk";
-  doc["target_min_speedup"] = 1.5;
-  doc["kirkuk_sources"] =
-      static_cast<std::size_t>(kirkuk.dataset.source_count());
-  doc["kirkuk_claims"] =
-      static_cast<std::size_t>(kirkuk.dataset.claims.claim_count());
-  JsonValue out_rows = JsonValue::array();
-  for (const KernelRow& row : rows) {
-    JsonValue r = JsonValue::object();
-    r["workload"] = row.workload;
-    r["baseline_ms"] = row.baseline_ms;
-    r["kernel_ms"] = row.kernel_ms;
-    r["speedup"] =
-        row.kernel_ms > 0.0 ? row.baseline_ms / row.kernel_ms : 0.0;
-    r["bit_identical"] = true;
-    out_rows.push_back(std::move(r));
-  }
-  doc["rows"] = std::move(out_rows);
-  JsonValue em_row = JsonValue::object();
-  em_row["kernel_ms"] = em_ms;
-  em_row["seed_commit_ms"] = 71.6;
-  em_row["provenance"] = "seed commit 98a7192, same container";
-  doc["em_ext_full_kirkuk25"] = std::move(em_row);
-  ss::bench::write_result("BENCH_PR3", doc);
-  return true;
-}
-
 // ---- Backend axis (PR 6) ------------------------------------------
 //
 // Scalar vs AVX2 through the SAME kernel API (math/kernels.h +
@@ -529,6 +196,13 @@ bool run_kernel_sweep(bool check_only) {
 // runs the agreement checks only — that is the `perf-smoke` leg for
 // this axis. On a host without AVX2+FMA the sweep degrades to a
 // skip-with-note (there is nothing to compare).
+
+// Restores whatever backend was active when the sweep started, on
+// every exit path.
+struct BackendRestore {
+  simd::Backend prev = simd::active_backend();
+  ~BackendRestore() { simd::force_backend(prev); }
+};
 
 struct UlpStats {
   std::uint64_t max = 0;
@@ -652,8 +326,8 @@ BackendRow backend_e_step_workload(const char* name, const Dataset& d,
 }
 
 // The Gibbs hot pair under each backend: one weight build + `sweeps`
-// full-state refreshes (same shape as run_gibbs_weights_workload's
-// kernel leg).
+// full-state refreshes, one bit flipped per sweep (so the compiler
+// cannot hoist the inner loop).
 BackendRow backend_gibbs_workload(std::size_t n, std::size_t sweeps,
                                   int reps, bool check_only, bool& agree) {
   BackendRow row;
@@ -889,8 +563,9 @@ bool run_backend_sweep(bool check_only) {
   doc["note"] =
       "AVX2 backend vs scalar backend through the same kernel API "
       "(runtime dispatch, SS_KERNEL_BACKEND override). Scalar leg is "
-      "bit-identical to the PR 3 kernels (run_kernel_sweep asserts "
-      "that separately); the AVX2 leg is held to a ULP contract — "
+      "the bit-exact reference kernel layer (the golden hashes in "
+      "tests/test_kernels.cpp assert that separately); the AVX2 leg is "
+      "held to a ULP contract — "
       "partial-sum chains in the gathers/refresh, polynomial "
       "exp/log/log1p in the epilogues and table builds. ULP columns "
       "are measured against the scalar outputs of the same workload. "
@@ -1081,16 +756,13 @@ BENCHMARK(BM_EmExtSparseTwitterScale)->Arg(25)->Arg(100)->Unit(
     benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
-  // SS_PERF_CHECK=1: identity checks only — no google-benchmark, no
+  // SS_PERF_CHECK=1: agreement checks only — no google-benchmark, no
   // timing, no JSON. This is what the `perf-smoke` ctest label runs.
   if (env_int("SS_PERF_CHECK", 0) != 0) {
     std::printf("==============================================\n");
-    std::printf("Kernel identity + backend agreement check "
-                "(SS_PERF_CHECK=1)\n");
+    std::printf("Backend agreement check (SS_PERF_CHECK=1)\n");
     std::printf("==============================================\n");
-    bool ok = run_kernel_sweep(/*check_only=*/true);
-    ok = run_backend_sweep(/*check_only=*/true) && ok;
-    return ok ? 0 : 1;
+    return run_backend_sweep(/*check_only=*/true) ? 0 : 1;
   }
   std::printf("==============================================\n");
   std::printf("Performance scaling — likelihood columns, EM-Ext\n");
@@ -1099,7 +771,6 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (!run_kernel_sweep(/*check_only=*/false)) return 1;
   if (!run_backend_sweep(/*check_only=*/false)) return 1;
   run_thread_sweep();
   run_ingestion_sweep();

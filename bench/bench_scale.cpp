@@ -7,31 +7,26 @@
 //   open-reps       repeated map+validate for the noise-robust open cost
 //   jsonl-baseline  the text-baseline parse the binary format replaces
 //   shard           connected-component partition straight off the view
-//   em              sharded EM-Ext (LPT work stealing + tree reductions)
-//   em-legacy       the same EM on the pre-§16 execution path (A/B leg)
+//   em              EM-Ext on the shards (LPT work stealing + tree
+//                   reductions)
 //   em-profile      one instrumented run capturing per-shard EM seconds
-// recording wall time per phase, min-of-reps EM times for both engines
-// and their ratio (`speedup`), the per-shard EM-seconds histogram with
-// its load-imbalance factor (max/mean), the shard count/size histogram,
-// and peak RSS after each point. Results land in
-// bench_results/BENCH_PR10.json.
-//
-// The legacy leg reimplements the PR 8 execution strategy against the
-// current engine contract: fixed-grain unit dispatch (no LPT ordering,
-// no stealing), serial left-to-right folds for the column
-// log-likelihood and posterior mass, and the copy-heavy serial M-step
-// tail (finalize_m_step + sanitize_params + tie + max_abs_diff re-walk)
-// instead of the fused one. Same gathers, same per-unit arithmetic —
-// the A/B isolates scheduling + reduction/tail fusion, nothing else.
+// recording wall time per phase, the min-of-reps EM time, the
+// per-shard EM-seconds histogram with its load-imbalance factor
+// (max/mean), the shard count/size histogram, and peak RSS after each
+// point. Results land in bench_results/scale.json (BENCH_PR10.json
+// keeps the earlier A/B against the pre-LPT execution path).
 //
 // SS_PERF_CHECK=1 runs one mid-size point as a correctness gate, no
-// timing tables: .ssd open must beat the JSONL parse by >= 50x, the
-// sharded EM hash must equal the flat engine's bit for bit (scalar
-// pin) *and* stay identical across 1-worker and 8-worker pools, the
-// LPT work-stealing scheduler must beat fixed-grain dispatch on a
-// synthetic skewed workload (skipped with a printed reason on hosts
-// with < 2 online CPUs, where there is no parallelism to schedule),
-// and when SS_RSS_BUDGET_MB is set, peak RSS must stay under it.
+// timing tables: .ssd open must beat the JSONL parse by >= 50x, the EM
+// hash through the Dataset entry (EmExtEstimator, which shards the
+// materialized dataset itself) must equal the hash on the .ssd shard
+// layout (ShardedEmEstimator) bit for bit *and* stay identical across
+// 1-worker and 8-worker pools, under every kernel backend the host
+// supports, the LPT work-stealing scheduler must beat fixed-grain
+// dispatch on a synthetic skewed workload (skipped with a printed
+// reason on hosts with < 2 online CPUs, where there is no parallelism
+// to schedule), and when SS_RSS_BUDGET_MB is set, peak RSS must stay
+// under it.
 // `ctest -L scale-smoke` runs this with SS_FAST=1 (10^4 sources).
 //
 // Knobs: SS_FAST=1 shrinks the sweep, SS_THREADS sizes the pool,
@@ -39,25 +34,18 @@
 // the JSON, SS_RSS_BUDGET_MB arms the RSS gate, SS_AFFINITY pins
 // workers (recorded in the result metadata).
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "core/em_driver.h"
 #include "core/em_ext.h"
-#include "core/em_mstep.h"
-#include "core/posterior.h"
 #include "core/sharded_em.h"
 #include "data/io.h"
 #include "data/shard.h"
 #include "data/ssd.h"
-#include "math/kernels.h"
-#include "math/logprob.h"
 #include "math/simd/dispatch.h"
 #include "simgen/scale_gen.h"
 #include "util/cpu.h"
@@ -103,240 +91,6 @@ std::uint64_t hash_estimate(const EmExtResult& r) {
 }
 
 // ---------------------------------------------------------------------
-// Legacy execution path (PR 8), kept runnable so the speedup column is
-// measured, not remembered. Implements the em_detail::run_em_driver
-// engine contract with the production gathers but the pre-§16
-// scheduling and reduction strategy.
-// ---------------------------------------------------------------------
-
-constexpr std::size_t kLegacyGrain = 256;
-
-struct LegacyUnit {
-  std::uint32_t shard;
-  std::uint32_t begin;
-  std::uint32_t end;
-};
-
-std::vector<LegacyUnit> legacy_units(const ShardedDataset& sharded,
-                                     bool columns) {
-  std::vector<LegacyUnit> units;
-  for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
-    const DatasetShard& sh = sharded.shard(s);
-    std::size_t count =
-        columns ? sh.assertion_ids().size() : sh.source_ids().size();
-    for (std::size_t begin = 0; begin < count; begin += kLegacyGrain) {
-      units.push_back(
-          {static_cast<std::uint32_t>(s), static_cast<std::uint32_t>(begin),
-           static_cast<std::uint32_t>(
-               std::min(begin + kLegacyGrain, count))});
-    }
-  }
-  return units;
-}
-
-class LegacyShardedEmEngine {
- public:
-  LegacyShardedEmEngine(const ShardedDataset& sharded,
-                        const EmExtConfig& config, ThreadPool* pool)
-      : sharded_(sharded),
-        config_(config),
-        pool_(pool),
-        column_units_(legacy_units(sharded, /*columns=*/true)),
-        source_units_(legacy_units(sharded, /*columns=*/false)) {}
-
-  struct Scratch {
-    kernels::ExtLogTable table;
-    EStepResult e;
-    std::vector<double> column_ll;
-    std::vector<em_detail::SourceMStats> mstats;
-  };
-
-  std::size_t source_count() const { return sharded_.source_count(); }
-  std::size_t assertion_count() const {
-    return sharded_.assertion_count();
-  }
-  std::uint64_t claim_count() const {
-    return static_cast<std::uint64_t>(sharded_.claim_count());
-  }
-  ThreadPool* pool() const { return pool_; }
-
-  Scratch make_scratch() const { return Scratch{}; }
-
-  void e_step(const ModelParams& params, Scratch& s) const {
-    const std::size_t n = sharded_.source_count();
-    const std::size_t m = sharded_.assertion_count();
-    if (params.source.size() != n) {
-      throw std::invalid_argument(
-          "LegacyShardedEmEngine: params/source count mismatch");
-    }
-    s.table.build(n, clamp_prob(params.z), [&](std::size_t i) {
-      const SourceParams& sp = params.source[i];
-      return std::array<double, 4>{clamp_prob(sp.a), clamp_prob(sp.b),
-                                   clamp_prob(sp.f), clamp_prob(sp.g)};
-    });
-    s.e.posterior.resize(m);
-    s.e.log_odds.resize(m);
-    s.column_ll.resize(m);
-
-    const double log_z = s.table.log_z();
-    const double log_1mz = s.table.log_1mz();
-    double* la_buf = s.e.log_odds.data();
-    double* lb_buf = s.column_ll.data();
-    double* post = s.e.posterior.data();
-    run_units(column_units_, [&](const LegacyUnit& u) {
-      const DatasetShard& sh = sharded_.shard(u.shard);
-      std::span<const std::uint32_t> ids = sh.assertion_ids();
-      for (std::size_t c = u.begin; c < u.end; ++c) {
-        kernels::LogPair acc =
-            kernels::gather_add(s.table.base(), sh.exposed_sources(c),
-                                s.table.exposed_silent());
-        acc = kernels::gather_add_select(
-            acc, sh.claimants(c), sh.claimant_dependent(c),
-            s.table.claim_indep(), s.table.claim_dep());
-        std::uint32_t j = ids[c];
-        la_buf[j] = acc.t + log_z;
-        lb_buf[j] = acc.f + log_1mz;
-      }
-    });
-    for (std::size_t begin = 0; begin < m; begin += kLegacyGrain) {
-      std::size_t end = std::min(begin + kLegacyGrain, m);
-      kernels::finalize_columns(la_buf + begin, lb_buf + begin,
-                                end - begin, post + begin, la_buf + begin,
-                                lb_buf + begin);
-    }
-    // PR 8 reduction: serial left-to-right fold in assertion order.
-    double ll = 0.0;
-    for (std::size_t j = 0; j < m; ++j) ll += s.column_ll[j];
-    s.e.log_likelihood = ll;
-  }
-
-  void m_step(const std::vector<double>& posterior, ModelParams& params,
-              bool tie_fg, Scratch& s,
-              em_detail::MStepOutcome& out) const {
-    const std::size_t n = sharded_.source_count();
-    const std::size_t m = sharded_.assertion_count();
-    // PR 8 reduction: serial fold for the posterior mass.
-    double total_z = 0.0;
-    for (double z : posterior) total_z += z;
-    double total_y = static_cast<double>(m) - total_z;
-
-    std::vector<em_detail::SourceMStats>& stats = s.mstats;
-    stats.assign(n, em_detail::SourceMStats{});
-    run_units(source_units_, [&](const LegacyUnit& u) {
-      const DatasetShard& sh = sharded_.shard(u.shard);
-      std::span<const std::uint32_t> ids = sh.source_ids();
-      for (std::size_t p = u.begin; p < u.end; ++p) {
-        em_detail::SourceMStats& st = stats[ids[p]];
-        double exposed_z = kernels::gather_sum(sh.exposed_assertions(p),
-                                               posterior.data());
-        double exposed_count =
-            static_cast<double>(sh.exposed_assertions(p).size());
-        kernels::MassPair dep =
-            kernels::gather_mass(sh.dependent_claims(p), posterior.data());
-        kernels::MassPair indep = kernels::gather_mass(
-            sh.independent_claims(p), posterior.data());
-        st.claim_dep_z = dep.z;
-        st.claim_dep_y = dep.y;
-        st.claim_indep_z = indep.z;
-        st.claim_indep_y = indep.y;
-        st.denom_a = total_z - exposed_z;
-        st.denom_b = total_y - (exposed_count - exposed_z);
-        st.denom_f = exposed_z;
-        st.denom_g = exposed_count - exposed_z;
-      }
-    });
-    // PR 8 tail: full-copy finalize, then three more whole-parameter
-    // walks (sanitize, tie, max_abs_diff) — the cost the fused tail
-    // collapsed into one pass.
-    ModelParams next = em_detail::finalize_m_step(
-        stats, total_z, m, params, config_.clamp_eps, config_.shrinkage,
-        config_.z_floor);
-    out.sanitized = em_detail::sanitize_params(next, params);
-    if (tie_fg) {
-      for (SourceParams& sp : next.source) {
-        double tied = 0.5 * (sp.f + sp.g);
-        sp.f = tied;
-        sp.g = tied;
-      }
-    }
-    out.delta = params.max_abs_diff(next);
-    params = std::move(next);
-  }
-
-  std::vector<double> vote_prior(bool independent_only) const {
-    const std::size_t m = sharded_.assertion_count();
-    std::vector<double> posterior(m, 0.5);
-    if (m == 0) return posterior;
-    std::vector<double> support(m, 0.0);
-    for (std::size_t sidx = 0; sidx < sharded_.shard_count(); ++sidx) {
-      const DatasetShard& sh = sharded_.shard(sidx);
-      std::span<const std::uint32_t> ids = sh.assertion_ids();
-      for (std::size_t c = 0; c < ids.size(); ++c) {
-        std::size_t count;
-        if (independent_only) {
-          std::span<const char> flags = sh.claimant_dependent(c);
-          count = static_cast<std::size_t>(
-              std::count(flags.begin(), flags.end(), char{0}));
-        } else {
-          count = sh.claimants(c).size();
-        }
-        support[ids[c]] = static_cast<double>(count);
-      }
-    }
-    double mean_support = 0.0;
-    for (std::size_t j = 0; j < m; ++j) mean_support += support[j];
-    mean_support /= static_cast<double>(m);
-    if (mean_support <= 0.0) return posterior;
-    for (std::size_t j = 0; j < m; ++j) {
-      posterior[j] = std::clamp(
-          support[j] / (support[j] + mean_support), 0.05, 0.95);
-    }
-    return posterior;
-  }
-
-  bool degenerate_source(std::size_t i) const {
-    const DatasetShard& sh = sharded_.shard(sharded_.shard_of_source(i));
-    std::size_t p = sharded_.position_of_source(i);
-    return sh.dependent_claims(p).empty() &&
-           sh.independent_claims(p).empty() &&
-           sh.exposed_assertions(p).empty();
-  }
-
- private:
-  // PR 8 dispatch: fixed-grain chunks over the unit list in index
-  // order — workers self-schedule off a shared cursor, but nothing
-  // reorders the heavy units to the front and nobody steals.
-  template <typename Fn>
-  void run_units(const std::vector<LegacyUnit>& units,
-                 const Fn& fn) const {
-    if (pool_ != nullptr && pool_->size() > 1 && units.size() > 1) {
-      pool_->parallel_for_chunks(
-          units.size(), 1,
-          [&](std::size_t, std::size_t begin, std::size_t end) {
-            for (std::size_t u = begin; u < end; ++u) fn(units[u]);
-          });
-    } else {
-      for (const LegacyUnit& u : units) fn(u);
-    }
-  }
-
-  const ShardedDataset& sharded_;
-  const EmExtConfig& config_;
-  ThreadPool* pool_;
-  std::vector<LegacyUnit> column_units_;
-  std::vector<LegacyUnit> source_units_;
-};
-
-EmExtResult run_legacy_detailed(const ShardedDataset& sharded,
-                                const EmExtConfig& config,
-                                std::uint64_t seed) {
-  ThreadPool* pool =
-      config.pool != nullptr ? config.pool : &global_pool();
-  LegacyShardedEmEngine engine(sharded, config, pool);
-  return em_detail::run_em_driver(engine, config, seed);
-}
-
-// ---------------------------------------------------------------------
 // Sweep
 // ---------------------------------------------------------------------
 
@@ -350,8 +104,7 @@ struct PointResult {
   std::size_t shard_min = 0;
   std::size_t shard_max = 0;
   std::size_t em_iterations = 0;
-  double em_new_s = 0.0;     // min of reps, production engine
-  double em_legacy_s = 0.0;  // min of reps, PR 8 path
+  double em_s = 0.0;  // min of reps
   int em_reps = 0;
   std::vector<double> shard_seconds;  // per-shard EM s (instrumented run)
   double load_imbalance = 0.0;        // max/mean of shard_seconds
@@ -409,9 +162,6 @@ PointResult run_point(std::size_t sources, const std::string& dir,
   EmExtConfig config;
   config.max_iters = 30;  // fixed work per point, convergence untested
 
-  // A/B legs, min of reps each: the production engine (LPT work
-  // stealing + tree reductions + fused M-step tail) against the PR 8
-  // execution path on the identical sharded dataset.
   out.em_reps = static_cast<int>(env_int(
       "SS_REPS", sources >= 1'000'000 ? 2 : 3));
   out.em_reps = std::max(out.em_reps, 1);
@@ -421,17 +171,8 @@ PointResult run_point(std::size_t sources, const std::string& dir,
     WallTimer timer;
     EmExtResult r = ShardedEmEstimator(config).run_detailed(sharded, 1);
     double s = timer.seconds();
-    if (rep == 0 || s < out.em_new_s) out.em_new_s = s;
+    if (rep == 0 || s < out.em_s) out.em_s = s;
     out.em_iterations = r.likelihood_trace.size();
-  }
-
-  out.phases.section("em-legacy");
-  for (int rep = 0; rep < out.em_reps; ++rep) {
-    WallTimer timer;
-    EmExtResult r = run_legacy_detailed(sharded, config, 1);
-    double s = timer.seconds();
-    if (rep == 0 || s < out.em_legacy_s) out.em_legacy_s = s;
-    if (r.likelihood_trace.empty()) std::abort();
   }
 
   // One instrumented run for the per-shard EM-seconds histogram. Kept
@@ -555,54 +296,60 @@ int run_check() {
     return 1;
   }
 
-  // Gate 2: sharded EM bit-identical to the flat engine (scalar pin,
-  // the golden reference backend), and invariant across pool sizes —
-  // the tree-reduction + LPT determinism contract (§16) checked at
-  // 1 and 8 workers.
-  simd::Backend previous = simd::active_backend();
-  simd::force_backend(simd::Backend::kScalar);
+  // Gate 2: Dataset entry == .ssd shard layout. EmExtEstimator shards
+  // the materialized dataset itself; its hash must equal
+  // ShardedEmEstimator's on the shards built straight off the view, and
+  // stay invariant across pool sizes — the tree-reduction + LPT
+  // determinism contract (§16) checked at 1 and 8 workers, under every
+  // kernel backend the host supports.
   ShardConfig shard_config;
   shard_config.pool = &global_pool();
   ShardedDataset sharded = ShardedDataset::build(view, shard_config);
   sharded.check();
-  EmExtConfig config;
-  config.max_iters = 10;
-  std::uint64_t flat_hash =
-      hash_estimate(EmExtEstimator(config).run_detailed(d, 1));
-  std::uint64_t sharded_hash =
-      hash_estimate(ShardedEmEstimator(config).run_detailed(sharded, 1));
-  bool thread_invariant = true;
-  std::uint64_t hash_t1 = 0;
-  std::uint64_t hash_t8 = 0;
-  {
+  std::vector<simd::Backend> backends = {simd::Backend::kScalar};
+  if (simd::avx2_runtime_supported()) {
+    backends.push_back(simd::Backend::kAvx2);
+  }
+  simd::Backend previous = simd::active_backend();
+  bool identical = true;
+  for (simd::Backend backend : backends) {
+    simd::force_backend(backend);
+    EmExtConfig config;
+    config.max_iters = 10;
+    std::uint64_t dataset_hash =
+        hash_estimate(EmExtEstimator(config).run_detailed(d, 1));
+    std::uint64_t view_hash =
+        hash_estimate(ShardedEmEstimator(config).run_detailed(sharded, 1));
     ThreadPool pool1(1);
     ThreadPool pool8(8);
     config.pool = &pool1;
-    hash_t1 =
+    std::uint64_t hash_t1 =
         hash_estimate(ShardedEmEstimator(config).run_detailed(sharded, 1));
     config.pool = &pool8;
-    hash_t8 =
+    std::uint64_t hash_t8 =
         hash_estimate(ShardedEmEstimator(config).run_detailed(sharded, 1));
-    config.pool = nullptr;
-    thread_invariant = hash_t1 == sharded_hash && hash_t8 == sharded_hash;
+    const char* name = simd::backend_name(backend);
+    if (dataset_hash != view_hash) {
+      std::printf("FAIL [%s]: EM through the Dataset entry diverges from "
+                  "the .ssd shard layout (%016llx vs %016llx)\n",
+                  name, static_cast<unsigned long long>(dataset_hash),
+                  static_cast<unsigned long long>(view_hash));
+      identical = false;
+      break;
+    }
+    if (hash_t1 != view_hash || hash_t8 != view_hash) {
+      std::printf("FAIL [%s]: EM hash depends on the pool size "
+                  "(default %016llx, 1 worker %016llx, 8 workers "
+                  "%016llx)\n",
+                  name, static_cast<unsigned long long>(view_hash),
+                  static_cast<unsigned long long>(hash_t1),
+                  static_cast<unsigned long long>(hash_t8));
+      identical = false;
+      break;
+    }
   }
   simd::force_backend(previous);
-  if (flat_hash != sharded_hash) {
-    std::printf("FAIL: sharded EM diverges from flat engine "
-                "(%016llx vs %016llx)\n",
-                static_cast<unsigned long long>(sharded_hash),
-                static_cast<unsigned long long>(flat_hash));
-    return 1;
-  }
-  if (!thread_invariant) {
-    std::printf("FAIL: sharded EM hash depends on the pool size "
-                "(default %016llx, 1 worker %016llx, 8 workers "
-                "%016llx)\n",
-                static_cast<unsigned long long>(sharded_hash),
-                static_cast<unsigned long long>(hash_t1),
-                static_cast<unsigned long long>(hash_t8));
-    return 1;
-  }
+  if (!identical) return 1;
 
   // Gate 3: LPT work stealing beats fixed-grain dispatch (skips on
   // single-CPU hosts, printing why).
@@ -620,11 +367,12 @@ int run_check() {
   std::filesystem::remove(ssd_path);
   std::filesystem::remove(jsonl_path);
   std::printf("check ok: %zu sources, %zu shards, open %.3f ms vs "
-              "jsonl %.1f ms (%.0fx), sharded EM bit-identical "
-              "(flat == sharded == 1-worker == 8-worker), "
-              "peak RSS %.1f MB%s\n",
+              "jsonl %.1f ms (%.0fx), EM bit-identical "
+              "(Dataset entry == .ssd shard layout == 1-worker == "
+              "8-worker, %zu backend%s), peak RSS %.1f MB%s\n",
               gen.ssd.sources, sharded.shard_count(), open_ms, jsonl_ms,
-              speedup, rss_mb,
+              speedup, backends.size(), backends.size() == 1 ? "" : "s",
+              rss_mb,
               budget > 0.0 ? strprintf(" (budget %.0f)", budget).c_str()
                            : "");
   return 0;
@@ -659,8 +407,8 @@ int main() {
   std::filesystem::create_directories(dir);
 
   TablePrinter table({"sources", "claims", "file MB", "gen s", "open ms",
-                      "jsonl s", "shards", "shard m", "em s", "legacy s",
-                      "speedup", "imbal", "peak RSS MB"});
+                      "jsonl s", "shards", "shard m", "em s", "imbal",
+                      "peak RSS MB"});
   JsonValue points = JsonValue::array();
   for (std::size_t sources : axis) {
     // The JSONL baseline materializes the dataset; cap it at 10^5 so
@@ -669,8 +417,6 @@ int main() {
     PointResult p = run_point(sources, dir, with_jsonl);
     double file_mb =
         static_cast<double>(p.gen.ssd.bytes) / (1024.0 * 1024.0);
-    double em_speedup =
-        p.em_new_s > 0.0 ? p.em_legacy_s / p.em_new_s : 0.0;
     table.add_row(
         {std::to_string(p.sources), std::to_string(p.gen.ssd.claims),
          strprintf("%.1f", file_mb),
@@ -679,8 +425,7 @@ int main() {
          with_jsonl ? strprintf("%.2f", p.jsonl_s) : "-",
          std::to_string(p.shards),
          strprintf("%zu..%zu", p.shard_min, p.shard_max),
-         strprintf("%.2f", p.em_new_s), strprintf("%.2f", p.em_legacy_s),
-         strprintf("%.2fx", em_speedup),
+         strprintf("%.2f", p.em_s),
          strprintf("%.2f", p.load_imbalance),
          strprintf("%.1f", p.peak_rss_mb)});
 
@@ -703,9 +448,7 @@ int main() {
     point["shard_assertions_max"] = static_cast<double>(p.shard_max);
     point["em_iterations"] = static_cast<double>(p.em_iterations);
     point["em_reps"] = static_cast<double>(p.em_reps);
-    point["em_s_min"] = p.em_new_s;
-    point["em_legacy_s_min"] = p.em_legacy_s;
-    point["em_speedup_vs_legacy"] = em_speedup;
+    point["em_s_min"] = p.em_s;
     JsonValue hist = JsonValue::array();
     for (double s : p.shard_seconds) hist.push_back(JsonValue(s));
     point["per_shard_em_seconds"] = hist;
@@ -722,8 +465,8 @@ int main() {
   doc["online_cpus"] = static_cast<double>(online_cpu_count());
   doc["affinity"] = affinity_name();
   doc["points"] = points;
-  bench::write_result("BENCH_PR10", doc);
-  std::printf("wrote %s/BENCH_PR10.json\n",
+  bench::write_result("scale", doc);
+  std::printf("wrote %s/scale.json\n",
               bench::results_dir().c_str());
   return 0;
 }

@@ -2,13 +2,13 @@
 # Entry point for the kernel perf harness.
 #
 # Builds (if needed) and runs bench_perf_scaling, which
-#   1. asserts the math/kernels.h hot loops are bit-identical to an
-#      in-binary reimplementation of the pre-kernel baseline, and that
-#      the scalar and AVX2 backends agree under the ULP contract, then
-#   2. times baseline vs kernel legs (BENCH_PR3.json) and scalar vs
-#      AVX2 backend legs (BENCH_PR6.json) under
+#   1. asserts the scalar and AVX2 backends agree under the ULP
+#      contract, then
+#   2. times scalar vs AVX2 backend legs (BENCH_PR6.json) under
 #      <SS_RESULTS_DIR|bench_results>/, plus the existing
 #      perf_scaling.json / ingestion_robustness.json records.
+# Scalar bit-identity with the pre-kernel engine is a test, not a
+# bench leg: the KernelGolden.* hashes in tests/test_kernels.cpp.
 #
 # Usage:
 #   bench/run_bench.sh                   # full timed run

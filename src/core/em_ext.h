@@ -17,6 +17,13 @@
 // assertions with above-average support start slightly believed, and the
 // first M-step derives parameters from that. kRandom reproduces the
 // paper's literal initialization for comparison.
+//
+// Execution. run_detailed shards the dataset by connected component
+// (data/shard.h, auto cap) and runs the one EM engine in
+// core/sharded_em.cpp; small inputs are a single shard. Calling
+// ShardedEmEstimator on a prebuilt ShardedDataset is the same engine
+// without the build, so the two entry points return identical bytes
+// for any shard layout and pool size.
 #pragma once
 
 #include <optional>
@@ -104,14 +111,14 @@ struct EmExtConfig {
   // keep_checkpoint is set.
   std::string checkpoint_path;
   bool keep_checkpoint = false;
-  // Sharded engine only: when non-null, per-shard wall-clock seconds
-  // spent in E/M work units accumulate into (*shard_time_accum)[shard]
-  // across the whole run (the vector is sized to the shard count on
-  // first use). Pure observability — timing capture never feeds back
-  // into scheduling, so results are unchanged. Meaningful with
-  // restarts == 1 (concurrent attempts would interleave their
-  // accumulation). bench_scale uses this for the per-shard EM time
-  // histogram and the load-imbalance factor in BENCH_PR10.json.
+  // When non-null, per-shard wall-clock seconds spent in E/M work
+  // units accumulate into (*shard_time_accum)[shard] across the whole
+  // run (the vector is sized to the shard count on first use). Pure
+  // observability — timing capture never feeds back into scheduling,
+  // so results are unchanged. Meaningful with restarts == 1
+  // (concurrent attempts would interleave their accumulation).
+  // bench_scale uses this for the per-shard EM time histogram and the
+  // load-imbalance factor.
   std::vector<double>* shard_time_accum = nullptr;
 };
 
@@ -162,5 +169,12 @@ class EmExtEstimator : public Estimator {
 // support — the right prior for EM-Social, whose model never sees them.
 std::vector<double> vote_prior_posterior(const Dataset& dataset,
                                          bool independent_only = false);
+
+// The arithmetic behind vote_prior_posterior, over per-assertion
+// support counts already gathered (indexed by assertion id): the
+// tree-sum mean of the supports, then support / (support + mean)
+// clamped to [0.05, 0.95]; all 0.5 when the mean is not positive.
+// Consumes `support` and returns the posterior in its storage.
+std::vector<double> vote_prior_from_support(std::vector<double> support);
 
 }  // namespace ss

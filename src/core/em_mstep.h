@@ -1,32 +1,17 @@
-// Shared closed-form M-step machinery (Eq. 10-14) for the flat and
-// sharded EM-Ext engines.
+// Closed-form M-step tail (Eq. 10-14) of the EM-Ext engine
+// (core/sharded_em.cpp), with the per-source statistics layouts that
+// StreamingEmExt's M-step shares.
 //
-// Both engines compute the same per-source sufficient statistics — the
-// flat engine gathers over ClaimPartition's CSR lists, the sharded one
-// over DatasetShard's identically-ordered copies — and must then apply
-// the *same* pooled-shrinkage parameter update so their results stay
-// bit-identical (the pooled rates couple every source; see
-// docs/MODEL.md §14/§16). That shared tail lives here, in one place, so
-// the two engines cannot drift apart.
-//
-// Two tails exist:
-//  * finalize_m_step — the original fully-serial form, kept as the
-//    executable reference (the legacy PR 8 engine in bench_scale and
-//    the equivalence tests run it);
-//  * finalize_m_step_fused — the production tail: the pooled reduction
-//    runs as a fixed-shape tree over the *global* stats array
-//    (kernels::tree_reduce — identical bits for any thread count or
-//    shard layout), and the per-source MAP update, clamp, non-finite
-//    sanitize, optional f=g warm-up tie and convergence delta fuse
-//    into one in-place chunked pass (kernels::finalize_params) instead
-//    of the historical copy-params / update / clamp / re-walk-to-
-//    sanitize / re-walk-to-tie / re-walk-for-delta five-pass chain.
-//    The fused pass replicates the historical per-element order
-//    exactly: raw -> clamp (NaN survives, ±inf clamps uncounted) ->
-//    sanitize (NaN -> previous, counted) -> tie -> delta. It consumes
-//    the packed 6-double SourceMStatsPacked layout and re-derives the
-//    four update denominators bit-exactly (see the struct comment);
-//    the serial reference keeps the stored 8-field SourceMStats.
+// finalize_m_step_fused: the pooled reduction runs as a fixed-shape
+// tree over the *global* stats array (kernels::tree_reduce — identical
+// bits for any thread count or shard layout), and the per-source MAP
+// update, clamp, non-finite sanitize, optional f=g warm-up tie and
+// convergence delta fuse into one in-place chunked pass
+// (kernels::finalize_params). The per-element order is: raw -> clamp
+// (NaN survives, ±inf clamps uncounted) -> sanitize (NaN -> previous,
+// counted) -> tie -> delta. It consumes the packed 6-double
+// SourceMStatsPacked layout and re-derives the four update
+// denominators bit-exactly (see the struct comment).
 #pragma once
 
 #include <algorithm>
@@ -40,10 +25,8 @@
 namespace ss {
 namespace em_detail {
 
-// Per-source sufficient statistics for one M-step, reference layout:
-// the four numerators plus the four update denominators, precomputed
-// at fill time. The serial reference tail below and the legacy PR 8
-// engine in bench_scale consume this form.
+// The four numerators plus the four update denominators of the
+// M-step; the pooled (all-source) accumulator of the fused tail.
 struct SourceMStats {
   double claim_indep_z = 0.0;  // claims with D_ij = 0, weighted by Z_j
   double claim_indep_y = 0.0;
@@ -57,7 +40,7 @@ struct SourceMStats {
 
 // Production fill layout: the four denominators above are pure
 // functions of (exposed_z, exposed_count) and the loop constants
-// (total_z, total_y), so the engines store only the two exposure
+// (total_z, total_y), so the fills store only the two exposure
 // scalars and the consumers re-derive the denominators with the
 // *identical* floating-point operations in the identical order —
 //   t1      = fl(exposed_count - exposed_z)
@@ -65,8 +48,8 @@ struct SourceMStats {
 //   denom_b = fl(total_y - t1)
 //   denom_f = exposed_z
 //   denom_g = t1
-// — which makes the derived values bit-equal to the reference
-// fill-time fields while cutting the stats row from 64 to 48 bytes
+// — which makes the derived values bit-equal to fill-time
+// denominators while cutting the stats row from 64 to 48 bytes
 // (16 MB less written per M-step at 10^6 sources, and 16 MB less
 // re-read by each of the pooled tree and the finalize pass).
 struct SourceMStatsPacked {
@@ -78,68 +61,8 @@ struct SourceMStatsPacked {
   double exposed_count = 0.0;  // number of exposed cells
 };
 
-// The serial M-step tail: pooled-rate reduction (source order), the
-// Beta-prior MAP update per source (source order), the prior update
-// z = total_z / m with its floor, and the final clamp. Bit-identical
-// for any worker count by construction — nothing here is parallel.
-inline ModelParams finalize_m_step(const std::vector<SourceMStats>& stats,
-                                   double total_z, std::size_t m,
-                                   const ModelParams& previous,
-                                   double clamp_eps, double shrinkage,
-                                   double z_floor) {
-  const std::size_t n = stats.size();
-  // Pooled rates anchor the shrinkage prior.
-  SourceMStats pooled;
-  for (const SourceMStats& s : stats) {
-    pooled.claim_indep_z += s.claim_indep_z;
-    pooled.claim_indep_y += s.claim_indep_y;
-    pooled.claim_dep_z += s.claim_dep_z;
-    pooled.claim_dep_y += s.claim_dep_y;
-    pooled.denom_a += s.denom_a;
-    pooled.denom_b += s.denom_b;
-    pooled.denom_f += s.denom_f;
-    pooled.denom_g += s.denom_g;
-  }
-  auto rate = [](double num, double denom, double fallback) {
-    return denom > 0.0 ? num / denom : fallback;
-  };
-  double mu_a = rate(pooled.claim_indep_z, pooled.denom_a, 0.5);
-  double mu_b = rate(pooled.claim_indep_y, pooled.denom_b, 0.5);
-  double mu_f = rate(pooled.claim_dep_z, pooled.denom_f, 0.5);
-  double mu_g = rate(pooled.claim_dep_y, pooled.denom_g, 0.5);
-
-  ModelParams next = previous;
-  next.source.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const SourceMStats& s = stats[i];
-    // Beta-prior MAP with mean mu and strength `shrinkage` pseudo-claims
-    // (shrinkage/mu pseudo-cells). Degenerate denominators with zero
-    // shrinkage (a source exposed to everything, or a posterior
-    // collapsed to one side) keep the previous estimate: those
-    // parameters do not influence the likelihood.
-    auto update = [&](double num, double denom, double mu, double& out) {
-      double cells =
-          shrinkage > 0.0 ? shrinkage / std::max(mu, 1e-9) : 0.0;
-      double d = denom + cells;
-      if (d > 0.0) out = (num + cells * mu) / d;
-    };
-    update(s.claim_indep_z, s.denom_a, mu_a, next.source[i].a);
-    update(s.claim_indep_y, s.denom_b, mu_b, next.source[i].b);
-    update(s.claim_dep_z, s.denom_f, mu_f, next.source[i].f);
-    update(s.claim_dep_y, s.denom_g, mu_g, next.source[i].g);
-  }
-  next.z = total_z / static_cast<double>(m);
-  if (z_floor > 0.0) {
-    next.z = std::clamp(next.z, z_floor, 1.0 - z_floor);
-  }
-  clamp_params(next, clamp_eps);
-  return next;
-}
-
 // What one fused M-step did beyond updating the parameters: the
-// non-finite sanitize count (historically em_driver's sanitize_params
-// pass) and the max-norm convergence delta (historically a full
-// max_abs_diff re-walk of 2x32 MB of parameters at 10^6 sources).
+// non-finite sanitize count and the max-norm convergence delta.
 struct MStepOutcome {
   std::size_t sanitized = 0;
   double delta = 0.0;
@@ -148,14 +71,10 @@ struct MStepOutcome {
 // The fused production tail; see the header comment. Updates `params`
 // in place (it must hold the previous iteration's estimates, with
 // params.source.size() == stats.size()). `tie_fg` applies the warm-up
-// tie f = g = (f + g) / 2 after sanitizing, exactly where the driver's
-// historical post-M-step walk applied it. The per-source pass is
+// tie f = g = (f + g) / 2 after sanitizing. The per-source pass is
 // chunked on `pool` in fixed blocks; chunk results combine by + (count)
 // and max (delta), both order-independent, so the result is
-// bit-identical for any worker count — and bit-identical to the serial
-// reference chain (finalize_m_step + sanitize + tie + max_abs_diff)
-// whenever stats.size() <= kernels::kTreeReduceBlock makes the pooled
-// tree degenerate to the serial fold.
+// bit-identical for any worker count.
 inline void finalize_m_step_fused(const std::vector<SourceMStatsPacked>& stats,
                                   double total_z, std::size_t m,
                                   ModelParams& params, double clamp_eps,
@@ -164,16 +83,13 @@ inline void finalize_m_step_fused(const std::vector<SourceMStatsPacked>& stats,
                                   MStepOutcome& out) {
   const std::size_t n = stats.size();
   params.source.resize(n);
-  // The loop constant the packed denominators need; computed with the
-  // exact expression the engines historically used at fill time, so
-  // every derived denom_b below matches the reference fill bitwise.
+  // The loop constant the packed denominators need.
   const double total_y = static_cast<double>(m) - total_z;
   // Pooled rates anchor the shrinkage prior. Fixed-shape tree over the
-  // global stats array: the shape depends only on n, so flat and
-  // sharded engines (which fill the same global array) agree bitwise
-  // no matter who computed which block. Each element's denominators
-  // are derived in-register (see SourceMStatsPacked) and added in the
-  // same source order the reference fold added the stored fields.
+  // global stats array: the shape depends only on n, so the result is
+  // the same bits whichever shard or worker filled which block. Each
+  // element's denominators are derived in-register (see
+  // SourceMStatsPacked) and added in source order within a block.
   SourceMStats pooled = kernels::tree_reduce(
       pool, n, SourceMStats{},
       [&stats, total_z, total_y](std::size_t b, std::size_t e) {

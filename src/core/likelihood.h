@@ -19,6 +19,11 @@
 // rebuilds the table in place, so one LikelihoodTable serves a whole EM
 // run without per-iteration allocation. Results are bit-identical to
 // the pre-kernel six-array walk (see tests/test_kernels.cpp).
+//
+// Users: StreamingEmExt, the posterior helpers (core/posterior.h) and
+// one-shot callers. EM-Ext runs the same per-column gathers over shard
+// slices instead (core/sharded_em.cpp); on the scalar backend the two
+// walks produce the same bits per column.
 #pragma once
 
 #include <cstddef>
@@ -51,20 +56,20 @@ class LikelihoodTable {
   LikelihoodTable(const Dataset& dataset, const ModelParams& params);
 
   // Binds the table to another dataset, rebuilding the structure-only
-  // column lists in place. The source-sized value buffers (log table,
-  // AVX2 supertable) keep their storage, so a caller that builds one
-  // table per batch over a fixed source universe (StreamingEmExt)
-  // allocates and first-touches them once instead of once per batch.
-  // Call set_params() before reading columns.
+  // column lists in place. The source-sized log table keeps its
+  // storage, so a caller that builds one table per batch over a fixed
+  // source universe (StreamingEmExt) allocates and first-touches it
+  // once instead of once per batch. Call set_params() before reading
+  // columns.
   void rebind(const Dataset& dataset);
 
   // Recomputes the hoisted log terms from `params`, reusing the
   // existing buffers. `params` must have one entry per source in the
   // dataset (throws std::invalid_argument otherwise); probabilities are
-  // clamped internally so logs stay finite. The per-source rows (log
-  // table and AVX2 supertable) are filled in fixed kSourceChunk chunks
-  // on `pool` — nullptr runs the same chunks inline — so the table is
-  // bit-identical for any pool.
+  // clamped internally so logs stay finite. The per-source log-table
+  // rows are filled in fixed kSourceChunk chunks on `pool` — nullptr
+  // runs the same chunks inline — so the table is bit-identical for
+  // any pool.
   void set_params(const ModelParams& params, ThreadPool* pool = nullptr);
 
   std::size_t assertion_count() const {
@@ -120,13 +125,6 @@ class LikelihoodTable {
   std::span<const std::uint32_t> claimant_csr(std::size_t j) const {
     return {cl_idx_.data() + cl_off_[j], cl_off_[j + 1] - cl_off_[j]};
   }
-  std::span<const std::uint32_t> pair_sched(std::size_t p) const {
-    return {pair_offs_.data() + pair_off_[p], pair_off_[p + 1] - pair_off_[p]};
-  }
-  std::span<const std::uint32_t> single_sched(std::size_t p) const {
-    return {single_offs_.data() + single_off_[p],
-            single_off_[p + 1] - single_off_[p]};
-  }
 
   const Dataset* dataset_ = nullptr;
   const ClaimPartition* partition_ = nullptr;  // owned by *dataset_
@@ -141,34 +139,6 @@ class LikelihoodTable {
   std::vector<std::size_t> exp_off_;
   std::vector<std::uint32_t> cl_idx_;
   std::vector<std::size_t> cl_off_;
-
-  // AVX2 column restructure (see prior_columns): a dependent claimant
-  // is by construction also in the exposed list (it claimed after its
-  // influencer), so its exposed-silent correction can be folded into
-  // its claim correction. The column walk then gathers the silent-only
-  // sources (exposed minus dependent claimants) with `es`, the
-  // independent claimants with `ci`, and the dependent claimants with
-  // the folded `cd + es` — |exposed| + |independent| elements instead
-  // of |exposed| + |claimants|, and no flag select.
-  //
-  // The fold is realized as a *precompiled gather schedule*: the three
-  // per-column index groups are compiled once (structure-only) into
-  // byte-offset streams over one concatenated value table
-  // `super_ = [es rows | ci rows | cd+es rows | two zero rows]`,
-  // with runs of adjacent indices emitted as 32-byte two-row granules
-  // and the rest as 16-byte granules, interleaved [col 2p, col 2p+1]
-  // per fixed column pair and padded with the zero sentinel row so both
-  // streams are rectangular (padded slots add 0.0). set_params() only
-  // refreshes the value rows, in the table build's source chunks. The
-  // schedule changes summation grouping, so only the AVX2 backend (ULP
-  // contract) takes it; the scalar path keeps the source-order
-  // exposed+select walk for bit-identity.
-  bool fold_ready_ = false;
-  std::vector<kernels::LogPair> super_;  // [es | ci | cd+es | 0, 0]
-  std::vector<std::uint32_t> pair_offs_;    // 32-byte granule offsets
-  std::vector<std::uint32_t> single_offs_;  // 16-byte granule offsets
-  std::vector<std::size_t> pair_off_;    // per-column-pair stream starts
-  std::vector<std::size_t> single_off_;
 };
 
 }  // namespace ss

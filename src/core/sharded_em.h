@@ -1,35 +1,31 @@
-// EM-Ext over a ShardedDataset: the million-source execution strategy.
+// EM-Ext over a ShardedDataset: the one EM-Ext engine.
 //
-// The flat engine (em_ext.cpp) walks one global CSR; at 10^6 sources
-// its fixed-grain column chunks still work, but every chunk touches the
-// whole value table and the whole incidence image. ShardedEmEstimator
-// runs the *same* E/M kernels over the per-shard CSR slices built by
-// ShardedDataset (data/shard.h): each work unit reads one shard's
-// claimant/exposed lists — which reference only that shard's sources —
-// so the hot loops stay within a shard-sized working set, and shards
-// spread across the thread pool.
+// ShardedEmEstimator runs the paper's E/M iteration (em_ext.h) over the
+// per-shard CSR slices built by ShardedDataset (data/shard.h): each
+// work unit reads one shard's claimant/exposed lists — which reference
+// only that shard's sources — so the hot loops stay within a
+// shard-sized working set, and shards spread across the thread pool.
+// EmExtEstimator::run_detailed is this engine behind a
+// ShardedDataset::build with the auto cap.
 //
 // Sharding is an execution strategy, never an approximation: all ids
 // stay global, the likelihood base / pooled shrinkage rates / prior z
-// are computed over all sources exactly as the flat engine computes
-// them, and every per-column and per-source gather walks the same
-// element order as its flat counterpart. Work units (shard-confined
-// column/source ranges) are dispatched through the LPT work-stealing
-// scheduler (ThreadPool::parallel_tasks) — heaviest shards first, idle
-// workers steal — so a skewed shard histogram no longer serializes on
-// its largest shard. Scheduling freedom is safe because units only
-// scatter into disjoint index-addressed slots; every global
-// floating-point reduction (column log-likelihood, M-step pooling,
-// update deltas) then runs through the fixed-shape tree reductions of
-// math/kernels.h, whose shape depends only on the element count. On
-// the scalar backend the results are therefore bit-identical to
-// EmExtEstimator for any shard layout, any thread count and any
-// steal order — tests/test_shard.cpp pins this with golden FNV-1a
-// hashes; on the AVX2 backend both engines live under the same
-// exactness contract (docs/MODEL.md §12, §16). The outer loop (init,
-// warm-up, retries, restarts, checkpointing) is
-// em_detail::run_em_driver, shared with the flat engine, so checkpoint
-// files are interchangeable between the two.
+// are computed over all sources, and every per-column and per-source
+// gather walks the dataset's ascending list order whatever the layout.
+// Work units (shard-confined column/source ranges) are dispatched
+// through the LPT work-stealing scheduler (ThreadPool::parallel_tasks)
+// — heaviest shards first, idle workers steal — so a skewed shard
+// histogram does not serialize on its largest shard. Scheduling
+// freedom is safe because units only scatter into disjoint
+// index-addressed slots; every global floating-point reduction (column
+// log-likelihood, M-step pooling, update deltas) then runs through the
+// fixed-shape tree reductions of math/kernels.h, whose shape depends
+// only on the element count. For a fixed kernel backend the results
+// are therefore bit-identical for any shard layout, any thread count
+// and any steal order — tests/test_shard.cpp pins this on every
+// backend the host supports (docs/MODEL.md §12, §16). The checkpoint
+// fingerprint depends on the dataset shape, not the layout, so a run
+// checkpointed through either entry point resumes through the other.
 #pragma once
 
 #include <cstdint>
@@ -44,10 +40,8 @@ class ShardedEmEstimator {
   explicit ShardedEmEstimator(EmExtConfig config = {});
 
   // Same contract as EmExtEstimator::run / run_detailed, with the
-  // incidence supplied as shards. The EmExtConfig semantics (tol,
-  // warm-up, shrinkage, restarts, checkpointing, pool) carry over
-  // unchanged — including the checkpoint fingerprint, which depends
-  // only on the dataset shape, not the shard layout.
+  // incidence supplied as shards; every EmExtConfig field means the
+  // same thing.
   EstimateResult run(const ShardedDataset& sharded,
                      std::uint64_t seed) const;
   EmExtResult run_detailed(const ShardedDataset& sharded,

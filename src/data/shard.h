@@ -8,19 +8,19 @@
 // shard carries its own CSR slices in the ClaimPartition layout:
 // per-column claimant lists with aligned D_ij flags, per-column
 // exposed-source lists, and per-source dependent/independent claim
-// splits. All ids stay GLOBAL: the sharded EM engine
-// (core/sharded_em.*) gathers from global value tables and scatters
-// into global posterior/stats buffers, which is what makes it
-// bit-identical to the flat engine — the likelihood base, the pooled
-// shrinkage rates and the prior z couple every source to every column,
-// so sharding here is an execution/data-layout strategy, never an
+// splits. All ids stay GLOBAL: the EM-Ext engine (core/sharded_em.*)
+// gathers from global value tables and scatters into global
+// posterior/stats buffers, which is what makes its results independent
+// of the shard layout — the likelihood base, the pooled shrinkage
+// rates and the prior z couple every source to every column, so
+// sharding here is an execution/data-layout strategy, never an
 // approximation.
 //
 // A shard's columns reference only that shard's sources (claimants and
 // exposed sources both), so shard-parallel E/M passes touch disjoint
 // index ranges of the value tables and disjoint slots of the output
 // buffers — no cross-shard false sharing beyond chunk-boundary cache
-// lines, exactly like the flat engine's fixed-grain chunks.
+// lines.
 //
 // Build sources: an in-memory Dataset, or an mmap-ed SsdView
 // (data/ssd.h) — the latter never materializes the global Dataset, so
@@ -60,7 +60,8 @@ struct ShardConfig {
 // One shard: a group of whole components. Ids are global; per-column
 // arrays are indexed by position in `assertions`, per-source arrays by
 // position in `sources`. All lists are ascending, preserving the
-// addition order of the flat engine's kernels.
+// dataset's list order, so every gather adds its terms in the same
+// order whatever the layout.
 class DatasetShard {
  public:
   std::span<const std::uint32_t> source_ids() const { return sources_; }

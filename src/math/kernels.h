@@ -97,9 +97,9 @@ namespace kernels {
 inline constexpr std::size_t kTreeReduceBlock = 4096;
 
 // Sources per chunk of the per-source passes that write one slot per
-// source (ExtLogTable rows, the likelihood supertable, the streaming
-// M-step). Fixed, so a source's slot is written by the same chunk for
-// any pool; n <= kSourceChunk is one chunk, run inline.
+// source (ExtLogTable rows, the streaming M-step). Fixed, so a
+// source's slot is written by the same chunk for any pool;
+// n <= kSourceChunk is one chunk, run inline.
 inline constexpr std::size_t kSourceChunk = 4096;
 
 // Number of leaf blocks the tree has for `count` elements.
@@ -231,17 +231,6 @@ void gather_add2_avx2(kernels::LogPair& acc0,
                       kernels::LogPair& acc1,
                       std::span<const std::uint32_t> idx1,
                       const kernels::LogPair* terms);
-// Precompiled column-pair gather schedule (see LikelihoodTable, which
-// builds these from the dataset structure): `pair_offs` interleaves
-// [col0, col1] byte offsets of 32-byte two-row granules (two adjacent
-// LogPair rows summed into one 256-bit add), `single_offs` of 16-byte
-// one-row granules, both into a caller-concatenated value table whose
-// sentinel rows are zero (so padded slots are no-ops). Sums are
-// grouped per accumulator chain (ULP contract only).
-void gather_schedule_avx2(kernels::LogPair& acc0, kernels::LogPair& acc1,
-                          std::span<const std::uint32_t> pair_offs,
-                          std::span<const std::uint32_t> single_offs,
-                          const double* table);
 kernels::LogPair gather_add_select_avx2(kernels::LogPair acc,
                                         std::span<const std::uint32_t> idx,
                                         std::span<const char> flags,
@@ -390,43 +379,6 @@ inline void gather_add2(LogPair& acc0, std::span<const std::uint32_t> idx0,
   }
   acc0 = {a0t, a0f};
   acc1 = {a1t, a1f};
-}
-
-// Executes a precompiled column-pair gather schedule (built by
-// LikelihoodTable from dataset structure): adjacent table rows are
-// fetched as one 32-byte granule, remaining rows as 16-byte granules,
-// all addressed by byte offset into one concatenated value table.
-// Schedules only exist on datasets where the AVX2 column fold applies,
-// so the scalar walk here is a reference implementation for tests, not
-// a production path; it uses the same per-granule grouping as the
-// vector kernel's tail-free layout.
-inline void gather_schedule(LogPair& acc0, LogPair& acc1,
-                            std::span<const std::uint32_t> pair_offs,
-                            std::span<const std::uint32_t> single_offs,
-                            const double* table) {
-  if (simd::avx2_active()) {
-    simd::gather_schedule_avx2(acc0, acc1, pair_offs, single_offs, table);
-    return;
-  }
-  auto row = [table](std::uint32_t off) {
-    return table + off / sizeof(double);
-  };
-  for (std::size_t k = 0; k + 2 <= pair_offs.size(); k += 2) {
-    const double* p0 = row(pair_offs[k]);
-    const double* p1 = row(pair_offs[k + 1]);
-    acc0.t += p0[0] + p0[2];
-    acc0.f += p0[1] + p0[3];
-    acc1.t += p1[0] + p1[2];
-    acc1.f += p1[1] + p1[3];
-  }
-  for (std::size_t k = 0; k + 2 <= single_offs.size(); k += 2) {
-    const double* p0 = row(single_offs[k]);
-    const double* p1 = row(single_offs[k + 1]);
-    acc0.t += p0[0];
-    acc0.f += p0[1];
-    acc1.t += p1[0];
-    acc1.f += p1[1];
-  }
 }
 
 // acc -= sum_{u in idx} terms[u] (EM-Social removes exposed sources

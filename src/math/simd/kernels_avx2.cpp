@@ -21,8 +21,6 @@
 
 #include <immintrin.h>
 
-#include <cstring>
-
 #include "math/simd/vecmath_avx2.h"
 
 namespace ss::simd {
@@ -134,84 +132,6 @@ void gather_add2_avx2(LogPair& acc0, std::span<const std::uint32_t> idx0,
   if (k < n1) r1 = gather_add_avx2(r1, idx1.subspan(k), terms);
   acc0 = r0;
   acc1 = r1;
-}
-
-// Precompiled-schedule executor, the fused E-step column-pair walk.
-// The offset streams interleave [col 2p, col 2p+1] slots, so one
-// 8-byte load yields both columns' byte offsets and the loop body is
-// branch-free: 32-byte granules (two adjacent table rows) feed 256-bit
-// chains whose lanes are [t, f, t', f'] — folding low and high halves
-// at the end finishes the row-pair sums — and 16-byte granules feed
-// 128-bit chains. Sentinel-padded slots read the table's zero rows and
-// add 0.0, so no per-column length tests survive into the loop.
-// Summation is grouped per chain (ULP contract only; the scalar
-// wrapper in kernels.h walks granules in stream order).
-void gather_schedule_avx2(LogPair& acc0, LogPair& acc1,
-                          std::span<const std::uint32_t> pair_offs,
-                          std::span<const std::uint32_t> single_offs,
-                          const double* table) {
-  const char* sb = reinterpret_cast<const char*>(table);
-  auto row2 = [sb](std::uint32_t off) {
-    return _mm256_loadu_pd(reinterpret_cast<const double*>(sb + off));
-  };
-  auto row1 = [sb](std::uint32_t off) {
-    return _mm_loadu_pd(reinterpret_cast<const double*>(sb + off));
-  };
-  auto two_offs = [](const std::uint32_t* p) {
-    std::uint64_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-  };
-  __m256d a0 = _mm256_setzero_pd();
-  __m256d a1 = _mm256_setzero_pd();
-  __m256d b0 = _mm256_setzero_pd();
-  __m256d b1 = _mm256_setzero_pd();
-  const std::uint32_t* po = pair_offs.data();
-  const std::size_t np = pair_offs.size() / 2;
-  std::size_t k = 0;
-  for (; k + 2 <= np; k += 2) {
-    std::uint64_t v = two_offs(po + 2 * k);
-    std::uint64_t w = two_offs(po + 2 * k + 2);
-    a0 = _mm256_add_pd(a0, row2(static_cast<std::uint32_t>(v)));
-    a1 = _mm256_add_pd(a1, row2(static_cast<std::uint32_t>(v >> 32)));
-    b0 = _mm256_add_pd(b0, row2(static_cast<std::uint32_t>(w)));
-    b1 = _mm256_add_pd(b1, row2(static_cast<std::uint32_t>(w >> 32)));
-  }
-  for (; k < np; ++k) {
-    a0 = _mm256_add_pd(a0, row2(po[2 * k]));
-    a1 = _mm256_add_pd(a1, row2(po[2 * k + 1]));
-  }
-  __m128d x0 = _mm_setzero_pd();
-  __m128d x1 = _mm_setzero_pd();
-  __m128d y0 = _mm_setzero_pd();
-  __m128d y1 = _mm_setzero_pd();
-  const std::uint32_t* so = single_offs.data();
-  const std::size_t ns = single_offs.size() / 2;
-  std::size_t q = 0;
-  for (; q + 2 <= ns; q += 2) {
-    std::uint64_t v = two_offs(so + 2 * q);
-    std::uint64_t w = two_offs(so + 2 * q + 2);
-    x0 = _mm_add_pd(x0, row1(static_cast<std::uint32_t>(v)));
-    x1 = _mm_add_pd(x1, row1(static_cast<std::uint32_t>(v >> 32)));
-    y0 = _mm_add_pd(y0, row1(static_cast<std::uint32_t>(w)));
-    y1 = _mm_add_pd(y1, row1(static_cast<std::uint32_t>(w >> 32)));
-  }
-  for (; q < ns; ++q) {
-    x0 = _mm_add_pd(x0, row1(so[2 * q]));
-    x1 = _mm_add_pd(x1, row1(so[2 * q + 1]));
-  }
-  __m256d t0 = _mm256_add_pd(a0, b0);
-  __m256d t1 = _mm256_add_pd(a1, b1);
-  __m128d r0 = _mm_add_pd(_mm_add_pd(_mm256_castpd256_pd128(t0),
-                                     _mm256_extractf128_pd(t0, 1)),
-                          _mm_add_pd(x0, y0));
-  __m128d r1 = _mm_add_pd(_mm_add_pd(_mm256_castpd256_pd128(t1),
-                                     _mm256_extractf128_pd(t1, 1)),
-                          _mm_add_pd(x1, y1));
-  acc0.t += _mm_cvtsd_f64(r0);
-  acc0.f += _mm_cvtsd_f64(_mm_unpackhi_pd(r0, r0));
-  acc1.t += _mm_cvtsd_f64(r1);
-  acc1.f += _mm_cvtsd_f64(_mm_unpackhi_pd(r1, r1));
 }
 
 // The per-element table select stays a scalar conditional move on the
@@ -734,11 +654,6 @@ LogPair gather_add_avx2(LogPair, std::span<const std::uint32_t>,
 }
 void gather_add2_avx2(LogPair&, std::span<const std::uint32_t>, LogPair&,
                       std::span<const std::uint32_t>, const LogPair*) {
-  std::abort();
-}
-void gather_schedule_avx2(LogPair&, LogPair&,
-                          std::span<const std::uint32_t>,
-                          std::span<const std::uint32_t>, const double*) {
   std::abort();
 }
 LogPair gather_add_select_avx2(LogPair, std::span<const std::uint32_t>,

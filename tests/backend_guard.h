@@ -6,6 +6,8 @@
 // hosts.
 #pragma once
 
+#include <vector>
+
 #include "math/simd/dispatch.h"
 
 namespace ss::test_support {
@@ -23,5 +25,14 @@ class ScopedBackend {
  private:
   simd::Backend previous_;
 };
+
+// Every backend this build and host can run: scalar always, AVX2 when
+// compiled in and supported. Suites whose contract holds per backend
+// loop over these under a ScopedBackend.
+inline std::vector<simd::Backend> available_backends() {
+  std::vector<simd::Backend> out = {simd::Backend::kScalar};
+  if (simd::avx2_runtime_supported()) out.push_back(simd::Backend::kAvx2);
+  return out;
+}
 
 }  // namespace ss::test_support

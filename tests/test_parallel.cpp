@@ -439,21 +439,15 @@ TEST(ParallelEngine, StressRepeatedParallelRunsAreStable) {
 }
 
 // ---------------------------------------------------------------------
-// Per-source passes above the chunk size: the log-table rows, the AVX2
-// supertable and the streaming M-step run in fixed kernels::kSourceChunk
-// chunks on the pool, and must not move a bit.
+// Per-source passes above the chunk size: the log-table rows and the
+// streaming M-step run in fixed kernels::kSourceChunk chunks on the
+// pool, and must not move a bit.
 
 bool same_bits(double a, double b) {
   std::uint64_t x, y;
   std::memcpy(&x, &a, 8);
   std::memcpy(&y, &b, 8);
   return x == y;
-}
-
-std::vector<simd::Backend> available_backends() {
-  std::vector<simd::Backend> out = {simd::Backend::kScalar};
-  if (simd::avx2_runtime_supported()) out.push_back(simd::Backend::kAvx2);
-  return out;
 }
 
 void expect_tables_bitwise_equal(const kernels::ExtLogTable& a,
@@ -497,7 +491,7 @@ TEST(ParallelEngine, ExtLogTableBuildBitwiseEqualAcrossPoolSizes) {
   }
 
   ThreadPool pool1(1), pool2(2), pool4(4);
-  for (simd::Backend backend : available_backends()) {
+  for (simd::Backend backend : test_support::available_backends()) {
     test_support::ScopedBackend pin(backend);
     kernels::ExtLogTable ref;
     ref.build_from_rows(n, 0.37, rows.data());
@@ -522,8 +516,8 @@ TEST(ParallelEngine, ExtLogTableBuildBitwiseEqualAcrossPoolSizes) {
 }
 
 TEST(ParallelEngine, LikelihoodSetParamsBitwiseEqualWithAndWithoutPool) {
-  // Above the chunk size the AVX2 supertable is filled on the pool;
-  // prior_columns reads it (and, on scalar, the select-path tables).
+  // Above the chunk size the log-table rows are filled on the pool;
+  // prior_columns reads them on every backend.
   Dataset d = make_dataset(43, 3 * kernels::kSourceChunk + 17, 60);
   ModelParams params;
   Rng rng(47);
@@ -537,7 +531,7 @@ TEST(ParallelEngine, LikelihoodSetParamsBitwiseEqualWithAndWithoutPool) {
   }
   const std::size_t m = d.assertion_count();
   ThreadPool pool1(1), pool2(2), pool4(4);
-  for (simd::Backend backend : available_backends()) {
+  for (simd::Backend backend : test_support::available_backends()) {
     test_support::ScopedBackend pin(backend);
     LikelihoodTable serial(d);
     serial.set_params(params);

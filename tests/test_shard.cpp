@@ -6,12 +6,16 @@
 //     exactly one shard, component edges never cross shards, lists are
 //     the flat views re-sliced (ShardedDataset::check plus direct
 //     comparisons here);
-//   * bit-identity — the sharded EM driver and the sharded Gibbs bound
-//     reproduce the flat engines bit for bit on the scalar backend, at
-//     one thread and at several, for natural and forced-small shard
-//     caps, and when built from an .ssd view instead of a Dataset.
+//   * bit-identity — EmExtEstimator (which shards internally, auto cap)
+//     and ShardedEmEstimator on any prebuilt layout return the same
+//     bytes under every kernel backend the host supports, at one thread
+//     and at several, for natural and forced-small shard caps, across a
+//     checkpoint resumed through the other entry point, and when built
+//     from an .ssd view instead of a Dataset; the sharded Gibbs bound
+//     reproduces the Dataset bound bit for bit on the scalar backend.
 //     Sharding is an execution strategy, never an approximation.
 #include <algorithm>
+#include <filesystem>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -26,6 +30,7 @@
 #include "data/ssd.h"
 #include "kernel_golden.h"
 #include "simgen/scale_gen.h"
+#include "util/fault_inject.h"
 #include "util/thread_pool.h"
 
 namespace ss {
@@ -34,10 +39,11 @@ namespace {
 using golden::golden_dataset;
 using golden::Hash;
 using golden::hash_em_result;
+using test_support::available_backends;
 using test_support::ScopedBackend;
 
-std::uint64_t hash_flat_em(const Dataset& d, const EmExtConfig& config,
-                           std::uint64_t seed) {
+std::uint64_t hash_em_ext(const Dataset& d, const EmExtConfig& config,
+                          std::uint64_t seed) {
   Hash h;
   hash_em_result(h, EmExtEstimator(config).run_detailed(d, seed));
   return h.value();
@@ -179,53 +185,105 @@ TEST(Shard, BuildFromSsdViewMatchesBuildFromDataset) {
             hash_sharded_em(from_dataset, config, 5));
 }
 
-// The tentpole guarantee: sharded EM == flat EM, bitwise, for every
-// shard layout and thread count, scalar-pinned (the golden reference
-// backend).
-TEST(Shard, EmBitIdenticalToFlatEngine) {
-  ScopedBackend guard(simd::Backend::kScalar);
+// The one-engine guarantee: EmExtEstimator == ShardedEmEstimator,
+// bitwise, for every shard layout and pool size, under each backend
+// (the AVX2 contract is per backend, not against scalar).
+TEST(Shard, EmBitIdenticalAcrossEntryPoints) {
   Dataset d = golden_dataset(101, 120, 300);
-  for (std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    ThreadPool pool(threads);
-    EmExtConfig config;
-    config.pool = &pool;
-    std::uint64_t flat = hash_flat_em(d, config, 5);
-    for (std::size_t cap : {std::size_t{0}, std::size_t{1},
-                            std::size_t{8}, std::size_t{64}}) {
-      ShardedDataset sharded = ShardedDataset::build(d, {cap});
-      EXPECT_EQ(hash_sharded_em(sharded, config, 5), flat)
-          << "threads=" << threads << " cap=" << cap;
+  for (simd::Backend backend : available_backends()) {
+    ScopedBackend guard(backend);
+    std::uint64_t want = 0;
+    for (std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                std::size_t{4}, std::size_t{8}}) {
+      ThreadPool pool(threads);
+      EmExtConfig config;
+      config.pool = &pool;
+      std::uint64_t got = hash_em_ext(d, config, 5);
+      if (threads == 1) want = got;
+      EXPECT_EQ(got, want)
+          << simd::backend_name(backend) << " threads=" << threads;
+      for (std::size_t cap : {std::size_t{0}, std::size_t{1},
+                              std::size_t{8}, std::size_t{64}}) {
+        ShardedDataset sharded = ShardedDataset::build(d, {cap});
+        EXPECT_EQ(hash_sharded_em(sharded, config, 5), want)
+            << simd::backend_name(backend) << " threads=" << threads
+            << " cap=" << cap;
+      }
     }
   }
 }
 
 TEST(Shard, EmBitIdenticalUnderRandomRestarts) {
-  ScopedBackend guard(simd::Backend::kScalar);
   Dataset d = golden_dataset(101, 120, 300);
-  std::uint64_t flat = 0;
-  {
-    ThreadPool pool(1);
-    EmExtConfig config;
-    config.pool = &pool;
-    config.init_kind = EmInit::kRandom;
-    config.restarts = 3;
-    flat = hash_flat_em(d, config, 9);
-  }
-  for (std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    ThreadPool pool(threads);
-    EmExtConfig config;
-    config.pool = &pool;
-    config.init_kind = EmInit::kRandom;
-    config.restarts = 3;
-    for (std::size_t cap : {std::size_t{4}, std::size_t{8},
-                            std::size_t{64}}) {
-      ShardedDataset sharded = ShardedDataset::build(d, {cap});
-      EXPECT_EQ(hash_sharded_em(sharded, config, 9), flat)
-          << "threads=" << threads << " cap=" << cap;
+  for (simd::Backend backend : available_backends()) {
+    ScopedBackend guard(backend);
+    std::uint64_t want = 0;
+    {
+      ThreadPool pool(1);
+      EmExtConfig config;
+      config.pool = &pool;
+      config.init_kind = EmInit::kRandom;
+      config.restarts = 3;
+      want = hash_em_ext(d, config, 9);
+    }
+    for (std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      ThreadPool pool(threads);
+      EmExtConfig config;
+      config.pool = &pool;
+      config.init_kind = EmInit::kRandom;
+      config.restarts = 3;
+      for (std::size_t cap : {std::size_t{4}, std::size_t{8},
+                              std::size_t{64}}) {
+        ShardedDataset sharded = ShardedDataset::build(d, {cap});
+        EXPECT_EQ(hash_sharded_em(sharded, config, 9), want)
+            << simd::backend_name(backend) << " threads=" << threads
+            << " cap=" << cap;
+      }
     }
   }
+}
+
+// A checkpoint written through one entry point resumes through the
+// other on a different shard layout: the fingerprint binds the dataset
+// shape and config, never the layout.
+TEST(Shard, CheckpointResumesAcrossEntryPoints) {
+  Dataset d = golden_dataset(101, 120, 300);
+  ShardedDataset cap8 = ShardedDataset::build(d, {8});
+  std::string dir = ::testing::TempDir() + "/shard_ckpt_interchange";
+  std::filesystem::create_directories(dir);
+  for (simd::Backend backend : available_backends()) {
+    ScopedBackend guard(backend);
+    EmExtConfig config;
+    config.init_kind = EmInit::kRandom;
+    config.restarts = 4;
+    config.max_iters = 40;
+    std::uint64_t want = hash_em_ext(d, config, 7);
+    EXPECT_EQ(hash_sharded_em(cap8, config, 7), want)
+        << simd::backend_name(backend);
+
+    EmExtConfig ckpt = config;
+    ckpt.checkpoint_path = dir + "/em.ckpt";
+    std::filesystem::remove(ckpt.checkpoint_path);
+    {
+      fault::FaultConfig fc;
+      fc.seed = 41;
+      fc.kill_after_units = 2;  // die after two attempts committed
+      fault::ScopedFaultInjection inj(fc);
+      EXPECT_THROW(EmExtEstimator(ckpt).run_detailed(d, 7),
+                   fault::FaultInjectedError);
+    }
+    ASSERT_TRUE(std::filesystem::exists(ckpt.checkpoint_path));
+
+    EmExtResult resumed = ShardedEmEstimator(ckpt).run_detailed(cap8, 7);
+    EXPECT_GE(resumed.health.resumed_attempts, 2u)
+        << simd::backend_name(backend);
+    Hash h;
+    hash_em_result(h, resumed);
+    EXPECT_EQ(h.value(), want) << simd::backend_name(backend);
+    EXPECT_FALSE(std::filesystem::exists(ckpt.checkpoint_path));
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Shard, PoolBuiltShardsMatchSerialBuild) {
@@ -277,7 +335,6 @@ TEST(Shard, PoolBuiltShardsMatchSerialBuild) {
 }
 
 TEST(Shard, EmBitIdenticalOnGeneratedScaleData) {
-  ScopedBackend guard(simd::Backend::kScalar);
   ScaleKnobs knobs;
   knobs.sources = 2000;
   knobs.assertions = 400;
@@ -293,14 +350,17 @@ TEST(Shard, EmBitIdenticalOnGeneratedScaleData) {
   ShardedDataset sharded = ShardedDataset::build(view, {32});
   sharded.check();
   EXPECT_GT(sharded.shard_count(), 1u);
-  for (std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    ThreadPool pool(threads);
-    EmExtConfig config;
-    config.pool = &pool;
-    EXPECT_EQ(hash_sharded_em(sharded, config, 5),
-              hash_flat_em(d, config, 5))
-        << "threads=" << threads;
+  for (simd::Backend backend : available_backends()) {
+    ScopedBackend guard(backend);
+    for (std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      ThreadPool pool(threads);
+      EmExtConfig config;
+      config.pool = &pool;
+      EXPECT_EQ(hash_sharded_em(sharded, config, 5),
+                hash_em_ext(d, config, 5))
+          << simd::backend_name(backend) << " threads=" << threads;
+    }
   }
 }
 
