@@ -51,18 +51,6 @@ std::vector<double> vote_prior_from_support(std::vector<double> support) {
   return support;
 }
 
-std::vector<double> vote_prior_posterior(const Dataset& dataset,
-                                         bool independent_only) {
-  std::size_t m = dataset.assertion_count();
-  std::vector<double> support(m, 0.0);
-  for (std::size_t j = 0; j < m; ++j) {
-    support[j] = static_cast<double>(
-        independent_only ? dataset.partition().independent_claimants(j).size()
-                         : dataset.claims.support(j));
-  }
-  return vote_prior_from_support(std::move(support));
-}
-
 EmExtEstimator::EmExtEstimator(EmExtConfig config)
     : config_(std::move(config)) {}
 

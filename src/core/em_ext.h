@@ -58,8 +58,8 @@ struct EmExtConfig {
   // f_i/g_i estimates from hurting EM-Ext exactly when dependent claims
   // carry little information (the paper's Fig. 10 left edge). 0 disables
   // (the paper's literal M-step); ablation bench A5 quantifies the
-  // effect. The EM baselines default to the same value so comparisons
-  // isolate the dependency model, not the regularizer.
+  // effect. The EM baselines run on this engine at these defaults, so
+  // comparisons isolate the dependency model, not the regularizer.
   double shrinkage = 8.0;
   // Bounds on the learned prior z. With sparse evidence z is weakly
   // identified and plain MLE can spiral into z -> 0 (or 1): singleton
@@ -91,7 +91,8 @@ struct EmExtConfig {
   // restarts. nullptr selects the process-wide global_pool() (sized by
   // SS_THREADS). Results are bit-identical for every pool size,
   // including 1 — parallel slots are index-addressed and every
-  // floating-point reduction runs serially in canonical order.
+  // floating-point reduction is a fixed-shape tree whose shape depends
+  // only on the element count (math/kernels.h).
   ThreadPool* pool = nullptr;
   // Fault tolerance (docs/MODEL.md §9). An attempt whose E-step goes
   // non-finite (injected fault, pathological input) is re-seeded from a
@@ -163,18 +164,12 @@ class EmExtEstimator : public Estimator {
   EmExtConfig config_;
 };
 
-// Shared by the EM-family estimators: the support-based initial posterior
-// Z_j = support_j / (support_j + mean support), clamped to [0.05, 0.95].
-// With independent_only, dependent claims (D_ij = 1) do not count toward
-// support — the right prior for EM-Social, whose model never sees them.
-std::vector<double> vote_prior_posterior(const Dataset& dataset,
-                                         bool independent_only = false);
-
-// The arithmetic behind vote_prior_posterior, over per-assertion
-// support counts already gathered (indexed by assertion id): the
-// tree-sum mean of the supports, then support / (support + mean)
-// clamped to [0.05, 0.95]; all 0.5 when the mean is not positive.
-// Consumes `support` and returns the posterior in its storage.
+// The support-based initial posterior of the vote-prior init, over
+// per-assertion support counts already gathered (indexed by assertion
+// id): the tree-sum mean of the supports, then
+// Z_j = support_j / (support_j + mean) clamped to [0.05, 0.95]; all 0.5
+// when the mean is not positive. Consumes `support` and returns the
+// posterior in its storage.
 std::vector<double> vote_prior_from_support(std::vector<double> support);
 
 }  // namespace ss

@@ -97,12 +97,6 @@ void LikelihoodTable::prior_columns(std::size_t begin, std::size_t end,
   }
 }
 
-std::vector<ColumnLogLikelihood> LikelihoodTable::all_columns() const {
-  std::vector<ColumnLogLikelihood> out(dataset_->assertion_count());
-  for (std::size_t j = 0; j < out.size(); ++j) out[j] = column(j);
-  return out;
-}
-
 double LikelihoodTable::data_log_likelihood() const {
   double total = 0.0;
   for (std::size_t j = 0; j < dataset_->assertion_count(); ++j) {

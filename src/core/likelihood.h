@@ -108,9 +108,6 @@ class LikelihoodTable {
   void prior_columns(std::size_t begin, std::size_t end, double* la,
                      double* lb) const;
 
-  // All m columns at once.
-  std::vector<ColumnLogLikelihood> all_columns() const;
-
   // Total data log-likelihood (Eq. 7): sum_j logsumexp over C_j of
   // log P(SC_j | C_j) + log P(C_j).
   double data_log_likelihood() const;

@@ -1,18 +1,10 @@
 #include "estimators/em_ipsn12.h"
 
-#include <algorithm>
-#include <array>
-#include <cmath>
+#include <utility>
 
 #include "core/em_ext.h"
-#include "math/convergence.h"
-#include "math/kernels.h"
-#include "math/logprob.h"
 
 namespace ss {
-
-EmIpsn12Estimator::EmIpsn12Estimator(EmIpsn12Config config)
-    : config_(config) {}
 
 EstimateResult EmIpsn12Estimator::run(const Dataset& dataset,
                                       std::uint64_t seed) const {
@@ -22,130 +14,25 @@ EstimateResult EmIpsn12Estimator::run(const Dataset& dataset,
 EmIpsn12Result EmIpsn12Estimator::run_detailed(const Dataset& dataset,
                                                std::uint64_t seed) const {
   dataset.validate();
-  (void)seed;  // deterministic: vote-prior initialization (see EM-Ext)
-  std::size_t n = dataset.source_count();
-  std::size_t m = dataset.assertion_count();
+  // The view: the same claims and no exposed cell, so every claim is
+  // independent and f, g are never read.
+  Dataset view;
+  view.claims = dataset.claims;
+  view.dependency = DependencyIndicators::from_cells(
+      dataset.source_count(), dataset.assertion_count(), {});
+  EmExtConfig config;
+  config.warmup_iters = 0;
+  EmExtResult fit = EmExtEstimator(config).run_detailed(view, seed);
 
   EmIpsn12Result result;
-  if (m == 0) {
-    result.a.assign(n, 0.5);
-    result.b.assign(n, 0.5);
-    result.estimate.probabilistic = true;
-    return result;
+  result.estimate = std::move(fit.estimate);
+  result.a.reserve(fit.params.source.size());
+  result.b.reserve(fit.params.source.size());
+  for (const SourceParams& s : fit.params.source) {
+    result.a.push_back(s.a);
+    result.b.push_back(s.b);
   }
-  result.a.assign(n, 0.5);
-  result.b.assign(n, 0.5);
-  result.z = 0.5;
-
-  // Initial parameters from the support-based vote prior via one M-step.
-  std::vector<double> posterior = vote_prior_posterior(dataset);
-  {
-    double total_z = 0.0;
-    for (double p : posterior) total_z += p;
-    double total_y = static_cast<double>(m) - total_z;
-    for (std::size_t i = 0; i < n; ++i) {
-      kernels::MassPair claim = kernels::gather_mass(
-          dataset.claims.claims_of(i), posterior.data());
-      if (total_z > 0.0) {
-        result.a[i] = clamp_prob(claim.z / total_z, config_.clamp_eps);
-      }
-      if (total_y > 0.0) {
-        result.b[i] = clamp_prob(claim.y / total_y, config_.clamp_eps);
-      }
-    }
-    result.z =
-        clamp_prob(total_z / static_cast<double>(m), config_.clamp_eps);
-  }
-  std::vector<double> log_odds(m, 0.0);
-  // Per-iteration log terms, hoisted into an interleaved table rebuilt
-  // in place each E-step; M-step scratch reused across iterations.
-  kernels::RateLogTable logs;
-  std::vector<double> claim_zs(n), claim_ys(n);
-  ConvergenceMonitor monitor(config_.tol, config_.max_iters);
-  bool done = false;
-
-  while (!done) {
-    // E-step. Baseline = everyone silent; claimants corrected in O(deg).
-    logs.build(n, [&](std::size_t i) {
-      return std::array<double, 2>{
-          clamp_prob(result.a[i], config_.clamp_eps),
-          clamp_prob(result.b[i], config_.clamp_eps)};
-    });
-    double z = clamp_prob(result.z, config_.clamp_eps);
-    double log_z = safe_log(z);
-    double log_1mz = safe_log1m(z);
-    for (std::size_t j = 0; j < m; ++j) {
-      kernels::LogPair acc = kernels::gather_add(
-          logs.base(), dataset.claims.claimants_of(j), logs.claim());
-      kernels::PairStats s =
-          kernels::finalize_pair(acc.t + log_z, acc.f + log_1mz);
-      posterior[j] = s.posterior;
-      log_odds[j] = s.log_odds;
-    }
-
-    // M-step with pooled-rate MAP shrinkage (see config).
-    double total_z = 0.0;
-    for (double p : posterior) total_z += p;
-    double total_y = static_cast<double>(m) - total_z;
-
-    for (std::size_t i = 0; i < n; ++i) {
-      kernels::MassPair claim = kernels::gather_mass(
-          dataset.claims.claims_of(i), posterior.data());
-      claim_zs[i] = claim.z;
-      claim_ys[i] = claim.y;
-    }
-    double pooled_z = 0.0;
-    double pooled_y = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      pooled_z += claim_zs[i];
-      pooled_y += claim_ys[i];
-    }
-    double nn = static_cast<double>(n);
-    double mu_a = total_z > 0.0 ? pooled_z / (nn * total_z) : 0.5;
-    double mu_b = total_y > 0.0 ? pooled_y / (nn * total_y) : 0.5;
-    // Beta-prior strength in pseudo-claims => shrinkage/mu pseudo-cells
-    // (see EmExtConfig::shrinkage).
-    double cells_a =
-        config_.shrinkage > 0.0
-            ? config_.shrinkage / std::max(mu_a, 1e-9)
-            : 0.0;
-    double cells_b =
-        config_.shrinkage > 0.0
-            ? config_.shrinkage / std::max(mu_b, 1e-9)
-            : 0.0;
-
-    double delta = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      double claim_z = claim_zs[i];
-      double claim_y = claim_ys[i];
-      double new_a = total_z + cells_a > 0.0
-                         ? (claim_z + cells_a * mu_a) / (total_z + cells_a)
-                         : result.a[i];
-      double new_b = total_y + cells_b > 0.0
-                         ? (claim_y + cells_b * mu_b) / (total_y + cells_b)
-                         : result.b[i];
-      new_a = clamp_prob(new_a, config_.clamp_eps);
-      new_b = clamp_prob(new_b, config_.clamp_eps);
-      delta = std::max(delta, std::fabs(new_a - result.a[i]));
-      delta = std::max(delta, std::fabs(new_b - result.b[i]));
-      result.a[i] = new_a;
-      result.b[i] = new_b;
-    }
-    double new_z = clamp_prob(total_z / static_cast<double>(m),
-                              config_.clamp_eps);
-    if (config_.z_floor > 0.0) {
-      new_z = std::clamp(new_z, config_.z_floor, 1.0 - config_.z_floor);
-    }
-    delta = std::max(delta, std::fabs(new_z - result.z));
-    result.z = new_z;
-    done = monitor.update_delta(delta);
-  }
-
-  result.estimate.belief = posterior;
-  result.estimate.log_odds = log_odds;
-  result.estimate.probabilistic = true;
-  result.estimate.iterations = monitor.iterations();
-  result.estimate.converged = !monitor.hit_max();
+  result.z = fit.params.z;
   return result;
 }
 

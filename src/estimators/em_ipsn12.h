@@ -6,24 +6,21 @@
 // the dependency indicators are ignored entirely. This is the estimator
 // whose false-positive rate degrades as dependent sources multiply
 // (paper Fig. 7), motivating EM-Ext.
+//
+// A data view on the EM-Ext engine: EmExtEstimator, without its f=g
+// warm-up, runs on the same claims with an empty dependency matrix.
+// With no exposed cell and no dependent claim, f and g never enter a
+// column, which is the independent-source model f_i = a_i, g_i = b_i
+// exactly (docs/MODEL.md §1). Init, shrinkage, z floor, convergence
+// test and parallelism are EM-Ext's defaults, so estimator comparisons
+// isolate the dependency model.
 #pragma once
 
+#include <vector>
+
 #include "core/estimator.h"
-#include "core/params.h"
 
 namespace ss {
-
-struct EmIpsn12Config {
-  double tol = 1e-6;
-  std::size_t max_iters = 200;
-  double clamp_eps = 1e-6;
-  // MAP pseudo-observations toward the pooled rate, matching EM-Ext's
-  // hierarchical shrinkage so estimator comparisons isolate the
-  // dependency model rather than the regularizer (DESIGN.md §5).
-  double shrinkage = 8.0;
-  // Bounds on the learned prior z (see EmExtConfig::z_floor).
-  double z_floor = 0.05;
-};
 
 struct EmIpsn12Result {
   EstimateResult estimate;
@@ -34,16 +31,11 @@ struct EmIpsn12Result {
 
 class EmIpsn12Estimator : public Estimator {
  public:
-  explicit EmIpsn12Estimator(EmIpsn12Config config = {});
-
   std::string name() const override { return "EM"; }
   EstimateResult run(const Dataset& dataset,
                      std::uint64_t seed) const override;
   EmIpsn12Result run_detailed(const Dataset& dataset,
                               std::uint64_t seed) const;
-
- private:
-  EmIpsn12Config config_;
 };
 
 }  // namespace ss

@@ -1,176 +1,30 @@
 #include "estimators/em_social.h"
 
-#include <algorithm>
-#include <array>
-#include <cmath>
+#include <vector>
 
 #include "core/em_ext.h"
-#include "math/convergence.h"
-#include "math/kernels.h"
-#include "math/logprob.h"
 
 namespace ss {
-
-EmSocialEstimator::EmSocialEstimator(EmSocialConfig config)
-    : config_(config) {}
 
 EstimateResult EmSocialEstimator::run(const Dataset& dataset,
                                       std::uint64_t seed) const {
   dataset.validate();
-  (void)seed;  // deterministic: vote-prior initialization (see EM-Ext)
-  std::size_t n = dataset.source_count();
-  std::size_t m = dataset.assertion_count();
-  if (m == 0) {
-    EstimateResult empty;
-    empty.probabilistic = true;
-    return empty;
-  }
-
-  std::vector<double> a(n, 0.5);
-  std::vector<double> b(n, 0.5);
-  double z = 0.5;
-
-  // Independent (D_ij = 0) incidence views from the partition cache:
-  // the split lists are ascending subsequences of the raw CSR lists, so
-  // every kernel gather below sees the same element order as the
-  // skip-dependent branch loops they replace.
+  // The view: the D_ij = 0 claims, with the exposure kept, so a deleted
+  // claim stays an exposed (silent) cell. EM never reads claim times.
   const ClaimPartition& part = dataset.partition();
-
-  // Initial parameters from the support-based vote prior via one M-step
-  // over the independent (D_ij = 0) cells this estimator keeps.
-  std::vector<double> log_odds(m, 0.0);
-  std::vector<double> posterior =
-      vote_prior_posterior(dataset, /*independent_only=*/true);
-  {
-    double total_z = 0.0;
-    for (double p : posterior) total_z += p;
-    double total_y = static_cast<double>(m) - total_z;
-    for (std::size_t i = 0; i < n; ++i) {
-      double exposed_z = kernels::gather_sum(
-          dataset.dependency.exposed_assertions(i), posterior.data());
-      double exposed_count = static_cast<double>(
-          dataset.dependency.exposed_assertions(i).size());
-      double exposed_y = exposed_count - exposed_z;
-      kernels::MassPair claim = kernels::gather_mass(
-          part.independent_claims(i), posterior.data());
-      double denom_a = total_z - exposed_z;
-      double denom_b = total_y - exposed_y;
-      if (denom_a > 0.0) {
-        a[i] = clamp_prob(claim.z / denom_a, config_.clamp_eps);
-      }
-      if (denom_b > 0.0) {
-        b[i] = clamp_prob(claim.y / denom_b, config_.clamp_eps);
-      }
+  std::vector<Claim> kept;
+  for (std::uint32_t i = 0; i < dataset.source_count(); ++i) {
+    for (std::uint32_t j : part.independent_claims(i)) {
+      kept.push_back({i, j, 0.0});
     }
-    z = clamp_prob(total_z / static_cast<double>(m), config_.clamp_eps);
   }
-  // Per-iteration log terms, hoisted into an interleaved table rebuilt
-  // in place each E-step; M-step scratch reused across iterations.
-  kernels::RateLogTable logs;
-  std::vector<double> claim_zs(n), claim_ys(n), denom_as(n), denom_bs(n);
-  ConvergenceMonitor monitor(config_.tol, config_.max_iters);
-  bool done = false;
-
-  while (!done) {
-    // E-step over independent cells only. Baseline assumes every source
-    // is silent and independent; exposed sources are *removed* (their
-    // silent factor subtracted), then independent claimants corrected.
-    logs.build(n, [&](std::size_t i) {
-      return std::array<double, 2>{clamp_prob(a[i], config_.clamp_eps),
-                                   clamp_prob(b[i], config_.clamp_eps)};
-    });
-    double cz = clamp_prob(z, config_.clamp_eps);
-    double log_z = safe_log(cz);
-    double log_1mz = safe_log1m(cz);
-
-    for (std::size_t j = 0; j < m; ++j) {
-      kernels::LogPair acc = kernels::gather_sub(
-          logs.base(), dataset.dependency.exposed_sources(j),
-          logs.silent());
-      acc = kernels::gather_add(acc, part.independent_claimants(j),
-                                logs.claim());
-      kernels::PairStats s =
-          kernels::finalize_pair(acc.t + log_z, acc.f + log_1mz);
-      posterior[j] = s.posterior;
-      log_odds[j] = s.log_odds;
-    }
-
-    // M-step over independent cells only, with pooled-rate MAP
-    // shrinkage (see config).
-    double total_z = 0.0;
-    for (double p : posterior) total_z += p;
-    double total_y = static_cast<double>(m) - total_z;
-
-    for (std::size_t i = 0; i < n; ++i) {
-      double exposed_z = kernels::gather_sum(
-          dataset.dependency.exposed_assertions(i), posterior.data());
-      double exposed_count = static_cast<double>(
-          dataset.dependency.exposed_assertions(i).size());
-      double exposed_y = exposed_count - exposed_z;
-      kernels::MassPair claim = kernels::gather_mass(
-          part.independent_claims(i), posterior.data());
-      claim_zs[i] = claim.z;
-      claim_ys[i] = claim.y;
-      denom_as[i] = total_z - exposed_z;
-      denom_bs[i] = total_y - exposed_y;
-    }
-    double pooled_num_a = 0.0;
-    double pooled_den_a = 0.0;
-    double pooled_num_b = 0.0;
-    double pooled_den_b = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      pooled_num_a += claim_zs[i];
-      pooled_den_a += denom_as[i];
-      pooled_num_b += claim_ys[i];
-      pooled_den_b += denom_bs[i];
-    }
-    double mu_a = pooled_den_a > 0.0 ? pooled_num_a / pooled_den_a : 0.5;
-    double mu_b = pooled_den_b > 0.0 ? pooled_num_b / pooled_den_b : 0.5;
-    // Beta-prior strength in pseudo-claims => shrinkage/mu pseudo-cells
-    // (see EmExtConfig::shrinkage).
-    double cells_a =
-        config_.shrinkage > 0.0
-            ? config_.shrinkage / std::max(mu_a, 1e-9)
-            : 0.0;
-    double cells_b =
-        config_.shrinkage > 0.0
-            ? config_.shrinkage / std::max(mu_b, 1e-9)
-            : 0.0;
-
-    double delta = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      double claim_z = claim_zs[i];
-      double claim_y = claim_ys[i];
-      double denom_a = denom_as[i] + cells_a;
-      double denom_b = denom_bs[i] + cells_b;
-      double new_a =
-          denom_a > 0.0 ? (claim_z + cells_a * mu_a) / denom_a : a[i];
-      double new_b =
-          denom_b > 0.0 ? (claim_y + cells_b * mu_b) / denom_b : b[i];
-      new_a = clamp_prob(new_a, config_.clamp_eps);
-      new_b = clamp_prob(new_b, config_.clamp_eps);
-      delta = std::max(delta, std::fabs(new_a - a[i]));
-      delta = std::max(delta, std::fabs(new_b - b[i]));
-      a[i] = new_a;
-      b[i] = new_b;
-    }
-    double new_z =
-        clamp_prob(total_z / static_cast<double>(m), config_.clamp_eps);
-    if (config_.z_floor > 0.0) {
-      new_z = std::clamp(new_z, config_.z_floor, 1.0 - config_.z_floor);
-    }
-    delta = std::max(delta, std::fabs(new_z - z));
-    z = new_z;
-    done = monitor.update_delta(delta);
-  }
-
-  EstimateResult result;
-  result.belief = posterior;
-  result.log_odds = log_odds;
-  result.probabilistic = true;
-  result.iterations = monitor.iterations();
-  result.converged = !monitor.hit_max();
-  return result;
+  Dataset view;
+  view.claims = SourceClaimMatrix(dataset.source_count(),
+                                  dataset.assertion_count(), kept);
+  view.dependency = dataset.dependency;
+  EmExtConfig config;
+  config.warmup_iters = 0;
+  return EmExtEstimator(config).run(view, seed);
 }
 
 }  // namespace ss

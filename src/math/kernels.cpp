@@ -183,18 +183,5 @@ void finalize_columns(const double* la, const double* lb, std::size_t n,
   }
 }
 
-void finalize_pairs(const double* la, const double* lb, std::size_t n,
-                    double* posterior, double* log_odds) {
-  if (n >= 4 && simd::avx2_active()) {
-    simd::finalize_pairs_avx2(la, lb, n, posterior, log_odds);
-    return;
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    PairStats s = finalize_pair(la[j], lb[j]);
-    posterior[j] = s.posterior;
-    log_odds[j] = s.log_odds;
-  }
-}
-
 }  // namespace kernels
 }  // namespace ss

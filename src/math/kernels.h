@@ -9,13 +9,13 @@
 // contiguous structure-of-arrays buffers and where the per-incidence
 // work is reduced to pure adds:
 //
-//  * LogPair / ExtLogTable / RateLogTable — per-source log terms for the
-//    true and false hypotheses, stored *interleaved* so one cache line
-//    feeds both accumulators of a gather (the pre-kernel code kept six
+//  * LogPair / ExtLogTable — per-source log terms for the true and
+//    false hypotheses, stored *interleaved* so one cache line feeds
+//    both accumulators of a gather (the pre-kernel code kept six
 //    parallel arrays and paid two cache misses per incidence);
-//  * gather_add / gather_sub / gather_add_select — the branch-free
-//    incidence loops (select replaces the per-claim D_ij branch with an
-//    index into a two-pointer table);
+//  * gather_add / gather_add_select — the branch-free incidence loops
+//    (select replaces the per-claim D_ij branch with an index into a
+//    two-pointer table);
 //  * finalize_column / finalize_pair — the per-column epilogue with the
 //    shared exp: sigmoid(d) and logsumexp(lt, lf) both reduce to
 //    exp(-|d|), so one transcendental yields posterior, log-odds and
@@ -35,7 +35,10 @@
 //    point. The *_reference functions are the pre-kernel loops kept as
 //    the executable specification; tests/test_kernels.cpp asserts
 //    scalar == reference bitwise (ctest label `kernels`) and golden
-//    FNV-1a hashes lock all seven estimators to the pre-kernel bits.
+//    FNV-1a hashes lock EM-Ext, the streaming estimator, Gibbs,
+//    Truth-Finder and Average.Log to the pre-kernel bits (EM-Social
+//    and EM (IPSN'12) were re-pinned once, when they became data views
+//    on the EM-Ext engine).
 //    The one sanctioned identity beyond "same expression" is IEEE
 //    antisymmetry of subtraction under round-to-nearest, fl(b - a) ==
 //    -fl(a - b), which lets finalize_* feed sigmoid and logsumexp from
@@ -245,8 +248,6 @@ kernels::MassPair gather_mass_avx2(std::span<const std::uint32_t> idx,
 void finalize_columns_avx2(const double* la, const double* lb,
                            std::size_t n, double* posterior,
                            double* log_odds, double* column_ll);
-void finalize_pairs_avx2(const double* la, const double* lb, std::size_t n,
-                         double* posterior, double* log_odds);
 // Ext table rows for n sources: `rates` holds {a, b, f, g} per source,
 // contiguously (the SourceParams memory layout). With `clamp` the
 // kernel applies the canonical clamp_prob clamp in-register before the
@@ -260,12 +261,6 @@ void ext_table_rows_avx2(std::size_t n, const double* rates, bool clamp,
                          kernels::LogPair* claim_indep,
                          kernels::LogPair* claim_dep,
                          kernels::LogPair* silent);
-// Rate table rows over a caller-packed {p_true, p_false} scratch.
-// `base` is overwritten with the all-silent sums, accumulated in source
-// order.
-void rate_table_rows_avx2(std::size_t n, const double* rates,
-                          kernels::LogPair* silent, kernels::LogPair* claim,
-                          kernels::LogPair* base);
 void sweep_weights_avx2(std::size_t n, const double* p_claim_true,
                         const double* p_claim_false,
                         kernels::SweepWeights* out);
@@ -381,22 +376,6 @@ inline void gather_add2(LogPair& acc0, std::span<const std::uint32_t> idx0,
   acc1 = {a1t, a1f};
 }
 
-// acc -= sum_{u in idx} terms[u] (EM-Social removes exposed sources
-// from its silent baseline instead of correcting them). Scalar-only:
-// the exposure lists this walks are short and the kernel is off the
-// critical path, so a vector backend would be dead weight.
-inline LogPair gather_sub(LogPair acc, std::span<const std::uint32_t> idx,
-                          const LogPair* terms) {
-  double at = acc.t;
-  double af = acc.f;
-  for (std::uint32_t u : idx) {
-    const LogPair& p = terms[u];
-    at -= p.t;
-    af -= p.f;
-  }
-  return {at, af};
-}
-
 // acc += sum_k table(flags[k])[idx[k]] where table(0) = indep and
 // table(1) = dep. `flags` is aligned with `idx` (ClaimPartition's
 // claimant_dependent view). The two-pointer select compiles to a
@@ -490,10 +469,10 @@ inline PairStats finalize_pair(double la, double lb) {
 }
 
 // Batch epilogues over n columns — the dispatched form the fused
-// E-step uses. Scalar backend: exactly finalize_column/finalize_pair
-// per column, ascending j. AVX2 backend: four columns per iteration
-// with polynomial exp/log1p (±inf/NaN lanes fall back to the scalar
-// form for exact degenerate semantics).
+// E-step uses. Scalar backend: exactly finalize_column per column,
+// ascending j. AVX2 backend: four columns per iteration with
+// polynomial exp/log1p (±inf/NaN lanes fall back to the scalar form
+// for exact degenerate semantics).
 //
 // Aliasing contract: the output arrays may alias the inputs
 // elementwise — posterior.cpp passes log_odds == la and column_ll ==
@@ -504,8 +483,6 @@ inline PairStats finalize_pair(double la, double lb) {
 void finalize_columns(const double* la, const double* lb, std::size_t n,
                       double* posterior, double* log_odds,
                       double* column_ll);
-void finalize_pairs(const double* la, const double* lb, std::size_t n,
-                    double* posterior, double* log_odds);
 
 // Fused M-step parameter finalize over n sources, in place. `stats6`
 // is n rows of 6 doubles laid out as em_detail::SourceMStatsPacked —
@@ -562,8 +539,7 @@ class ExtLogTable {
  public:
   // `rates(i)` must return the already-clamped {a, b, f, g} for source
   // i. Packs the rates into a scratch row per source, then builds
-  // serially (tests and the reference engines; the EM engines use
-  // build_from_rows).
+  // serially (tests; the EM engines use build_from_rows).
   template <typename Rates>
   void build(std::size_t n, double z, Rates&& rates) {
     if (rate_scratch_.size() < 4 * n) rate_scratch_.resize(4 * n);
@@ -615,58 +591,6 @@ class ExtLogTable {
   LogPair base_;
   double log_z_ = 0.0;
   double log_1mz_ = 0.0;
-};
-
-// Two-rate table for the independent-cell baselines (EM-Social,
-// EM-IPSN12): silent pairs {log(1-p_t), log(1-p_f)} for baseline /
-// exposure removal, claim correction pairs {log p - log(1-p)}, and the
-// all-silent baseline sums. `rates(i)` returns clamped {p_true,
-// p_false} for source i. Backend split mirrors ExtLogTable.
-class RateLogTable {
- public:
-  template <typename Rates>
-  void build(std::size_t n, Rates&& rates) {
-    if (silent_.size() != n) {
-      silent_.resize(n);
-      claim_.resize(n);
-    }
-    if (n > 0 && simd::avx2_active()) {
-      if (rate_scratch_.size() < 2 * n) rate_scratch_.resize(2 * n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto r = rates(i);  // {p_true, p_false}, clamped
-        rate_scratch_[2 * i + 0] = r[0];
-        rate_scratch_[2 * i + 1] = r[1];
-      }
-      simd::rate_table_rows_avx2(n, rate_scratch_.data(), silent_.data(),
-                                 claim_.data(), &base_);
-      return;
-    }
-    double base_t = 0.0;
-    double base_f = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto r = rates(i);  // {p_true, p_false}, clamped
-      double log_pt = std::log(r[0]);
-      double log_nt = std::log1p(-r[0]);
-      double log_pf = std::log(r[1]);
-      double log_nf = std::log1p(-r[1]);
-      silent_[i] = {log_nt, log_nf};
-      claim_[i] = {log_pt - log_nt, log_pf - log_nf};
-      base_t += log_nt;
-      base_f += log_nf;
-    }
-    base_ = {base_t, base_f};
-  }
-
-  std::size_t source_count() const { return silent_.size(); }
-  LogPair base() const { return base_; }
-  const LogPair* silent() const { return silent_.data(); }
-  const LogPair* claim() const { return claim_.data(); }
-
- private:
-  std::vector<LogPair> silent_;
-  std::vector<LogPair> claim_;
-  std::vector<double> rate_scratch_;  // avx2 build input, {pt,pf} rows
-  LogPair base_;
 };
 
 // ---------------------------------------------------------------------
@@ -744,10 +668,9 @@ class SweepWeightsTable {
 
 // ---------------------------------------------------------------------
 // Reference kernels: the pre-kernel per-element loops, kept as the
-// executable specification for the property tests and as the baseline
-// leg of the perf harness. Deliberately structured like the code they
-// replaced — separate per-hypothesis arrays, a branch per claim, two
-// transcendentals per column epilogue.
+// executable specification for the property tests. Deliberately
+// structured like the code they replaced — separate per-hypothesis
+// arrays, a branch per claim, two transcendentals per column epilogue.
 // ---------------------------------------------------------------------
 
 inline void gather_add_reference(double& lt, double& lf,

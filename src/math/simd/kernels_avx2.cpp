@@ -280,41 +280,6 @@ void finalize_columns_avx2(const double* la, const double* lb,
   }
 }
 
-void finalize_pairs_avx2(const double* la, const double* lb, std::size_t n,
-                         double* posterior, double* log_odds) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  const __m256d inf =
-      _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    __m256d a = _mm256_loadu_pd(la + j);
-    __m256d b = _mm256_loadu_pd(lb + j);
-    __m256d mag = _mm256_max_pd(_mm256_andnot_pd(sign, a),
-                                _mm256_andnot_pd(sign, b));
-    if (_mm256_movemask_pd(_mm256_cmp_pd(mag, inf, _CMP_LT_OQ)) != 0xF) {
-      for (std::size_t l = j; l < j + 4; ++l) {
-        kernels::PairStats s = kernels::finalize_pair(la[l], lb[l]);
-        posterior[l] = s.posterior;
-        log_odds[l] = s.log_odds;
-      }
-      continue;
-    }
-    __m256d d = _mm256_sub_pd(a, b);
-    __m256d e = vec::exp_pd(vec::negate_pd(_mm256_andnot_pd(sign, d)));
-    __m256d inv = _mm256_div_pd(one, _mm256_add_pd(one, e));
-    __m256d dge = _mm256_cmp_pd(d, _mm256_setzero_pd(), _CMP_GE_OQ);
-    __m256d pos = _mm256_blendv_pd(_mm256_mul_pd(e, inv), inv, dge);
-    _mm256_storeu_pd(posterior + j, pos);
-    _mm256_storeu_pd(log_odds + j, d);
-  }
-  for (; j < n; ++j) {
-    kernels::PairStats s = kernels::finalize_pair(la[j], lb[j]);
-    posterior[j] = s.posterior;
-    log_odds[j] = s.log_odds;
-  }
-}
-
 namespace {
 
 // True when any lane of r lies outside the open interval (0, 1) — the
@@ -384,48 +349,6 @@ void ext_table_rows_avx2(std::size_t n, const double* rates, bool clamp,
     _mm_storeu_pd(&claim_indep[i].t, _mm256_castpd256_pd128(diff));
     _mm_storeu_pd(&claim_dep[i].t, _mm256_extractf128_pd(diff, 1));
   }
-}
-
-// Two sources per iteration ([pt0, pf0, pt1, pf1] lanes); base sums
-// accumulate source-ordered (lane pair i before i+1).
-void rate_table_rows_avx2(std::size_t n, const double* rates,
-                          LogPair* silent, LogPair* claim, LogPair* base) {
-  __m128d base_acc = _mm_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    __m256d r = _mm256_loadu_pd(rates + 2 * i);
-    if (any_degenerate_rate(r)) {
-      for (std::size_t l = i; l < i + 2; ++l) {
-        double pt = rates[2 * l], pf = rates[2 * l + 1];
-        double log_nt = std::log1p(-pt);
-        double log_nf = std::log1p(-pf);
-        silent[l] = {log_nt, log_nf};
-        claim[l] = {std::log(pt) - log_nt, std::log(pf) - log_nf};
-        base_acc = _mm_add_pd(base_acc, _mm_setr_pd(log_nt, log_nf));
-      }
-      continue;
-    }
-    __m256d ln = vec::log1p_pd(vec::negate_pd(r));
-    __m256d lp = vec::log_pd(r);
-    __m256d diff = _mm256_sub_pd(lp, ln);
-    __m128d ln_lo = _mm256_castpd256_pd128(ln);
-    __m128d ln_hi = _mm256_extractf128_pd(ln, 1);
-    _mm_storeu_pd(&silent[i].t, ln_lo);
-    _mm_storeu_pd(&silent[i + 1].t, ln_hi);
-    _mm_storeu_pd(&claim[i].t, _mm256_castpd256_pd128(diff));
-    _mm_storeu_pd(&claim[i + 1].t, _mm256_extractf128_pd(diff, 1));
-    base_acc = _mm_add_pd(base_acc, ln_lo);
-    base_acc = _mm_add_pd(base_acc, ln_hi);
-  }
-  for (; i < n; ++i) {
-    double pt = rates[2 * i], pf = rates[2 * i + 1];
-    double log_nt = std::log1p(-pt);
-    double log_nf = std::log1p(-pf);
-    silent[i] = {log_nt, log_nf};
-    claim[i] = {std::log(pt) - log_nt, std::log(pf) - log_nf};
-    base_acc = _mm_add_pd(base_acc, _mm_setr_pd(log_nt, log_nf));
-  }
-  _mm_storeu_pd(&base->t, base_acc);
 }
 
 // Four sources per iteration: the four log vectors are built
@@ -671,16 +594,8 @@ void finalize_columns_avx2(const double*, const double*, std::size_t,
                            double*, double*, double*) {
   std::abort();
 }
-void finalize_pairs_avx2(const double*, const double*, std::size_t,
-                         double*, double*) {
-  std::abort();
-}
 void ext_table_rows_avx2(std::size_t, const double*, bool, LogPair*,
                          LogPair*, LogPair*, LogPair*) {
-  std::abort();
-}
-void rate_table_rows_avx2(std::size_t, const double*, LogPair*, LogPair*,
-                          LogPair*) {
   std::abort();
 }
 void sweep_weights_avx2(std::size_t, const double*, const double*,

@@ -8,9 +8,13 @@
 // strongest possible "hoisting reorders no floating-point operations"
 // check. If a later PR changes these numbers *intentionally* (a genuine
 // model change, not a kernel regression), re-record the constants and
-// say so in the commit message.
+// say so in the commit message. EM-Social and EM (IPSN'12) were
+// re-pinned once, when they became data views on the EM-Ext engine
+// (estimators/em_social.h, em_ipsn12.h); their decision hashes below
+// were recorded before that change and still hold.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -218,6 +222,29 @@ inline std::uint64_t golden_em_ipsn12() {
   h.vec(r.b);
   h.f64(r.z);
   return h.value();
+}
+
+// What an evaluation reads from a run: the decision (belief > 0.5) per
+// assertion, the top-50 ranking and the iteration count.
+inline std::uint64_t decisions_hash(const EstimateResult& r) {
+  Hash h;
+  h.u64(r.belief.size());
+  for (double b : r.belief) h.u64(b > 0.5 ? 1 : 0);
+  std::vector<std::uint32_t> order = r.ranking();
+  order.resize(std::min<std::size_t>(order.size(), 50));
+  for (std::uint32_t j : order) h.u64(j);
+  h.u64(r.iterations);
+  return h.value();
+}
+
+inline std::uint64_t golden_em_social_decisions() {
+  return decisions_hash(
+      EmSocialEstimator().run(golden_dataset(101, 120, 300), 1));
+}
+
+inline std::uint64_t golden_em_ipsn12_decisions() {
+  return decisions_hash(
+      EmIpsn12Estimator().run(golden_dataset(101, 120, 300), 1));
 }
 
 inline std::uint64_t golden_truth_finder() {

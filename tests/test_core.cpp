@@ -188,11 +188,16 @@ TEST(Params, RandomInitOrdered) {
 
 TEST(VotePrior, ReflectsSupport) {
   Dataset d = tiny_dataset();  // supports: assertion 0 -> 2, 1 -> 1
-  auto prior = vote_prior_posterior(d);
+  auto prior = vote_prior_from_support(
+      {static_cast<double>(d.claims.support(0)),
+       static_cast<double>(d.claims.support(1))});
   ASSERT_EQ(prior.size(), 2u);
   EXPECT_GT(prior[0], prior[1]);
   EXPECT_GE(prior[1], 0.05);
   EXPECT_LE(prior[0], 0.95);
+  // No support anywhere: every assertion starts undecided.
+  EXPECT_EQ(vote_prior_from_support({0.0, 0.0}),
+            std::vector<double>({0.5, 0.5}));
 }
 
 TEST(EmExt, LikelihoodIsMonotone) {

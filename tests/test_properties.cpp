@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "bounds/convolution_bound.h"
@@ -13,11 +15,27 @@
 #include "core/em_ext.h"
 #include "core/posterior.h"
 #include "estimators/em_ipsn12.h"
+#include "estimators/em_social.h"
 #include "eval/metrics.h"
 #include "simgen/parametric_gen.h"
 
 namespace ss {
 namespace {
+
+// The dataset with every dependent (D_ij = 1) claim removed and the
+// exposure kept, so each removed claim stays an exposed silent cell.
+Dataset delete_dependent_claims(const Dataset& d) {
+  std::vector<Claim> kept;
+  for (const Claim& c : d.claims.to_claims()) {
+    if (!d.dependency.dependent(c.source, c.assertion)) kept.push_back(c);
+  }
+  Dataset out;
+  out.claims =
+      SourceClaimMatrix(d.source_count(), d.assertion_count(), kept);
+  out.dependency = d.dependency;
+  out.truth = d.truth;
+  return out;
+}
 
 // Applies a source permutation to a dataset (claims + exposure).
 Dataset permute_sources(const Dataset& d,
@@ -151,19 +169,49 @@ TEST(ModelDegeneracy, TiedDependentRatesIgnoreDependentClaims) {
 
   // Drop the dependent claims; exposure is unchanged, so the affected
   // cells stay in the (cancelling) dependent branch.
-  std::vector<Claim> kept;
-  for (const Claim& c : inst.dataset.claims.to_claims()) {
-    if (!inst.dataset.dependency.dependent(c.source, c.assertion)) {
-      kept.push_back(c);
-    }
-  }
-  Dataset deleted;
-  deleted.claims = SourceClaimMatrix(20, 25, kept);
-  deleted.dependency = inst.dataset.dependency;
-  deleted.truth = inst.dataset.truth;
+  Dataset deleted = delete_dependent_claims(inst.dataset);
   auto posterior_deleted = all_posteriors(deleted, params);
   for (std::size_t j = 0; j < 25; ++j) {
     ASSERT_NEAR(posterior_full[j], posterior_deleted[j], 1e-9) << j;
+  }
+}
+
+TEST(ModelDegeneracy, DeletedDependentClaimsFitTiedRatesAtClampEps) {
+  // The invariant EM-Social's view on the EM-Ext engine relies on
+  // (estimators/em_social.h): without the warm-up, on a dataset whose
+  // dependent claims are deleted, every f and g numerator is 0, so both
+  // rates of every exposed source fit to exactly clamp_eps, with and
+  // without shrinkage. With f == g the previous test's cancellation
+  // applies, which is the deletion.
+  Rng rng(41);
+  SimInstance inst =
+      generate_parametric(SimKnobs::paper_defaults(30, 40), rng);
+  Dataset deleted = delete_dependent_claims(inst.dataset);
+  ASSERT_LT(deleted.claims.claim_count(),
+            inst.dataset.claims.claim_count());
+  for (double shrinkage : {8.0, 0.0}) {
+    EmExtConfig config;
+    config.warmup_iters = 0;
+    config.shrinkage = shrinkage;
+    EmExtResult r = EmExtEstimator(config).run_detailed(deleted, 1);
+    std::size_t exposed = 0;
+    for (std::size_t i = 0; i < deleted.source_count(); ++i) {
+      if (deleted.dependency.exposed_assertions(i).empty()) continue;
+      ++exposed;
+      const SourceParams& s = r.params.source[i];
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(s.f),
+                std::bit_cast<std::uint64_t>(config.clamp_eps))
+          << "shrinkage " << shrinkage << " source " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(s.g),
+                std::bit_cast<std::uint64_t>(config.clamp_eps))
+          << "shrinkage " << shrinkage << " source " << i;
+    }
+    EXPECT_GT(exposed, 0u);
+    if (shrinkage == EmExtConfig{}.shrinkage) {
+      // At the defaults this run is EM-Social itself.
+      EXPECT_EQ(EmSocialEstimator().run(inst.dataset, 1).belief,
+                r.estimate.belief);
+    }
   }
 }
 

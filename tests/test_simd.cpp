@@ -17,8 +17,9 @@
 //    batch epilogues is exercised exactly as posterior.cpp uses it;
 //  * forcing the scalar backend on an AVX2 host must reproduce the
 //    pre-SIMD golden hashes (the dispatch override is load-bearing);
-//  * one end-to-end check: EM-Ext under scalar vs AVX2 agrees on
-//    beliefs to estimator-level tolerance.
+//  * one end-to-end check: every EM path (EM-Ext, EM-Social,
+//    EM (IPSN'12), StreamingEmExt) under scalar vs AVX2 agrees on
+//    beliefs to estimator-level tolerance, with identical decisions.
 //
 // Tolerances: pure-add kernels see only reassociation error, bounded
 // in ULPs unless cancellation shrinks the result (then an absolute
@@ -341,28 +342,6 @@ TEST(SimdKernels, FinalizeColumnsMatchesScalarIncludingDegenerates) {
   }
 }
 
-TEST(SimdKernels, FinalizePairsMatchesScalar) {
-  SKIP_WITHOUT_AVX2();
-  Rng rng(409);
-  const std::size_t n = 53;
-  std::vector<double> la(n), lb(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    la[j] = rng.uniform(-40.0, 10.0);
-    lb[j] = rng.uniform(-40.0, 10.0);
-  }
-  la[3] = -kInf;
-  lb[7] = -kInf;
-  std::vector<double> post(n), odds(n);
-  simd::finalize_pairs_avx2(la.data(), lb.data(), n, post.data(),
-                            odds.data());
-  for (std::size_t j = 0; j < n; ++j) {
-    kernels::PairStats s = kernels::finalize_pair(la[j], lb[j]);
-    std::string tag = "finalize_pairs j=" + std::to_string(j);
-    expect_close(s.posterior, post[j], kEpilogueUlp, tag + " posterior");
-    expect_close(s.log_odds, odds[j], kEpilogueUlp, tag + " log_odds");
-  }
-}
-
 TEST(SimdKernels, FinalizeColumnsHonorsElementwiseAliasing) {
   SKIP_WITHOUT_AVX2();
   // Exactly the fused E-step's calling convention: log_odds aliases la
@@ -453,47 +432,6 @@ TEST(SimdKernels, ExtLogTableBuildMatchesScalar) {
             avx2_table.claim_indep()[10].f);
 }
 
-TEST(SimdKernels, RateLogTableBuildMatchesScalar) {
-  SKIP_WITHOUT_AVX2();
-  Rng rng(412);
-  const std::size_t n = 33;  // odd: exercises the one-source tail
-  std::vector<double> pt(n), pf(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    pt[i] = rng.uniform(0.02, 0.98);
-    pf[i] = rng.uniform(0.02, 0.98);
-  }
-  pt[6] = 1.0;  // degenerate pair -> scalar-fallback rows
-  auto rates = [&](std::size_t i) {
-    return std::array<double, 2>{pt[i], pf[i]};
-  };
-
-  kernels::RateLogTable scalar_table;
-  {
-    test_support::ScopedBackend pin(simd::Backend::kScalar);
-    scalar_table.build(n, rates);
-  }
-  kernels::RateLogTable avx2_table;
-  {
-    test_support::ScopedBackend pin(simd::Backend::kAvx2);
-    avx2_table.build(n, rates);
-  }
-  expect_close(scalar_table.base().t, avx2_table.base().t, kTableUlp,
-               "rate base.t");
-  expect_close(scalar_table.base().f, avx2_table.base().f, kTableUlp,
-               "rate base.f");
-  for (std::size_t i = 0; i < n; ++i) {
-    std::string tag = "rate i=" + std::to_string(i);
-    expect_close(scalar_table.silent()[i].t, avx2_table.silent()[i].t,
-                 kTableUlp, tag + " silent.t");
-    expect_close(scalar_table.silent()[i].f, avx2_table.silent()[i].f,
-                 kTableUlp, tag + " silent.f");
-    expect_close(scalar_table.claim()[i].t, avx2_table.claim()[i].t,
-                 kTableUlp, tag + " claim.t");
-    expect_close(scalar_table.claim()[i].f, avx2_table.claim()[i].f,
-                 kTableUlp, tag + " claim.f");
-  }
-}
-
 // ---------------------------------------------------------------------
 // Gibbs sweep weights + state refresh.
 // ---------------------------------------------------------------------
@@ -571,27 +509,47 @@ TEST(ScalarPin, ForcedScalarReproducesPreSimdGoldens) {
 // bench_perf_scaling's backend sweep; this is the fast in-suite form.)
 // ---------------------------------------------------------------------
 
+// Beliefs of every EM path under one pinned backend: EM-Ext, its two
+// baseline views (EM-Social, EM (IPSN'12)), and StreamingEmExt over the
+// golden_streaming batches, concatenated.
+std::vector<std::vector<double>> em_path_beliefs(simd::Backend backend) {
+  test_support::ScopedBackend pin(backend);
+  Dataset d = golden::golden_dataset(101, 120, 300);
+  std::vector<std::vector<double>> out;
+  out.push_back(EmExtEstimator().run(d, 5).belief);
+  out.push_back(EmSocialEstimator().run(d, 1).belief);
+  out.push_back(EmIpsn12Estimator().run(d, 1).belief);
+  StreamingEmExt stream(100);
+  std::vector<double> streamed;
+  for (std::uint64_t seed : {201u, 202u, 203u}) {
+    StreamingBatchResult r =
+        stream.observe(golden::golden_dataset(seed, 100, 150));
+    streamed.insert(streamed.end(), r.belief.begin(), r.belief.end());
+  }
+  out.push_back(std::move(streamed));
+  return out;
+}
+
 TEST(BackendAgreement, EmExtBeliefsAgreeAcrossBackends) {
   SKIP_WITHOUT_AVX2();
-  Dataset d = golden::golden_dataset(101, 120, 300);
-  EstimateResult scalar_r, avx2_r;
-  {
-    test_support::ScopedBackend pin(simd::Backend::kScalar);
-    scalar_r = EmExtEstimator().run(d, 5);
+  const char* const paths[] = {"EM-Ext", "EM-Social", "EM",
+                               "StreamingEmExt"};
+  std::vector<std::vector<double>> scalar_b =
+      em_path_beliefs(simd::Backend::kScalar);
+  std::vector<std::vector<double>> avx2_b =
+      em_path_beliefs(simd::Backend::kAvx2);
+  for (std::size_t p = 0; p < scalar_b.size(); ++p) {
+    ASSERT_EQ(scalar_b[p].size(), avx2_b[p].size()) << paths[p];
+    double max_diff = 0.0;
+    for (std::size_t j = 0; j < scalar_b[p].size(); ++j) {
+      max_diff = std::max(max_diff, std::abs(scalar_b[p][j] - avx2_b[p][j]));
+      EXPECT_EQ(scalar_b[p][j] > 0.5, avx2_b[p][j] > 0.5)
+          << paths[p] << " assertion " << j;
+    }
+    // ULP-level kernel divergence may compound over EM iterations but
+    // stays far below any decision threshold the estimators use.
+    EXPECT_LT(max_diff, 1e-6) << paths[p];
   }
-  {
-    test_support::ScopedBackend pin(simd::Backend::kAvx2);
-    avx2_r = EmExtEstimator().run(d, 5);
-  }
-  ASSERT_EQ(scalar_r.belief.size(), avx2_r.belief.size());
-  double max_diff = 0.0;
-  for (std::size_t j = 0; j < scalar_r.belief.size(); ++j) {
-    max_diff =
-        std::max(max_diff, std::abs(scalar_r.belief[j] - avx2_r.belief[j]));
-  }
-  // ULP-level kernel divergence may compound over EM iterations but
-  // stays far below any decision threshold the estimators use.
-  EXPECT_LT(max_diff, 1e-6);
 }
 
 // The Gibbs full-state refresh: SweepWeightsTable's packed SoA sum
