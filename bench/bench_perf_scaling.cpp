@@ -114,13 +114,11 @@ void run_thread_sweep() {
   Rng rng(8);
   SimKnobs knobs = SimKnobs::paper_defaults(200, 2000);
   SimInstance dense = generate_parametric(knobs, rng);
-  dense.dataset.partition();  // build the cache outside the timer
   LikelihoodTable table(dense.dataset, dense.true_params);
 
   // Full EM-Ext on the Kirkuk-scale sparse matrix.
   TwitterScenario scenario = scenario_by_name("Kirkuk").scaled(0.25);
   BuiltDataset built = make_twitter_dataset(scenario, 42);
-  built.dataset.partition();
 
   // Multi-chain Gibbs: 8 chains on a 200-source column.
   ColumnModel column =
@@ -137,7 +135,7 @@ void run_thread_sweep() {
       "min-of-reps wall ms under explicit ThreadPool(threads); outputs "
       "are bit-identical across the threads axis by construction; on a "
       "single-CPU host the axis is flat and only the serial gains from "
-      "ClaimPartition caching + E-step fusion apply";
+      "precomputed D_ij flags + E-step fusion apply";
   // Static reference points: the same google-benchmark workloads
   // measured once on the pre-engine seed commit, on the hardware this
   // bench suite was developed on. They contextualize the serial
@@ -273,7 +271,6 @@ BackendRow backend_e_step_workload(const char* name, const Dataset& d,
   BackendRow row;
   row.workload = name;
   row.has_ll = true;
-  d.partition();
 
   EStepResult scalar_e, avx2_e;
   std::vector<double> scalar_ll, avx2_ll;
@@ -520,7 +517,6 @@ bool run_backend_sweep(bool check_only) {
   // evaluation uses.
   TwitterScenario quarter = scenario_by_name("Kirkuk").scaled(0.25);
   BuiltDataset built25 = make_twitter_dataset(quarter, 42);
-  built25.dataset.partition();
   simd::force_backend(simd::Backend::kScalar);
   EmExtResult scalar_em = EmExtEstimator().run_detailed(built25.dataset, 1);
   simd::force_backend(simd::Backend::kAvx2);

@@ -77,8 +77,7 @@ ColumnModel make_column_model(const ModelParams& params,
 
 std::uint64_t exposure_pattern_key(const DependencyIndicators& dep,
                                    std::size_t assertion) {
-  return exposure_pattern_key(
-      std::span<const std::uint32_t>(dep.exposed_sources(assertion)));
+  return exposure_pattern_key(dep.exposed_sources(assertion));
 }
 
 std::uint64_t exposure_pattern_key(

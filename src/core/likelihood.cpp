@@ -16,30 +16,16 @@ double cell_probability(const SourceParams& p, bool claimed, bool truth,
 LikelihoodTable::LikelihoodTable(const Dataset& dataset) { rebind(dataset); }
 
 void LikelihoodTable::rebind(const Dataset& dataset) {
+  dataset.validate();
   dataset_ = &dataset;
-  partition_ = &dataset.partition();
-  std::size_t m = dataset.assertion_count();
-  exp_off_.resize(m + 1);
-  cl_off_.resize(m + 1);
-  exp_idx_.clear();
-  cl_idx_.clear();
-  std::size_t exp_total = 0;
-  std::size_t cl_total = 0;
-  for (std::size_t j = 0; j < m; ++j) {
-    exp_off_[j] = exp_total;
-    cl_off_[j] = cl_total;
-    exp_total += dataset.dependency.exposed_sources(j).size();
-    cl_total += dataset.claims.claimants_of(j).size();
-  }
-  exp_off_[m] = exp_total;
-  cl_off_[m] = cl_total;
-  exp_idx_.reserve(exp_total);
-  cl_idx_.reserve(cl_total);
-  for (std::size_t j = 0; j < m; ++j) {
-    const std::vector<std::uint32_t>& es = dataset.dependency.exposed_sources(j);
-    exp_idx_.insert(exp_idx_.end(), es.begin(), es.end());
-    const std::vector<std::uint32_t>& cs = dataset.claims.claimants_of(j);
-    cl_idx_.insert(cl_idx_.end(), cs.begin(), cs.end());
+  flags_.clear();
+  flags_.reserve(dataset.claims.claim_count());
+  for (std::size_t j = 0; j < dataset.assertion_count(); ++j) {
+    split_claims(dataset.claims.claimants_of(j),
+                 dataset.dependency.exposed_sources(j),
+                 [&](std::uint32_t, bool dependent) {
+                   flags_.push_back(dependent ? 1 : 0);
+                 });
   }
 }
 
@@ -74,17 +60,18 @@ void LikelihoodTable::prior_columns(std::size_t begin, std::size_t end,
   const kernels::LogPair* cd = logs_.claim_dep();
   const double log_z = logs_.log_z();
   const double log_1mz = logs_.log_1mz();
+  const SourceClaimMatrix& sc = dataset_->claims;
+  const DependencyIndicators& dep = dataset_->dependency;
   std::size_t j = begin;
   for (; j + 1 < end; j += 2) {
     kernels::LogPair acc0 = base;
     kernels::LogPair acc1 = base;
-    kernels::gather_add2(acc0, exposed_csr(j), acc1, exposed_csr(j + 1), es);
-    acc0 = kernels::gather_add_select(acc0, claimant_csr(j),
-                                      partition_->claimant_dependent(j), ci,
-                                      cd);
-    acc1 = kernels::gather_add_select(acc1, claimant_csr(j + 1),
-                                      partition_->claimant_dependent(j + 1),
-                                      ci, cd);
+    kernels::gather_add2(acc0, dep.exposed_sources(j), acc1,
+                         dep.exposed_sources(j + 1), es);
+    acc0 = kernels::gather_add_select(acc0, sc.claimants_of(j),
+                                      claimant_dependent(j), ci, cd);
+    acc1 = kernels::gather_add_select(acc1, sc.claimants_of(j + 1),
+                                      claimant_dependent(j + 1), ci, cd);
     la[j] = acc0.t + log_z;
     lb[j] = acc0.f + log_1mz;
     la[j + 1] = acc1.t + log_z;

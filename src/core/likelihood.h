@@ -20,6 +20,11 @@
 // run without per-iteration allocation. Results are bit-identical to
 // the pre-kernel six-array walk (see tests/test_kernels.cpp).
 //
+// The column lists are read in place from the dataset's flat CSR
+// (data/source_claim_matrix.h), which is contiguous already; the table
+// adds only one D_ij flag per claim, computed by split_claims
+// (data/dependency.h) when it binds a dataset.
+//
 // Users: StreamingEmExt, the posterior helpers (core/posterior.h) and
 // one-shot callers. EM-Ext runs the same per-column gathers over shard
 // slices instead (core/sharded_em.cpp); on the scalar backend the two
@@ -55,12 +60,11 @@ class LikelihoodTable {
   // Convenience: bind and build in one step (one-shot callers).
   LikelihoodTable(const Dataset& dataset, const ModelParams& params);
 
-  // Binds the table to another dataset, rebuilding the structure-only
-  // column lists in place. The source-sized log table keeps its
-  // storage, so a caller that builds one table per batch over a fixed
-  // source universe (StreamingEmExt) allocates and first-touches it
-  // once instead of once per batch. Call set_params() before reading
-  // columns.
+  // Binds the table to another dataset, recomputing the claimants' D_ij
+  // flags in place. The source-sized log table keeps its storage, so a
+  // caller that builds one table per batch over a fixed source universe
+  // (StreamingEmExt) allocates and first-touches it once instead of
+  // once per batch. Call set_params() before reading columns.
   void rebind(const Dataset& dataset);
 
   // Recomputes the hoisted log terms from `params`, reusing the
@@ -78,22 +82,21 @@ class LikelihoodTable {
   const Dataset& dataset() const { return *dataset_; }
 
   // Column log-likelihoods for assertion j (Eq. 4/5). Claim cells read
-  // D_ij from the dataset's ClaimPartition cache; thread-safe. Inline:
-  // the fused E-step's column loop compiles down to the gather kernels
-  // with no per-column call.
+  // D_ij from the flags rebind() computed; thread-safe. Inline: the
+  // fused E-step's column loop compiles down to the gather kernels with
+  // no per-column call.
   ColumnLogLikelihood column(std::size_t assertion) const {
     // Move every exposed source from the unexposed-silent baseline to
     // exposed-silent, then flip claimants from silent to claiming
-    // within their branch (the partition's flag view is aligned with
-    // the claimant list, so the summation order — and therefore the
-    // floating-point result — matches the per-claimant search the
-    // kernels replaced).
+    // within their branch (the flags are aligned with the claimant
+    // list, so the summation order — and therefore the floating-point
+    // result — matches the per-claimant search the kernels replaced).
     kernels::LogPair acc = kernels::gather_add(
         logs_.base(), dataset_->dependency.exposed_sources(assertion),
         logs_.exposed_silent());
     acc = kernels::gather_add_select(
         acc, dataset_->claims.claimants_of(assertion),
-        partition_->claimant_dependent(assertion), logs_.claim_indep(),
+        claimant_dependent(assertion), logs_.claim_indep(),
         logs_.claim_dep());
     return {acc.t, acc.f};
   }
@@ -116,26 +119,18 @@ class LikelihoodTable {
   double log_prior_false() const { return logs_.log_1mz(); }
 
  private:
-  std::span<const std::uint32_t> exposed_csr(std::size_t j) const {
-    return {exp_idx_.data() + exp_off_[j], exp_off_[j + 1] - exp_off_[j]};
-  }
-  std::span<const std::uint32_t> claimant_csr(std::size_t j) const {
-    return {cl_idx_.data() + cl_off_[j], cl_off_[j + 1] - cl_off_[j]};
+  // D_ij flags aligned with claimants_of(j).
+  std::span<const char> claimant_dependent(std::size_t j) const {
+    return {flags_.data() + dataset_->claims.claimants_begin(j),
+            dataset_->claims.support(j)};
   }
 
   const Dataset* dataset_ = nullptr;
-  const ClaimPartition* partition_ = nullptr;  // owned by *dataset_
-  kernels::ExtLogTable logs_;        // hoisted per-source log terms
-
-  // Structure-only CSR flattening of the dataset's per-column
-  // exposed-source and claimant lists (same element order), built once
-  // per table and shared by every EM iteration: the scan then streams
-  // one contiguous index array instead of chasing per-column vector
-  // allocations.
-  std::vector<std::uint32_t> exp_idx_;
-  std::vector<std::size_t> exp_off_;
-  std::vector<std::uint32_t> cl_idx_;
-  std::vector<std::size_t> cl_off_;
+  kernels::ExtLogTable logs_;  // hoisted per-source log terms
+  // One flag per claim in the dataset's column-major claim order,
+  // nonzero iff D_ij == 1. The column lists themselves are read in
+  // place from the dataset's flat CSR.
+  std::vector<char> flags_;
 };
 
 }  // namespace ss

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 #include "core/em_ext.h"
@@ -96,16 +97,35 @@ StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
   for (std::uint32_t i : active_) stats[i] = {};
   active_.clear();
   for (std::size_t j = 0; j < m; ++j) {
-    const std::vector<std::uint32_t>& claimants =
-        batch.claims.claimants_of(j);
-    const std::vector<std::uint32_t>& exposed =
+    std::span<const std::uint32_t> claimants = batch.claims.claimants_of(j);
+    std::span<const std::uint32_t> exposed =
         batch.dependency.exposed_sources(j);
     active_.insert(active_.end(), claimants.begin(), claimants.end());
     active_.insert(active_.end(), exposed.begin(), exposed.end());
   }
   std::sort(active_.begin(), active_.end());
   active_.erase(std::unique(active_.begin(), active_.end()), active_.end());
-  const ClaimPartition& part = batch.partition();
+
+  // The active sources' claims split by D_ij, once per batch: active
+  // source k's dependent claims are split[off[2k], off[2k+1]) and its
+  // independent ones split[off[2k+1], off[2k+2]), each ascending.
+  std::vector<std::uint32_t> split;
+  std::vector<std::size_t> split_off{0};
+  split_off.reserve(2 * active_.size() + 1);
+  for (std::uint32_t i : active_) {
+    for (bool want : {true, false}) {
+      split_claims(batch.claims.claims_of(i),
+                   batch.dependency.exposed_assertions(i),
+                   [&](std::uint32_t j, bool dependent) {
+                     if (dependent == want) split.push_back(j);
+                   });
+      split_off.push_back(split.size());
+    }
+  }
+  auto split_list = [&](std::size_t at) {
+    return std::span<const std::uint32_t>(split.data() + split_off[at],
+                                          split_off[at + 1] - split_off[at]);
+  };
 
   // One likelihood table per stream, rebound to this batch and rebuilt
   // in place each inner iteration.
@@ -132,9 +152,8 @@ StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
     }
 
     // Batch sufficient statistics of the active sources; each source
-    // owns its row. The partition's split claim lists replace the
-    // per-claim dependency search, and each accumulator keeps its
-    // addition order.
+    // owns its row. The split claim lists replace the per-claim
+    // dependency search, and each accumulator keeps its addition order.
     double total_z = 0.0;
     for (double p : posterior) total_z += p;
     double total_y = static_cast<double>(m) - total_z;
@@ -143,12 +162,12 @@ StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
         [&](std::size_t, std::size_t begin, std::size_t end) {
           for (std::size_t k = begin; k < end; ++k) {
             std::uint32_t i = active_[k];
-            const std::vector<std::uint32_t>& exposed =
+            std::span<const std::uint32_t> exposed =
                 batch.dependency.exposed_assertions(i);
-            kernels::MassPair dep = kernels::gather_mass(
-                part.dependent_claims(i), posterior.data());
+            kernels::MassPair dep =
+                kernels::gather_mass(split_list(2 * k), posterior.data());
             kernels::MassPair indep = kernels::gather_mass(
-                part.independent_claims(i), posterior.data());
+                split_list(2 * k + 1), posterior.data());
             stats[i] = {indep.z,
                         indep.y,
                         dep.z,

@@ -1,51 +1,8 @@
 #include "data/dataset.h"
 
-#include <mutex>
 #include <stdexcept>
 
 namespace ss {
-namespace {
-
-// Guards lazy partition construction. Builds are rare (once per
-// dataset), so one process-wide mutex is cheaper than a per-Dataset one
-// (which would also break copyability).
-std::mutex& partition_mutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-}  // namespace
-
-Dataset::Dataset(const Dataset& other)
-    : name(other.name),
-      claims(other.claims),
-      dependency(other.dependency),
-      truth(other.truth) {}
-
-Dataset& Dataset::operator=(const Dataset& other) {
-  if (this != &other) {
-    name = other.name;
-    claims = other.claims;
-    dependency = other.dependency;
-    truth = other.truth;
-    partition_cache_.reset();
-  }
-  return *this;
-}
-
-const ClaimPartition& Dataset::partition() const {
-  std::lock_guard<std::mutex> lock(partition_mutex());
-  if (!partition_cache_) {
-    partition_cache_ = std::make_shared<const ClaimPartition>(
-        ClaimPartition::build(claims, dependency));
-  }
-  return *partition_cache_;
-}
-
-void Dataset::invalidate_partition() const {
-  std::lock_guard<std::mutex> lock(partition_mutex());
-  partition_cache_.reset();
-}
 
 const char* label_name(Label label) {
   switch (label) {

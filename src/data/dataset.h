@@ -1,13 +1,13 @@
 // A complete fact-finding problem instance: the source-claim matrix, its
 // dependency indicators, and (when known) ground-truth assertion labels.
+// A plain value: both matrices are flat CSR (data/source_claim_matrix.h),
+// and nothing is cached beside them, so copies and edits need no care.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "data/claim_partition.h"
 #include "data/dependency.h"
 #include "data/source_claim_matrix.h"
 
@@ -42,14 +42,6 @@ struct Dataset {
   // One label per assertion; empty when ground truth is unavailable.
   std::vector<Label> truth;
 
-  Dataset() = default;
-  // Copies share no cache: a copy is routinely mutated (tests build
-  // perturbed variants), so it must re-derive its own partition.
-  Dataset(const Dataset& other);
-  Dataset& operator=(const Dataset& other);
-  Dataset(Dataset&&) = default;
-  Dataset& operator=(Dataset&&) = default;
-
   std::size_t source_count() const { return claims.source_count(); }
   std::size_t assertion_count() const { return claims.assertion_count(); }
 
@@ -59,16 +51,6 @@ struct Dataset {
   // Throws std::invalid_argument when shapes disagree (claims vs
   // dependency vs truth sizes).
   void validate() const;
-
-  // The claim/dependency partition cache, built on first use and reused
-  // by every LikelihoodTable / EM iteration afterwards. Thread-safe.
-  // Invariant: `claims` and `dependency` must not change after the first
-  // call — reassigning them requires invalidate_partition().
-  const ClaimPartition& partition() const;
-  void invalidate_partition() const;
-
- private:
-  mutable std::shared_ptr<const ClaimPartition> partition_cache_;
 };
 
 }  // namespace ss

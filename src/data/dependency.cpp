@@ -1,23 +1,8 @@
 #include "data/dependency.h"
 
-#include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 namespace ss {
-
-void DependencyIndicators::finalize() {
-  cell_count_ = 0;
-  for (auto& v : by_source_) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-    cell_count_ += v.size();
-  }
-  for (auto& v : by_assertion_) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-  }
-}
 
 DependencyIndicators DependencyIndicators::from_graph(
     const SourceClaimMatrix& sc, const Digraph& follows,
@@ -26,27 +11,21 @@ DependencyIndicators DependencyIndicators::from_graph(
     throw std::invalid_argument(
         "DependencyIndicators::from_graph: graph/matrix source mismatch");
   }
-  DependencyIndicators dep;
-  dep.by_source_.resize(sc.source_count());
-  dep.by_assertion_.resize(sc.assertion_count());
-
+  std::vector<Incidence::Cell> cells;
   auto expose = [&](std::size_t u, std::uint32_t j, double tv) {
     // u is exposed when it never claimed j, or claimed it strictly
     // after the influencer's time tv.
     bool exposed =
         sc.has_claim(u, j) ? tv < sc.claim_time(u, j) : true;
-    if (exposed) {
-      dep.by_source_[u].push_back(j);
-      dep.by_assertion_[j].push_back(static_cast<std::uint32_t>(u));
-    }
+    if (exposed) cells.emplace_back(static_cast<std::uint32_t>(u), j);
   };
 
   if (scope == ExposureScope::kDirect) {
     // For every claim (v, j, t) the direct followers of v are exposure
     // candidates.
     for (std::size_t j = 0; j < sc.assertion_count(); ++j) {
-      const auto& claimants = sc.claimants_of(j);
-      const auto& times = sc.claimant_times_of(j);
+      std::span<const std::uint32_t> claimants = sc.claimants_of(j);
+      std::span<const double> times = sc.claimant_times_of(j);
       for (std::size_t k = 0; k < claimants.size(); ++k) {
         for (std::size_t u : follows.followers(claimants[k])) {
           expose(u, static_cast<std::uint32_t>(j), times[k]);
@@ -61,16 +40,16 @@ DependencyIndicators DependencyIndicators::from_graph(
       std::vector<char> mask = follows.ancestor_mask(u);
       for (std::size_t v = 0; v < mask.size(); ++v) {
         if (!mask[v]) continue;
-        const auto& claims = sc.claims_of(v);
-        const auto& times = sc.claim_times_of(v);
+        std::span<const std::uint32_t> claims = sc.claims_of(v);
+        std::span<const double> times = sc.claim_times_of(v);
         for (std::size_t k = 0; k < claims.size(); ++k) {
           expose(u, claims[k], times[k]);
         }
       }
     }
   }
-  dep.finalize();
-  return dep;
+  return DependencyIndicators(
+      Incidence(sc.source_count(), sc.assertion_count(), cells));
 }
 
 DependencyIndicators DependencyIndicators::from_forest(
@@ -79,63 +58,36 @@ DependencyIndicators DependencyIndicators::from_forest(
     throw std::invalid_argument(
         "DependencyIndicators::from_forest: forest/matrix source mismatch");
   }
-  DependencyIndicators dep;
-  dep.by_source_.resize(sc.source_count());
-  dep.by_assertion_.resize(sc.assertion_count());
+  std::vector<Incidence::Cell> cells;
   for (std::size_t i = 0; i < sc.source_count(); ++i) {
     if (forest.is_root(i)) continue;
-    std::size_t r = forest.root_of[i];
-    for (std::uint32_t j : sc.claims_of(r)) {
-      dep.by_source_[i].push_back(j);
-      dep.by_assertion_[j].push_back(static_cast<std::uint32_t>(i));
+    for (std::uint32_t j : sc.claims_of(forest.root_of[i])) {
+      cells.emplace_back(static_cast<std::uint32_t>(i), j);
     }
   }
-  dep.finalize();
-  return dep;
+  return DependencyIndicators(
+      Incidence(sc.source_count(), sc.assertion_count(), cells));
 }
 
 DependencyIndicators DependencyIndicators::from_cells(
     std::size_t sources, std::size_t assertions,
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& cells) {
-  DependencyIndicators dep;
-  dep.by_source_.resize(sources);
-  dep.by_assertion_.resize(assertions);
-  for (const auto& [i, j] : cells) {
-    if (i >= sources || j >= assertions) {
-      throw std::out_of_range(
-          "DependencyIndicators::from_cells: cell out of range");
-    }
-    dep.by_source_[i].push_back(j);
-    dep.by_assertion_[j].push_back(i);
-  }
-  dep.finalize();
-  return dep;
-}
-
-bool DependencyIndicators::dependent(std::size_t source,
-                                     std::size_t assertion) const {
-  const auto& v = by_source_.at(source);
-  return std::binary_search(v.begin(), v.end(),
-                            static_cast<std::uint32_t>(assertion));
-}
-
-const std::vector<std::uint32_t>& DependencyIndicators::exposed_assertions(
-    std::size_t source) const {
-  return by_source_.at(source);
-}
-
-const std::vector<std::uint32_t>& DependencyIndicators::exposed_sources(
-    std::size_t assertion) const {
-  return by_assertion_.at(assertion);
+  return DependencyIndicators(Incidence(sources, assertions, cells));
 }
 
 std::size_t count_original_claims(const SourceClaimMatrix& sc,
                                   const DependencyIndicators& dep) {
+  if (dep.source_count() != sc.source_count() ||
+      dep.assertion_count() != sc.assertion_count()) {
+    throw std::invalid_argument(
+        "count_original_claims: dependency/matrix shape mismatch");
+  }
   std::size_t original = 0;
   for (std::size_t i = 0; i < sc.source_count(); ++i) {
-    for (std::uint32_t j : sc.claims_of(i)) {
-      if (!dep.dependent(i, j)) ++original;
-    }
+    split_claims(sc.claims_of(i), dep.exposed_assertions(i),
+                 [&](std::uint32_t, bool dependent) {
+                   original += dependent ? 0 : 1;
+                 });
   }
   return original;
 }

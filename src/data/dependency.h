@@ -9,13 +9,16 @@
 // before i's claim (or at any time, when i never claimed j). See DESIGN.md
 // §5.
 //
-// Exposure is stored sparsely in both orientations because exposed cells
-// are rare in realistic data: per-source sorted assertion lists and
-// per-assertion sorted source lists.
+// Exposure is stored sparsely, because exposed cells are rare in
+// realistic data: the untimed Incidence layout of SC
+// (data/source_claim_matrix.h), per-source assertion lists and
+// per-assertion source lists, both ascending.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "data/source_claim_matrix.h"
@@ -48,32 +51,55 @@ class DependencyIndicators {
   static DependencyIndicators from_forest(const SourceClaimMatrix& sc,
                                           const DependencyForest& forest);
 
-  // Builds directly from explicit exposed cells (tests, file IO).
+  // Builds directly from explicit exposed cells (tests, file IO), in any
+  // order; repeats collapse. Throws like the Incidence builder.
   static DependencyIndicators from_cells(
       std::size_t sources, std::size_t assertions,
       const std::vector<std::pair<std::uint32_t, std::uint32_t>>& cells);
 
-  std::size_t source_count() const { return by_source_.size(); }
-  std::size_t assertion_count() const { return by_assertion_.size(); }
-  std::size_t exposed_cell_count() const { return cell_count_; }
+  std::size_t source_count() const { return cells_.row_count(); }
+  std::size_t assertion_count() const { return cells_.col_count(); }
+  std::size_t exposed_cell_count() const { return cells_.cell_count(); }
 
   // D_ij. O(log deg).
-  bool dependent(std::size_t source, std::size_t assertion) const;
+  bool dependent(std::size_t source, std::size_t assertion) const {
+    return cells_.find(source, assertion) < exposed_assertions(source).size();
+  }
 
   // Assertions source i is exposed to, ascending.
-  const std::vector<std::uint32_t>& exposed_assertions(
-      std::size_t source) const;
+  std::span<const std::uint32_t> exposed_assertions(
+      std::size_t source) const {
+    return cells_.row(source);
+  }
   // Sources exposed to assertion j, ascending.
-  const std::vector<std::uint32_t>& exposed_sources(
-      std::size_t assertion) const;
+  std::span<const std::uint32_t> exposed_sources(
+      std::size_t assertion) const {
+    return cells_.col(assertion);
+  }
 
  private:
-  void finalize();
+  explicit DependencyIndicators(Incidence cells) : cells_(std::move(cells)) {}
 
-  std::vector<std::vector<std::uint32_t>> by_source_;
-  std::vector<std::vector<std::uint32_t>> by_assertion_;
-  std::size_t cell_count_ = 0;
+  Incidence cells_;
 };
+
+// D_ij for every claim of one claim list, by a linear merge: calls
+// visit(id, dependent) for each id of `claims` in order, where
+// `exposed` is the exposure list of the same row or column —
+// claims_of(i) with exposed_assertions(i), or claimants_of(j) with
+// exposed_sources(j). Both lists must be ascending. This is the one
+// place the claims are split by D_ij: the shard fill, LikelihoodTable's
+// flags, the streaming M-step, EM-Social's view and
+// count_original_claims all call it.
+template <typename Visit>
+void split_claims(std::span<const std::uint32_t> claims,
+                  std::span<const std::uint32_t> exposed, Visit&& visit) {
+  std::size_t e = 0;
+  for (std::uint32_t id : claims) {
+    while (e < exposed.size() && exposed[e] < id) ++e;
+    visit(id, e < exposed.size() && exposed[e] == id);
+  }
+}
 
 // Counts claims with D_ij == 0, the paper's "#Original Claims" column in
 // Table III.

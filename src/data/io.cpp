@@ -1,6 +1,7 @@
 #include "data/io.h"
 
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -14,6 +15,12 @@ std::ofstream open_out(const std::string& path) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot open for write: " + path);
   return out;
+}
+
+// Source and assertion ids are uint32 (data/source_claim_matrix.h), so
+// declared dimensions beyond that are rejected before any allocation.
+bool ids_fit_u32(std::uint64_t sources, std::uint64_t assertions) {
+  return sources <= UINT32_MAX && assertions <= UINT32_MAX;
 }
 
 bool parse_label(const std::string& s, Label* out) {
@@ -112,6 +119,11 @@ Expected<Dataset> load_dataset_impl(const std::string& directory,
       return fail(ErrorCode::kBadNumber, path, 2,
                   "unparseable dimensions: " + fields[1] + "," +
                       fields[2]);
+    }
+    if (!ids_fit_u32(sources, assertions)) {
+      return fail(ErrorCode::kIndexOutOfRange, path, 2,
+                  "dimensions " + fields[1] + "," + fields[2] +
+                      " exceed the uint32 id space");
     }
   }
 
@@ -457,6 +469,13 @@ Dataset load_dataset_jsonl(const std::string& path) {
         !try_parse_u64(field, &m)) {
       jsonl_defect(ErrorCode::kBadRow, path, 1, "malformed meta line");
     }
+    if (!ids_fit_u32(n, m)) {
+      jsonl_defect(ErrorCode::kIndexOutOfRange, path, 1,
+                   strprintf("dimensions %llu,%llu exceed the uint32 id "
+                             "space",
+                             static_cast<unsigned long long>(n),
+                             static_cast<unsigned long long>(m)));
+    }
   }
 
   std::vector<Claim> claims;
@@ -467,6 +486,8 @@ Dataset load_dataset_jsonl(const std::string& path) {
   while (std::getline(in, line)) {
     ++lineno;
     if (trim(line).empty()) continue;
+    // `limit` <= UINT32_MAX (checked at the meta line), so an id below
+    // it fits the cast.
     auto index = [&](const std::string& s, std::uint64_t limit,
                      const char* what) -> std::uint32_t {
       std::uint64_t v = 0;

@@ -13,8 +13,8 @@ namespace ss {
 namespace {
 
 // The two build sources behind one span-shaped surface. Both expose
-// ascending id lists (SourceClaimMatrix/DependencyIndicators sort on
-// construction; the .ssd writer sorts before spooling).
+// ascending id lists (the Incidence builder orders them; the .ssd writer
+// sorts before spooling).
 struct DatasetAccess {
   const Dataset& d;
   std::size_t n() const { return d.source_count(); }
@@ -218,12 +218,10 @@ ShardedDataset ShardedDataset::build_impl(const Access& a,
       std::span<const std::uint32_t> ex = a.exposed(j);
       require_in_range(cl, n, "claimant source");
       require_in_range(ex, n, "exposed source");
-      std::size_t e = 0;
-      for (std::uint32_t i : cl) {
-        while (e < ex.size() && ex[e] < i) ++e;
+      split_claims(cl, ex, [&](std::uint32_t i, bool dependent) {
         sh.claimants_.push_back(i);
-        sh.cl_flags_.push_back(e < ex.size() && ex[e] == i ? 1 : 0);
-      }
+        sh.cl_flags_.push_back(dependent ? 1 : 0);
+      });
       sh.exposed_.insert(sh.exposed_.end(), ex.begin(), ex.end());
       sh.cl_off_[c + 1] = sh.claimants_.size();
       sh.ex_off_[c + 1] = sh.exposed_.size();
@@ -235,15 +233,9 @@ ShardedDataset ShardedDataset::build_impl(const Access& a,
       const std::size_t i = sh.sources_[s];
       std::span<const std::uint32_t> cl = a.claims_of(i);
       std::span<const std::uint32_t> ex = a.exposed_assertions(i);
-      std::size_t e = 0;
-      for (std::uint32_t j : cl) {
-        while (e < ex.size() && ex[e] < j) ++e;
-        if (e < ex.size() && ex[e] == j) {
-          sh.dep_claims_.push_back(j);
-        } else {
-          sh.indep_claims_.push_back(j);
-        }
-      }
+      split_claims(cl, ex, [&](std::uint32_t j, bool dependent) {
+        (dependent ? sh.dep_claims_ : sh.indep_claims_).push_back(j);
+      });
       sh.exp_asserts_.insert(sh.exp_asserts_.end(), ex.begin(), ex.end());
       sh.dep_off_[s + 1] = sh.dep_claims_.size();
       sh.indep_off_[s + 1] = sh.indep_claims_.size();

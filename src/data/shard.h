@@ -5,10 +5,11 @@
 // both (claims or exposed cells), so components are exactly the units
 // with no shared source and no dependency (exposure) edge between them
 // (docs/MODEL.md §14). Components are bin-packed into shards, and each
-// shard carries its own CSR slices in the ClaimPartition layout:
-// per-column claimant lists with aligned D_ij flags, per-column
-// exposed-source lists, and per-source dependent/independent claim
-// splits. All ids stay GLOBAL: the EM-Ext engine (core/sharded_em.*)
+// shard carries its own CSR slices: per-column claimant lists with
+// aligned D_ij flags, per-column exposed-source lists, and per-source
+// dependent/independent claim splits (both splits computed by
+// split_claims, data/dependency.h). All ids stay GLOBAL: the EM-Ext
+// engine (core/sharded_em.*)
 // gathers from global value tables and scatters into global
 // posterior/stats buffers, which is what makes its results independent
 // of the shard layout — the likelihood base, the pooled shrinkage

@@ -775,8 +775,8 @@ SsdStats write_ssd(const Dataset& dataset, const std::string& path) {
   const bool labeled = !dataset.truth.empty();
   for (std::size_t j = 0; j < m; ++j) {
     writer.begin_assertion(labeled ? dataset.truth[j] : Label::kUnknown);
-    const std::vector<std::uint32_t>& cs = dataset.claims.claimants_of(j);
-    const std::vector<double>& ts = dataset.claims.claimant_times_of(j);
+    std::span<const std::uint32_t> cs = dataset.claims.claimants_of(j);
+    std::span<const double> ts = dataset.claims.claimant_times_of(j);
     for (std::size_t k = 0; k < cs.size(); ++k) {
       writer.claim(cs[k], ts[k]);
     }

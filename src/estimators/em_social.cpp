@@ -11,12 +11,13 @@ EstimateResult EmSocialEstimator::run(const Dataset& dataset,
   dataset.validate();
   // The view: the D_ij = 0 claims, with the exposure kept, so a deleted
   // claim stays an exposed (silent) cell. EM never reads claim times.
-  const ClaimPartition& part = dataset.partition();
   std::vector<Claim> kept;
   for (std::uint32_t i = 0; i < dataset.source_count(); ++i) {
-    for (std::uint32_t j : part.independent_claims(i)) {
-      kept.push_back({i, j, 0.0});
-    }
+    split_claims(dataset.claims.claims_of(i),
+                 dataset.dependency.exposed_assertions(i),
+                 [&](std::uint32_t j, bool dependent) {
+                   if (!dependent) kept.push_back({i, j, 0.0});
+                 });
   }
   Dataset view;
   view.claims = SourceClaimMatrix(dataset.source_count(),

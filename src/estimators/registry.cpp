@@ -6,7 +6,6 @@
 #include "estimators/average_log.h"
 #include "estimators/em_ipsn12.h"
 #include "estimators/em_social.h"
-#include "estimators/investment.h"
 #include "estimators/sums.h"
 #include "estimators/truth_finder.h"
 #include "estimators/voting.h"
@@ -18,12 +17,6 @@ std::vector<std::string> estimator_names() {
           "Sums",   "Average.Log", "Truth-Finder"};
 }
 
-std::vector<std::string> extended_estimator_names() {
-  auto names = estimator_names();
-  names.push_back("Investment");
-  return names;
-}
-
 std::unique_ptr<Estimator> make_estimator(const std::string& name) {
   if (name == "EM-Ext") return std::make_unique<EmExtEstimator>();
   if (name == "EM-Social") return std::make_unique<EmSocialEstimator>();
@@ -32,7 +25,6 @@ std::unique_ptr<Estimator> make_estimator(const std::string& name) {
   if (name == "Sums") return std::make_unique<SumsEstimator>();
   if (name == "Average.Log") return std::make_unique<AverageLogEstimator>();
   if (name == "Truth-Finder") return std::make_unique<TruthFinderEstimator>();
-  if (name == "Investment") return std::make_unique<InvestmentEstimator>();
   throw std::invalid_argument("make_estimator: unknown estimator " + name);
 }
 

@@ -15,10 +15,6 @@ namespace ss {
 // The paper's empirical-study lineup (Fig. 11), in the paper's order.
 std::vector<std::string> estimator_names();
 
-// Every estimator the registry can construct: the paper's seven plus
-// extensions (currently Investment from the same COLING'10 family).
-std::vector<std::string> extended_estimator_names();
-
 // Constructs the named estimator with its default configuration.
 // Throws std::invalid_argument for unknown names.
 std::unique_ptr<Estimator> make_estimator(const std::string& name);

@@ -2,9 +2,10 @@
 //
 // Every estimator in this codebase spends its inner loops summing
 // per-source log-likelihood terms over sparse incidence lists (CSR spans
-// from ClaimPartition / SourceClaimMatrix). The terms themselves are
-// iteration-constant: they change only when the parameters change, i.e.
-// once per EM iteration or once per Gibbs run — never per incidence.
+// from SourceClaimMatrix / DependencyIndicators and the shards). The
+// terms themselves are iteration-constant: they change only when the
+// parameters change, i.e. once per EM iteration or once per Gibbs run —
+// never per incidence.
 // This header is the one place where those terms are hoisted into
 // contiguous structure-of-arrays buffers and where the per-incidence
 // work is reduced to pure adds:
@@ -377,11 +378,11 @@ inline void gather_add2(LogPair& acc0, std::span<const std::uint32_t> idx0,
 }
 
 // acc += sum_k table(flags[k])[idx[k]] where table(0) = indep and
-// table(1) = dep. `flags` is aligned with `idx` (ClaimPartition's
-// claimant_dependent view). The two-pointer select compiles to a
-// conditional move — the per-claim D_ij branch of the pre-kernel loop
-// is gone, but the element order (and therefore the floating-point
-// result) is exactly the branchy loop's.
+// table(1) = dep. `flags` is aligned with `idx` (the D_ij flags that
+// split_claims computes for a claimant list). The two-pointer select
+// compiles to a conditional move — the per-claim D_ij branch of the
+// pre-kernel loop is gone, but the element order (and therefore the
+// floating-point result) is exactly the branchy loop's.
 inline LogPair gather_add_select(LogPair acc,
                                  std::span<const std::uint32_t> idx,
                                  std::span<const char> flags,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 namespace ss {
 namespace {
@@ -16,7 +17,7 @@ struct PickContext {
   // Picks uniformly an assertion from `candidates` whose truth label
   // matches `want_true` and which this source has not claimed yet.
   // Returns m (invalid) when no candidate qualifies.
-  std::size_t pick(const std::vector<std::uint32_t>& candidates,
+  std::size_t pick(std::span<const std::uint32_t> candidates,
                    bool want_true, Rng& rng) const {
     std::vector<std::uint32_t> eligible;
     for (std::uint32_t j : candidates) {
@@ -84,7 +85,7 @@ SimInstance generate_procedural(const SimKnobs& knobs, Rng& rng) {
   for (std::size_t i = 0; i < n; ++i) {
     if (inst.forest.is_root(i)) continue;
     std::size_t r = inst.forest.root_of[i];
-    const auto& dep_candidates = root_claims.claims_of(r);
+    std::span<const std::uint32_t> dep_candidates = root_claims.claims_of(r);
     std::vector<std::uint32_t> indep_candidates;
     for (std::uint32_t j : all_assertions) {
       if (!root_claims.has_claim(r, j)) indep_candidates.push_back(j);

@@ -9,7 +9,6 @@
 #include "estimators/average_log.h"
 #include "estimators/em_ipsn12.h"
 #include "estimators/em_social.h"
-#include "estimators/investment.h"
 #include "estimators/registry.h"
 #include "estimators/sums.h"
 #include "estimators/truth_finder.h"
@@ -224,36 +223,6 @@ TEST(EmSocial, EmExtUsesDependentClaimsWhereSocialCannot) {
   EXPECT_GT(ext_acc / kReps, social_acc / kReps);
 }
 
-TEST(Investment, RewardsWellBackedClaims) {
-  Dataset d = support_dataset();
-  EstimateResult r = InvestmentEstimator().run(d, 0);
-  EXPECT_GT(r.belief[0], r.belief[1]);
-  EXPECT_DOUBLE_EQ(r.belief[2], 0.0);
-}
-
-TEST(Investment, NonlinearGrowthSharpensSeparation) {
-  Dataset d = support_dataset();
-  InvestmentConfig linear;
-  linear.growth = 1.0;
-  InvestmentConfig sharp;
-  sharp.growth = 1.6;
-  auto r_lin = InvestmentEstimator(linear).run(d, 0);
-  auto r_sharp = InvestmentEstimator(sharp).run(d, 0);
-  // Both max-normalized: the runner-up falls further behind under
-  // stronger growth.
-  EXPECT_LT(r_sharp.belief[1], r_lin.belief[1] + 1e-12);
-}
-
-TEST(Investment, HandlesEmptySources) {
-  // A source with no claims must not poison the investment pools.
-  std::vector<Claim> claims = {{0, 0, 0.0}};
-  Dataset d;
-  d.claims = SourceClaimMatrix(3, 1, claims);
-  d.dependency = DependencyIndicators::from_cells(3, 1, {});
-  EstimateResult r = InvestmentEstimator().run(d, 0);
-  EXPECT_GT(r.belief[0], 0.0);
-}
-
 TEST(Registry, ProvidesAllSevenAlgorithms) {
   auto names = estimator_names();
   ASSERT_EQ(names.size(), 7u);
@@ -267,13 +236,6 @@ TEST(Registry, ProvidesAllSevenAlgorithms) {
 
 TEST(Registry, UnknownNameThrows) {
   EXPECT_THROW(make_estimator("PageRank"), std::invalid_argument);
-}
-
-TEST(Registry, ExtendedLineupIncludesInvestment) {
-  auto names = extended_estimator_names();
-  ASSERT_EQ(names.size(), 8u);
-  EXPECT_EQ(names.back(), "Investment");
-  EXPECT_EQ(make_estimator("Investment")->name(), "Investment");
 }
 
 TEST(Registry, AllEstimatorsHandleEmptyDataset) {

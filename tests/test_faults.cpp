@@ -17,6 +17,7 @@
 #include "bounds/gibbs_bound.h"
 #include "core/em_ext.h"
 #include "core/streaming_em.h"
+#include "csr_check.h"
 #include "data/dataset.h"
 #include "data/io.h"
 #include "twitter/tweet_io.h"
@@ -424,6 +425,73 @@ TEST(Snapshot, ByteFlipAtEveryPositionIsAClassifiedError) {
     EXPECT_EQ(r.error().code, ErrorCode::kCheckpointCorrupt)
         << "flip at " << at;
   }
+  std::filesystem::remove_all(dir);
+}
+
+// The dataset loaders get the same torture: each byte of a small saved
+// dataset, meta.csv included, XOR 0x40. Every variant must load as a
+// classified error or as a Dataset that validates and has well-formed
+// CSR lists — in strict and in permissive mode.
+TEST(CorruptBytes, DatasetByteFlipAtEveryPositionIsClassifiedOrWellFormed) {
+  std::string dir = temp_dir("dataset_flip");
+  save_dataset(tiny_dataset(), dir);
+  std::size_t loaded = 0;
+  for (const char* file :
+       {"meta.csv", "claims.csv", "exposure.csv", "truth.csv"}) {
+    const std::string path = dir + "/" + file;
+    const std::string golden = slurp(path);
+    for (std::size_t at = 0; at < golden.size(); ++at) {
+      std::string damaged = golden;
+      damaged[at] = static_cast<char>(damaged[at] ^ 0x40);
+      spit(path, damaged);
+      for (IngestMode mode : {IngestMode::kStrict, IngestMode::kPermissive}) {
+        const bool strict = mode == IngestMode::kStrict;
+        SCOPED_TRACE(std::string(file) + " flip at " + std::to_string(at) +
+                     (strict ? " strict" : " permissive"));
+        IngestOptions opt;
+        opt.mode = mode;
+        Expected<Dataset> r = try_load_dataset(dir, opt);
+        if (!r.ok()) {
+          EXPECT_NE(r.error().code, ErrorCode::kOk);
+          EXPECT_FALSE(r.error().message.empty());
+          continue;
+        }
+        ++loaded;
+        EXPECT_NO_THROW(r.value().validate());
+        EXPECT_EQ(csr_defect(r.value().claims), "");
+        EXPECT_EQ(csr_defect(r.value().dependency), "");
+      }
+    }
+    spit(path, golden);
+  }
+  EXPECT_GT(loaded, 0u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CorruptBytes, JsonlByteFlipAtEveryPositionThrowsOnlyTaxonomyError) {
+  std::string dir = temp_dir("jsonl_flip");
+  const std::string path = dir + "/dataset.jsonl";
+  save_dataset_jsonl(tiny_dataset(), path);
+  const std::string golden = slurp(path);
+  std::size_t loaded = 0;
+  for (std::size_t at = 0; at < golden.size(); ++at) {
+    SCOPED_TRACE("flip at " + std::to_string(at));
+    std::string damaged = golden;
+    damaged[at] = static_cast<char>(damaged[at] ^ 0x40);
+    spit(path, damaged);
+    try {
+      Dataset d = load_dataset_jsonl(path);
+      ++loaded;
+      EXPECT_NO_THROW(d.validate());
+      EXPECT_EQ(csr_defect(d.claims), "");
+      EXPECT_EQ(csr_defect(d.dependency), "");
+    } catch (const TaxonomyError& e) {
+      EXPECT_NE(e.code(), ErrorCode::kOk);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "unclassified exception: " << e.what();
+    }
+  }
+  EXPECT_GT(loaded, 0u);
   std::filesystem::remove_all(dir);
 }
 

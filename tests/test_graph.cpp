@@ -8,7 +8,6 @@
 #include "graph/digraph.h"
 #include "graph/forest.h"
 #include "graph/pref_attach.h"
-#include "graph/small_world.h"
 
 namespace ss {
 namespace {
@@ -147,45 +146,6 @@ TEST(PrefAttach, HeavyTailedInDegrees) {
   // The most-followed node dwarfs the median — the "celebrity" effect.
   EXPECT_GT(in[0], 20u);
   EXPECT_LE(in[in.size() / 2], 3u);
-}
-
-TEST(SmallWorld, RingStructureWithoutRewiring) {
-  Rng rng(6);
-  SmallWorldConfig config{10, 4, 0.0};
-  Digraph g = make_small_world(config, rng);
-  // Every node follows its two successors and two predecessors.
-  for (std::size_t u = 0; u < 10; ++u) {
-    EXPECT_EQ(g.out_degree(u), 4u) << u;
-    EXPECT_TRUE(g.has_edge(u, (u + 1) % 10));
-    EXPECT_TRUE(g.has_edge(u, (u + 9) % 10));
-    EXPECT_TRUE(g.has_edge(u, (u + 2) % 10));
-    EXPECT_TRUE(g.has_edge(u, (u + 8) % 10));
-  }
-}
-
-TEST(SmallWorld, RewiringCreatesShortcuts) {
-  Rng rng(7);
-  SmallWorldConfig config{200, 4, 0.3};
-  Digraph g = make_small_world(config, rng);
-  std::size_t long_range = 0;
-  for (std::size_t u = 0; u < 200; ++u) {
-    for (std::size_t v : g.following(u)) {
-      std::size_t ring_dist =
-          std::min((v + 200 - u) % 200, (u + 200 - v) % 200);
-      if (ring_dist > 2) ++long_range;
-    }
-  }
-  EXPECT_GT(long_range, 50u);  // ~30% of ~800 edges rewired
-}
-
-TEST(SmallWorld, RejectsDegenerateParameters) {
-  Rng rng(8);
-  EXPECT_THROW(make_small_world({10, 3, 0.1}, rng),
-               std::invalid_argument);
-  EXPECT_THROW(make_small_world({10, 10, 0.1}, rng),
-               std::invalid_argument);
-  EXPECT_THROW(make_small_world({0, 2, 0.1}, rng),
-               std::invalid_argument);
 }
 
 TEST(PrefAttach, SingleNodeGraph) {

@@ -395,9 +395,12 @@ TEST(KernelTables, LikelihoodColumnMatchesHoistedWalk) {
     kernels::gather_add_reference(lt, lf,
                                   d.dependency.exposed_sources(j),
                                   es_t.data(), es_f.data());
+    std::vector<char> flags;
+    for (std::uint32_t i : d.claims.claimants_of(j)) {
+      flags.push_back(d.dependency.dependent(i, j) ? 1 : 0);
+    }
     kernels::gather_add_select_reference(
-        lt, lf, d.claims.claimants_of(j),
-        d.partition().claimant_dependent(j), ci_t.data(), ci_f.data(),
+        lt, lf, d.claims.claimants_of(j), flags, ci_t.data(), ci_f.data(),
         cd_t.data(), cd_f.data());
     ColumnLogLikelihood c = table.column(j);
     expect_same_bits(c.log_given_true, lt, "column.log_given_true");

@@ -1,7 +1,7 @@
 // Correctness of the parallel inference engine: bit-identical results
-// for any worker count, ClaimPartition agreement with the dependency
-// indicators, and multi-chain Gibbs pooling. These tests carry the
-// `parallel` ctest label so a TSan build can target them
+// for any worker count, agreement of the D_ij claim split with the
+// dependency indicators, and multi-chain Gibbs pooling. These tests carry
+// the `parallel` ctest label so a TSan build can target them
 // (`ctest -L parallel`, see SS_SANITIZE in the top-level CMakeLists).
 #include <gtest/gtest.h>
 
@@ -24,7 +24,7 @@
 #include "core/em_ext.h"
 #include "core/likelihood.h"
 #include "core/posterior.h"
-#include "data/claim_partition.h"
+#include "data/dependency.h"
 #include "kernel_golden.h"
 #include "math/kernels.h"
 #include "simgen/parametric_gen.h"
@@ -61,17 +61,23 @@ Dataset make_dataset(std::uint64_t seed, std::size_t n, std::size_t m) {
   return make_instance(seed, n, m).dataset;
 }
 
+// split_claims (data/dependency.h) against the binary-search D_ij
+// oracle, in both orientations. The suite keeps the name of the cache
+// class it once checked.
 TEST(ClaimPartition, MatchesDependencyIndicatorsOnRandomDatasets) {
   for (std::uint64_t seed : {1u, 7u, 42u}) {
     Dataset d = make_dataset(seed, 60, 120);
-    const ClaimPartition& part = d.partition();
-    ASSERT_EQ(part.source_count(), d.source_count());
-    ASSERT_EQ(part.assertion_count(), d.assertion_count());
 
     std::size_t dep_claims = 0;
     for (std::size_t j = 0; j < d.assertion_count(); ++j) {
-      const auto& claimants = d.claims.claimants_of(j);
-      auto flags = part.claimant_dependent(j);
+      auto claimants = d.claims.claimants_of(j);
+      std::vector<char> flags;
+      std::vector<std::uint32_t> dep_split, indep_split;
+      split_claims(claimants, d.dependency.exposed_sources(j),
+                   [&](std::uint32_t i, bool dependent) {
+                     flags.push_back(dependent ? 1 : 0);
+                     (dependent ? dep_split : indep_split).push_back(i);
+                   });
       ASSERT_EQ(flags.size(), claimants.size());
       std::vector<std::uint32_t> dep_ids, indep_ids;
       for (std::size_t k = 0; k < claimants.size(); ++k) {
@@ -81,40 +87,27 @@ TEST(ClaimPartition, MatchesDependencyIndicatorsOnRandomDatasets) {
         (expect_dep ? dep_ids : indep_ids).push_back(claimants[k]);
         dep_claims += expect_dep ? 1 : 0;
       }
-      auto dep_span = part.dependent_claimants(j);
-      auto indep_span = part.independent_claimants(j);
-      EXPECT_TRUE(std::equal(dep_span.begin(), dep_span.end(),
-                             dep_ids.begin(), dep_ids.end()));
-      EXPECT_TRUE(std::equal(indep_span.begin(), indep_span.end(),
-                             indep_ids.begin(), indep_ids.end()));
+      EXPECT_EQ(dep_split, dep_ids);
+      EXPECT_EQ(indep_split, indep_ids);
     }
-    EXPECT_EQ(part.dependent_claim_count(), dep_claims);
+    EXPECT_EQ(d.claims.claim_count() -
+                  count_original_claims(d.claims, d.dependency),
+              dep_claims);
 
     for (std::size_t i = 0; i < d.source_count(); ++i) {
       std::vector<std::uint32_t> dep_ids, indep_ids;
       for (std::uint32_t j : d.claims.claims_of(i)) {
         (d.dependency.dependent(i, j) ? dep_ids : indep_ids).push_back(j);
       }
-      auto dep_span = part.dependent_claims(i);
-      auto indep_span = part.independent_claims(i);
-      EXPECT_TRUE(std::equal(dep_span.begin(), dep_span.end(),
-                             dep_ids.begin(), dep_ids.end()));
-      EXPECT_TRUE(std::equal(indep_span.begin(), indep_span.end(),
-                             indep_ids.begin(), indep_ids.end()));
+      std::vector<std::uint32_t> dep_split, indep_split;
+      split_claims(d.claims.claims_of(i), d.dependency.exposed_assertions(i),
+                   [&](std::uint32_t j, bool dependent) {
+                     (dependent ? dep_split : indep_split).push_back(j);
+                   });
+      EXPECT_EQ(dep_split, dep_ids);
+      EXPECT_EQ(indep_split, indep_ids);
     }
   }
-}
-
-TEST(ClaimPartition, CopyDropsCacheAndRebuilds) {
-  Dataset d = make_dataset(3, 30, 50);
-  const ClaimPartition& part = d.partition();
-  Dataset copy = d;
-  // The copy derives its own partition (mutating a copy must not see the
-  // original's cache).
-  const ClaimPartition& copy_part = copy.partition();
-  EXPECT_NE(&part, &copy_part);
-  EXPECT_EQ(part.dependent_claim_count(),
-            copy_part.dependent_claim_count());
 }
 
 TEST(ParallelEngine, EmExtBitwiseEqualAcrossThreadCounts) {
