@@ -9,12 +9,10 @@
 //   shard           connected-component partition straight off the view
 //   em              EM-Ext on the shards (LPT work stealing + tree
 //                   reductions)
-//   em-profile      one instrumented run capturing per-shard EM seconds
-// recording wall time per phase, the min-of-reps EM time, the
-// per-shard EM-seconds histogram with its load-imbalance factor
-// (max/mean), the shard count/size histogram, and peak RSS after each
-// point. Results land in bench_results/scale.json (BENCH_PR10.json
-// keeps the earlier A/B against the pre-LPT execution path).
+// recording wall time per phase, the min-of-reps EM time, the shard
+// count/size histogram, and peak RSS after each point. Results land in
+// bench_results/scale.json (BENCH_PR10.json keeps the earlier A/B
+// against the pre-LPT execution path).
 //
 // SS_PERF_CHECK=1 runs one mid-size point as a correctness gate, no
 // timing tables: .ssd open must beat the JSONL parse by >= 50x, the EM
@@ -106,8 +104,6 @@ struct PointResult {
   std::size_t em_iterations = 0;
   double em_s = 0.0;  // min of reps
   int em_reps = 0;
-  std::vector<double> shard_seconds;  // per-shard EM s (instrumented run)
-  double load_imbalance = 0.0;        // max/mean of shard_seconds
   double peak_rss_mb = 0.0;
 };
 
@@ -173,25 +169,6 @@ PointResult run_point(std::size_t sources, const std::string& dir,
     double s = timer.seconds();
     if (rep == 0 || s < out.em_s) out.em_s = s;
     out.em_iterations = r.likelihood_trace.size();
-  }
-
-  // One instrumented run for the per-shard EM-seconds histogram. Kept
-  // out of the timed legs: timing capture reads the clock around every
-  // work unit.
-  out.phases.section("em-profile");
-  config.shard_time_accum = &out.shard_seconds;
-  ShardedEmEstimator(config).run_detailed(sharded, 1);
-  config.shard_time_accum = nullptr;
-  if (!out.shard_seconds.empty()) {
-    double total = 0.0;
-    double peak = 0.0;
-    for (double s : out.shard_seconds) {
-      total += s;
-      peak = std::max(peak, s);
-    }
-    double mean =
-        total / static_cast<double>(out.shard_seconds.size());
-    out.load_imbalance = mean > 0.0 ? peak / mean : 0.0;
   }
   out.phases.finish();
 
@@ -407,7 +384,7 @@ int main() {
   std::filesystem::create_directories(dir);
 
   TablePrinter table({"sources", "claims", "file MB", "gen s", "open ms",
-                      "jsonl s", "shards", "shard m", "em s", "imbal",
+                      "jsonl s", "shards", "shard m", "em s",
                       "peak RSS MB"});
   JsonValue points = JsonValue::array();
   for (std::size_t sources : axis) {
@@ -426,7 +403,6 @@ int main() {
          std::to_string(p.shards),
          strprintf("%zu..%zu", p.shard_min, p.shard_max),
          strprintf("%.2f", p.em_s),
-         strprintf("%.2f", p.load_imbalance),
          strprintf("%.1f", p.peak_rss_mb)});
 
     JsonValue point = JsonValue::object();
@@ -449,10 +425,6 @@ int main() {
     point["em_iterations"] = static_cast<double>(p.em_iterations);
     point["em_reps"] = static_cast<double>(p.em_reps);
     point["em_s_min"] = p.em_s;
-    JsonValue hist = JsonValue::array();
-    for (double s : p.shard_seconds) hist.push_back(JsonValue(s));
-    point["per_shard_em_seconds"] = hist;
-    point["load_imbalance"] = p.load_imbalance;
     point["peak_rss_mb"] = p.peak_rss_mb;
     points.push_back(point);
   }

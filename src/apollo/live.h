@@ -12,8 +12,9 @@
 // iteration, by design: under EM-Ext silence is evidence (Table II), so
 // every user of the follower graph enters the log table and the M-step,
 // not only the window's claimants. Those per-source passes run on
-// StreamingEmConfig::pool, and only the sources with a claim or an
-// exposure in the window gather batch statistics (docs/MODEL.md §6).
+// StreamingEmConfig::pool, only the sources with a claim or an exposure
+// in the window gather batch statistics, and the update is the EM-Ext
+// engine's M-step tail on the decayed history (docs/MODEL.md §6).
 // Beliefs are tracked per global cluster id and updated by the latest
 // refresh that touched the cluster.
 #pragma once
@@ -61,7 +62,9 @@ class LiveApollo {
   std::uint32_t ingest(const Tweet& tweet);
 
   // Folds the buffered window into the streaming estimator and clears
-  // the buffer. No-op result when the window is empty.
+  // the buffer. No-op result when the window is empty. If the
+  // estimator throws, it is left unchanged and the window stays
+  // buffered, so the refresh can be retried.
   LiveRefreshResult refresh();
 
   // Latest belief per cluster (clusters never refreshed are absent).

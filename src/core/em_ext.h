@@ -112,15 +112,6 @@ struct EmExtConfig {
   // keep_checkpoint is set.
   std::string checkpoint_path;
   bool keep_checkpoint = false;
-  // When non-null, per-shard wall-clock seconds spent in E/M work
-  // units accumulate into (*shard_time_accum)[shard] across the whole
-  // run (the vector is sized to the shard count on first use). Pure
-  // observability — timing capture never feeds back into scheduling,
-  // so results are unchanged. Meaningful with restarts == 1
-  // (concurrent attempts would interleave their accumulation).
-  // bench_scale uses this for the per-shard EM time histogram and the
-  // load-imbalance factor.
-  std::vector<double>* shard_time_accum = nullptr;
 };
 
 // Fault-tolerance accounting of one run (zero everywhere on a healthy

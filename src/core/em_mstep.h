@@ -1,6 +1,7 @@
-// Closed-form M-step tail (Eq. 10-14) of the EM-Ext engine
-// (core/sharded_em.cpp), with the per-source statistics layouts that
-// StreamingEmExt's M-step shares.
+// Closed-form M-step tail (Eq. 10-14) shared by every EM path: the
+// EM-Ext engine (core/sharded_em.cpp) calls it on one iteration's
+// statistics, and StreamingEmExt (core/streaming_em.cpp) calls it on
+// its decayed history blended with the batch.
 //
 // finalize_m_step_fused: the pooled reduction runs as a fixed-shape
 // tree over the *global* stats array (kernels::tree_reduce — identical
@@ -51,7 +52,10 @@ struct SourceMStats {
 // — which makes the derived values bit-equal to fill-time
 // denominators while cutting the stats row from 64 to 48 bytes
 // (16 MB less written per M-step at 10^6 sources, and 16 MB less
-// re-read by each of the pooled tree and the finalize pass).
+// re-read by each of the pooled tree and the finalize pass). The same
+// derivation holds for decayed sums: StreamingEmExt keeps its history
+// as λ-decayed packed rows plus the decayed totals, and every decayed
+// denominator is the one derived from them.
 struct SourceMStatsPacked {
   double claim_indep_z = 0.0;  // claims with D_ij = 0, weighted by Z_j
   double claim_indep_y = 0.0;
@@ -68,15 +72,20 @@ struct MStepOutcome {
   double delta = 0.0;
 };
 
-// The fused production tail; see the header comment. Updates `params`
+// The fused production tail; see the header comment. `total_z` is the
+// posterior mass and `m` the assertion count the rows were gathered
+// over: the engine passes its integer count, the streaming M-step its
+// decayed count, which is why `m` is a double. Updates `params`
 // in place (it must hold the previous iteration's estimates, with
-// params.source.size() == stats.size()). `tie_fg` applies the warm-up
-// tie f = g = (f + g) / 2 after sanitizing. The per-source pass is
-// chunked on `pool` in fixed blocks; chunk results combine by + (count)
-// and max (delta), both order-independent, so the result is
-// bit-identical for any worker count.
+// params.source.size() == stats.size()); a rate whose denominator
+// plus shrinkage cells is not positive keeps its previous value, and
+// z = total_z / m. `tie_fg` applies the warm-up tie f = g = (f + g) / 2
+// after sanitizing. The per-source pass is chunked on `pool` in fixed
+// blocks; chunk results combine by + (count) and max (delta), both
+// order-independent, so the result is bit-identical for any worker
+// count.
 inline void finalize_m_step_fused(const std::vector<SourceMStatsPacked>& stats,
-                                  double total_z, std::size_t m,
+                                  double total_z, double m,
                                   ModelParams& params, double clamp_eps,
                                   double shrinkage, double z_floor,
                                   bool tie_fg, ThreadPool* pool,
@@ -84,7 +93,7 @@ inline void finalize_m_step_fused(const std::vector<SourceMStatsPacked>& stats,
   const std::size_t n = stats.size();
   params.source.resize(n);
   // The loop constant the packed denominators need.
-  const double total_y = static_cast<double>(m) - total_z;
+  const double total_y = m - total_z;
   // Pooled rates anchor the shrinkage prior. Fixed-shape tree over the
   // global stats array: the shape depends only on n, so the result is
   // the same bits whichever shard or worker filled which block. Each
@@ -176,7 +185,7 @@ inline void finalize_m_step_fused(const std::vector<SourceMStatsPacked>& stats,
   // Prior update with its floor, the final clamp, and the same
   // keep-previous sanitize the source parameters get.
   double prev_z = params.z;
-  double z = total_z / static_cast<double>(m);
+  double z = total_z / m;
   if (z_floor > 0.0) z = std::clamp(z, z_floor, 1.0 - z_floor);
   z = clamp_prob(z, clamp_eps);
   if (!std::isfinite(z)) {

@@ -103,9 +103,6 @@ class ShardedEmEngine {
     EStepResult e;
     std::vector<double> column_ll;
     std::vector<em_detail::SourceMStatsPacked> mstats;
-    // Per-unit wall-clock seconds from the last parallel_tasks call;
-    // only filled when EmExtConfig::shard_time_accum is set.
-    std::vector<double> unit_seconds;
   };
 
   std::size_t source_count() const { return sharded_.source_count(); }
@@ -167,7 +164,7 @@ class ShardedEmEngine {
         lb_buf[j] = acc.f + log_1mz;
       }
     };
-    run_units(column_plan_, gather_unit, s);
+    run_units(column_plan_, gather_unit);
 
     // Epilogue over global assertion ranges (sanctioned elementwise
     // aliasing: log_odds == la, column_ll == lb; see kernels.h).
@@ -231,8 +228,9 @@ class ShardedEmEngine {
         st.exposed_count = exposed_count;
       }
     };
-    run_units(source_plan_, fill_unit, s);
-    em_detail::finalize_m_step_fused(stats, total_z, m, params,
+    run_units(source_plan_, fill_unit);
+    em_detail::finalize_m_step_fused(stats, total_z,
+                                     static_cast<double>(m), params,
                                      config_.clamp_eps, config_.shrinkage,
                                      config_.z_floor, tie_fg, pool_, out);
   }
@@ -274,31 +272,14 @@ class ShardedEmEngine {
   // scheduler, weighted by incidence mass, so the giant-component
   // shard's units start first and an idle worker steals from whoever
   // has the longest backlog — placement only; every unit writes the
-  // same global slots it would serially. With timing requested
-  // (EmExtConfig::shard_time_accum), per-unit seconds aggregate into
-  // per-shard totals serially after the parallel region (no clock
-  // reads inside core code — the pool takes them; lint rule R8).
+  // same global slots it would serially.
   template <typename Fn>
-  void run_units(const UnitPlan& plan, const Fn& fn, Scratch& s) const {
-    bool timed = config_.shard_time_accum != nullptr;
-    if (pool_ != nullptr && (pool_->size() > 1 || timed) &&
-        plan.units.size() > 1) {
-      pool_->parallel_tasks(
-          plan.weights,
-          [&](std::size_t u) { fn(plan.units[u]); },
-          timed ? &s.unit_seconds : nullptr);
+  void run_units(const UnitPlan& plan, const Fn& fn) const {
+    if (pool_ != nullptr && pool_->size() > 1 && plan.units.size() > 1) {
+      pool_->parallel_tasks(plan.weights,
+                            [&](std::size_t u) { fn(plan.units[u]); });
     } else {
       for (const WorkUnit& u : plan.units) fn(u);
-      return;
-    }
-    if (timed) {
-      std::vector<double>& acc = *config_.shard_time_accum;
-      if (acc.size() != sharded_.shard_count()) {
-        acc.assign(sharded_.shard_count(), 0.0);
-      }
-      for (std::size_t u = 0; u < plan.units.size(); ++u) {
-        acc[plan.units[u].shard] += s.unit_seconds[u];
-      }
     }
   }
 

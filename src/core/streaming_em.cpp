@@ -1,16 +1,15 @@
 #include "core/streaming_em.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "core/em_ext.h"
 #include "core/likelihood.h"
 #include "core/posterior.h"
 #include "math/kernels.h"
-#include "math/logprob.h"
 #include "util/checkpoint.h"
 #include "util/fault_inject.h"
 #include "util/thread_pool.h"
@@ -32,15 +31,7 @@ StreamingEmExt::StreamingEmExt(std::size_t sources,
     : config_(config) {
   params_.source.assign(sources, SourceParams{});
   params_.z = 0.5;
-  stats_claim_indep_z_.assign(sources, 0.0);
-  stats_claim_indep_y_.assign(sources, 0.0);
-  stats_claim_dep_z_.assign(sources, 0.0);
-  stats_claim_dep_y_.assign(sources, 0.0);
-  stats_denom_a_.assign(sources, 0.0);
-  stats_denom_b_.assign(sources, 0.0);
-  stats_denom_f_.assign(sources, 0.0);
-  stats_denom_g_.assign(sources, 0.0);
-  batch_stats_.assign(sources, em_detail::SourceMStatsPacked{});
+  history_.assign(sources, em_detail::SourceMStatsPacked{});
 }
 
 StreamingBatchResult StreamingEmExt::observe(const Dataset& batch,
@@ -66,35 +57,31 @@ StreamingBatchResult StreamingEmExt::observe(const Dataset& batch,
 
 StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
   batch.validate();
-  ++next_sequence_;
-  std::size_t n = source_count();
+  const std::size_t n = source_count();
   if (batch.source_count() != n) {
     throw std::invalid_argument(
         "StreamingEmExt::observe: batch source count mismatch");
   }
-  std::size_t m = batch.assertion_count();
+  const std::size_t m = batch.assertion_count();
   ThreadPool* pool = config_.pool != nullptr ? config_.pool : &global_pool();
 
-  // On the very first batch, bootstrap theta from the batch's vote
-  // prior (independent support) exactly like the offline estimator.
+  // Theta is staged like everything else the batch changes. On the very
+  // first batch it is bootstrapped from the batch's vote prior
+  // (independent support) exactly like the offline estimator.
   if (batches_ == 0) {
     EmExtConfig boot;
     boot.shrinkage = config_.shrinkage;
     boot.clamp_eps = config_.clamp_eps;
     boot.max_iters = 1;
     boot.pool = config_.pool;
-    params_ = EmExtEstimator(boot).run_detailed(batch, 1).params;
+    staged_ = EmExtEstimator(boot).run_detailed(batch, 1).params;
+  } else {
+    staged_ = params_;
   }
 
   // Active sources: a claim or an exposure in this batch, collected
   // from the columns in ascending source order. Only they gather
-  // statistics. A silent source's gathers would all be empty sums, so
-  // its packed row stays zero, from which blended() below derives its
-  // exact statistics: zero numerators and the denominators
-  // total_z - 0.0 and total_y - (0.0 - 0.0). First re-zero the previous
-  // batch's rows.
-  std::vector<em_detail::SourceMStatsPacked>& stats = batch_stats_;
-  for (std::uint32_t i : active_) stats[i] = {};
+  // statistics; a silent source's batch statistics are all zero.
   active_.clear();
   for (std::size_t j = 0; j < m; ++j) {
     std::span<const std::uint32_t> claimants = batch.claims.claimants_of(j);
@@ -135,12 +122,35 @@ StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
     table_.emplace(batch);
   }
   LikelihoodTable& table = *table_;
+
+  // Decay the history once per batch: every blended row starts as
+  // lambda * history, which is already the final row of a silent
+  // source. Each inner iteration then rewrites the active sources' rows
+  // as lambda * history + batch, so warm starts never double-count the
+  // batch.
+  const double lambda = config_.forgetting;
+  blended_.resize(n);
+  kernels::for_each_chunk(
+      pool, n, kernels::kSourceChunk,
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const em_detail::SourceMStatsPacked& h = history_[i];
+          blended_[i] = {lambda * h.claim_indep_z, lambda * h.claim_indep_y,
+                         lambda * h.claim_dep_z,   lambda * h.claim_dep_y,
+                         lambda * h.exposed_z,     lambda * h.exposed_count};
+        }
+      });
+  const double decayed_z = lambda * total_z_;
+  const double blended_m = lambda * total_m_ + static_cast<double>(m);
+  double blended_z = decayed_z;
+
   std::vector<double>& posterior = posterior_;
   posterior.assign(m, 0.5);
   bool poisoned = false;
+  em_detail::MStepOutcome outcome;
   for (std::size_t inner = 0; inner < config_.iters_per_batch; ++inner) {
-    // E-step on this batch under the current theta.
-    table.set_params(params_, pool);
+    // E-step on this batch under the staged theta.
+    table.set_params(staged_, pool);
     all_posteriors(table, posterior);
     fault::maybe_corrupt_posterior(posterior);
     if (!all_finite(posterior)) {
@@ -151,12 +161,12 @@ StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
       break;
     }
 
-    // Batch sufficient statistics of the active sources; each source
-    // owns its row. The split claim lists replace the per-claim
-    // dependency search, and each accumulator keeps its addition order.
-    double total_z = 0.0;
-    for (double p : posterior) total_z += p;
-    double total_y = static_cast<double>(m) - total_z;
+    // The active sources' rows; each source owns its row. The split
+    // claim lists replace the per-claim dependency search, and each
+    // accumulator keeps its addition order.
+    double batch_z = 0.0;
+    for (double p : posterior) batch_z += p;
+    blended_z = decayed_z + batch_z;
     kernels::for_each_chunk(
         pool, active_.size(), kernels::kSourceChunk,
         [&](std::size_t, std::size_t begin, std::size_t end) {
@@ -168,112 +178,48 @@ StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
                 kernels::gather_mass(split_list(2 * k), posterior.data());
             kernels::MassPair indep = kernels::gather_mass(
                 split_list(2 * k + 1), posterior.data());
-            stats[i] = {indep.z,
-                        indep.y,
-                        dep.z,
-                        dep.y,
-                        kernels::gather_sum(exposed, posterior.data()),
-                        static_cast<double>(exposed.size())};
+            const em_detail::SourceMStatsPacked& h = history_[i];
+            blended_[i] = {
+                lambda * h.claim_indep_z + indep.z,
+                lambda * h.claim_indep_y + indep.y,
+                lambda * h.claim_dep_z + dep.z,
+                lambda * h.claim_dep_y + dep.y,
+                lambda * h.exposed_z +
+                    kernels::gather_sum(exposed, posterior.data()),
+                lambda * h.exposed_count +
+                    static_cast<double>(exposed.size())};
           }
         });
 
-    // Recursive update: decay history, add the batch. Only the final
-    // inner iteration commits to the running statistics; earlier inner
-    // iterations refine theta against a blended view so warm starts do
-    // not double-count the batch. blended(i) is source i's eight
-    // running statistics {num_a, den_a, num_b, den_b, num_f, den_f,
-    // num_g, den_g} after the batch, with the denominators derived from
-    // the packed exposure pair as in em_detail::SourceMStatsPacked.
-    double lambda = config_.forgetting;
-    auto blended = [&](std::size_t i) {
-      const em_detail::SourceMStatsPacked& b = stats[i];
-      const double t1 = b.exposed_count - b.exposed_z;
-      return std::array<double, 8>{
-          lambda * stats_claim_indep_z_[i] + b.claim_indep_z,
-          lambda * stats_denom_a_[i] + (total_z - b.exposed_z),
-          lambda * stats_claim_indep_y_[i] + b.claim_indep_y,
-          lambda * stats_denom_b_[i] + (total_y - t1),
-          lambda * stats_claim_dep_z_[i] + b.claim_dep_z,
-          lambda * stats_denom_f_[i] + b.exposed_z,
-          lambda * stats_claim_dep_y_[i] + b.claim_dep_y,
-          lambda * stats_denom_g_[i] + t1};
-    };
+    // The engine's M-step on the blended statistics: every decayed
+    // denominator derives from a row and the blended totals.
+    em_detail::finalize_m_step_fused(blended_, blended_z, blended_m, staged_,
+                                     config_.clamp_eps, config_.shrinkage,
+                                     config_.z_floor, /*tie_fg=*/false,
+                                     pool, outcome);
+  }
 
-    // Pooled rates for shrinkage: a serial sum in source order. Its
-    // shape is part of the stream's bits (every later batch reads the
-    // rates it anchors), so it does not move onto the pool.
-    std::array<double, 8> pooled{};
-    for (std::size_t i = 0; i < n; ++i) {
-      std::array<double, 8> v = blended(i);
-      for (std::size_t k = 0; k < 8; ++k) pooled[k] += v[k];
-    }
-    double mu[4];
-    double cells[4];
-    for (std::size_t r = 0; r < 4; ++r) {
-      double num = pooled[2 * r];
-      double den = pooled[2 * r + 1];
-      mu[r] = den > 0.0 ? num / den : 0.5;
-      cells[r] = config_.shrinkage > 0.0
-                     ? config_.shrinkage / std::max(mu[r], 1e-9)
-                     : 0.0;
-    }
+  // The final E-step, still under the staged theta.
+  table.set_params(staged_, pool);
+  EStepResult e = fused_e_step(table, pool);
+  fault::maybe_corrupt_posterior(e.posterior);
 
-    // MAP update, fused with the commit on the final inner iteration:
-    // one chunked pass in which each source writes only its own
-    // parameters and running statistics.
-    const bool commit = inner + 1 == config_.iters_per_batch;
-    auto map_rate = [&](double num, double den, std::size_t r,
-                        double& out) {
-      double d = den + cells[r];
-      if (d > 0.0) {
-        out = clamp_prob((num + cells[r] * mu[r]) / d, config_.clamp_eps);
-      }
-    };
-    kernels::for_each_chunk(
-        pool, n, kernels::kSourceChunk,
-        [&](std::size_t, std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            std::array<double, 8> v = blended(i);
-            SourceParams& p = params_.source[i];
-            map_rate(v[0], v[1], 0, p.a);
-            map_rate(v[2], v[3], 1, p.b);
-            map_rate(v[4], v[5], 2, p.f);
-            map_rate(v[6], v[7], 3, p.g);
-            if (commit) {
-              stats_claim_indep_z_[i] = v[0];
-              stats_denom_a_[i] = v[1];
-              stats_claim_indep_y_[i] = v[2];
-              stats_denom_b_[i] = v[3];
-              stats_claim_dep_z_[i] = v[4];
-              stats_denom_f_[i] = v[5];
-              stats_claim_dep_y_[i] = v[6];
-              stats_denom_g_[i] = v[7];
-            }
-          }
-        });
-    params_.z = clamp_prob(
-        (lambda * stats_z_num_ + total_z) /
-            (lambda * stats_z_den_ + static_cast<double>(m)),
-        config_.clamp_eps);
-    if (config_.z_floor > 0.0) {
-      params_.z = std::clamp(params_.z, config_.z_floor,
-                             1.0 - config_.z_floor);
-    }
-    if (commit) {
-      stats_z_num_ = lambda * stats_z_num_ + total_z;
-      stats_z_den_ = lambda * stats_z_den_ + static_cast<double>(m);
-    }
+  // Commit. Nothing above changed the stream's state and nothing below
+  // throws, so a batch is folded in whole or not at all. A poisoned
+  // batch commits theta from its clean inner iterations, but not its
+  // statistics.
+  std::swap(params_, staged_);
+  if (!poisoned && config_.iters_per_batch > 0) {
+    history_.swap(blended_);
+    total_z_ = blended_z;
+    total_m_ = blended_m;
   }
   if (poisoned) ++skipped_batches_;
   ++batches_;
+  ++next_sequence_;
 
   StreamingBatchResult result;
   result.stats_committed = !poisoned;
-  // The result vectors are moved to the caller, so (unlike the scratch
-  // above) there is nothing to reuse here.
-  table.set_params(params_, pool);
-  EStepResult e = fused_e_step(table, pool);
-  fault::maybe_corrupt_posterior(e.posterior);
   result.belief = std::move(e.posterior);
   result.log_odds = std::move(e.log_odds);
   result.log_likelihood = e.log_likelihood;
@@ -292,8 +238,7 @@ StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
 }
 
 void StreamingEmExt::save_state(BinWriter& writer) const {
-  std::size_t n = source_count();
-  writer.u64(n);
+  writer.u64(source_count());
   writer.u64(batches_);
   writer.u64(skipped_batches_);
   writer.u64(stale_batches_);
@@ -305,16 +250,16 @@ void StreamingEmExt::save_state(BinWriter& writer) const {
     writer.f64(s.f);
     writer.f64(s.g);
   }
-  writer.vec_f64(stats_claim_indep_z_);
-  writer.vec_f64(stats_claim_indep_y_);
-  writer.vec_f64(stats_claim_dep_z_);
-  writer.vec_f64(stats_claim_dep_y_);
-  writer.vec_f64(stats_denom_a_);
-  writer.vec_f64(stats_denom_b_);
-  writer.vec_f64(stats_denom_f_);
-  writer.vec_f64(stats_denom_g_);
-  writer.f64(stats_z_num_);
-  writer.f64(stats_z_den_);
+  for (const em_detail::SourceMStatsPacked& h : history_) {
+    writer.f64(h.claim_indep_z);
+    writer.f64(h.claim_indep_y);
+    writer.f64(h.claim_dep_z);
+    writer.f64(h.claim_dep_y);
+    writer.f64(h.exposed_z);
+    writer.f64(h.exposed_count);
+  }
+  writer.f64(total_z_);
+  writer.f64(total_m_);
 }
 
 void StreamingEmExt::load_state(BinReader& reader) {
@@ -339,25 +284,16 @@ void StreamingEmExt::load_state(BinReader& reader) {
     s.f = reader.f64();
     s.g = reader.f64();
   }
-  auto load_vec = [&](std::vector<double>& out, const char* what) {
-    std::vector<double> v = reader.vec_f64();
-    if (v.size() != n) {
-      throw std::runtime_error(
-          std::string("StreamingEmExt::load_state: ") + what +
-          " length mismatch");
-    }
-    out = std::move(v);
-  };
-  load_vec(stats_claim_indep_z_, "stats_claim_indep_z");
-  load_vec(stats_claim_indep_y_, "stats_claim_indep_y");
-  load_vec(stats_claim_dep_z_, "stats_claim_dep_z");
-  load_vec(stats_claim_dep_y_, "stats_claim_dep_y");
-  load_vec(stats_denom_a_, "stats_denom_a");
-  load_vec(stats_denom_b_, "stats_denom_b");
-  load_vec(stats_denom_f_, "stats_denom_f");
-  load_vec(stats_denom_g_, "stats_denom_g");
-  stats_z_num_ = reader.f64();
-  stats_z_den_ = reader.f64();
+  for (em_detail::SourceMStatsPacked& h : history_) {
+    h.claim_indep_z = reader.f64();
+    h.claim_indep_y = reader.f64();
+    h.claim_dep_z = reader.f64();
+    h.claim_dep_y = reader.f64();
+    h.exposed_z = reader.f64();
+    h.exposed_count = reader.f64();
+  }
+  total_z_ = reader.f64();
+  total_m_ = reader.f64();
 }
 
 }  // namespace ss

@@ -7,16 +7,24 @@
 // forgetting factor. This module implements that extension on top of the
 // EM-Ext model:
 //
-//   per batch b:
-//     1. E-step on the batch's assertions under the current theta
-//        (warm start — a handful of inner iterations suffice);
-//     2. compute the batch's per-source sufficient statistics
-//        (claim/exposure posterior masses split by D_ij);
-//     3. decay the running statistics by `forgetting` and add the batch;
-//     4. closed-form M-step from the running statistics.
+//   per batch b, each inner iteration (warm-started from theta):
+//     1. E-step on the batch's assertions under the staged theta;
+//     2. blend: lambda * history + the batch's per-source statistics,
+//        in the engine's packed layout (em_detail::SourceMStatsPacked),
+//        and lambda * totals + the batch's posterior mass and count;
+//     3. the engine's closed-form M-step tail on the blended rows
+//        (em_detail::finalize_m_step_fused).
+//   then a final E-step, and only then the commit (see below).
 //
 // Sources persist across batches (same index space); assertions are
 // batch-local, as in a sliding window over a live event.
+//
+// Transactional batches. observe() computes into scratch: theta, the
+// blended rows and totals, and the counters are staged, and they are
+// committed together only after the final E-step returns. A batch that
+// throws — a shape mismatch, an exception from a pool task — leaves
+// every piece of state (and the save_state() bytes) exactly as it
+// was, so the caller can retry it.
 //
 // Batch-ordering contract. The estimator is a *recursive* filter: the
 // decayed statistics after batch k are a function of the batches in the
@@ -26,8 +34,8 @@
 // tag each batch with the sequence number assigned at *emission* time
 // and use the checked overload observe(batch, seq):
 //
-//   - seq == next_sequence(): the batch is folded in, next_sequence()
-//     advances, result.accepted = true.
+//   - seq == next_sequence(): the batch is folded in, and next_sequence()
+//     advances when observe() returns, result.accepted = true.
 //   - seq <  next_sequence(): a stale duplicate (retry of a batch that
 //     already arrived). Rejected without touching any state:
 //     result.accepted = false, stale_batches() counts it, and the
@@ -36,8 +44,10 @@
 //     delayed batch. That is a caller bug, not a transport condition,
 //     and throws std::invalid_argument.
 //
-// The unchecked observe(batch) is shorthand for
-// observe(batch, next_sequence()) and never rejects.
+// next_sequence() advances only when observe() returns: a batch that
+// throws does not use up its sequence number. The unchecked
+// observe(batch) is shorthand for observe(batch, next_sequence()) and
+// never rejects.
 #pragma once
 
 #include <cstdint>
@@ -66,12 +76,12 @@ struct StreamingEmConfig {
   // Bounds on the learned prior z (see EmExtConfig::z_floor).
   double z_floor = 0.05;
   // Pool for every pass of observe(): the first-batch bootstrap, the
-  // per-source log-table build, the batch statistics of the active
-  // sources, the MAP update + commit pass and the fused E-step;
-  // nullptr = the process-global pool. Chunk boundaries depend only on
-  // (count, grain) and the pooled-rate sums stay serial in source
-  // order, so results are bit-identical across pool sizes — tests pin
-  // 1-, 2- and 4-thread pools against each other to prove it.
+  // per-source log-table build, the decay of the history, the batch
+  // statistics of the active sources, the M-step tail (pooled tree and
+  // finalize pass) and the fused E-step; nullptr = the process-global
+  // pool. Chunk boundaries and the tree shape depend only on the
+  // counts, so results are bit-identical across pool sizes — tests pin
+  // 1- and 4-thread pools against each other to prove it.
   ThreadPool* pool = nullptr;
 };
 
@@ -85,10 +95,10 @@ struct StreamingBatchResult {
   double log_likelihood = 0.0;
   // Fault-tolerance accounting (docs/MODEL.md §9); healthy batches have
   // stats_committed = true and sanitized_beliefs = 0. A batch whose
-  // E-step went non-finite is not folded into the running statistics —
-  // a poisoned posterior must not contaminate the decayed history — and
-  // any non-finite final belief comes back as the neutral 0.5 (log-odds
-  // 0) instead of NaN.
+  // E-step went non-finite is not folded into the decayed history — a
+  // poisoned posterior must not contaminate it — though theta from its
+  // clean inner iterations commits; any non-finite final belief comes
+  // back as the neutral 0.5 (log-odds 0) instead of NaN.
   bool stats_committed = true;
   std::size_t sanitized_beliefs = 0;
 };
@@ -99,8 +109,9 @@ class StreamingEmExt {
   StreamingEmExt(std::size_t sources, StreamingEmConfig config = {});
 
   // Folds one batch into the model and returns its posteriors. The
-  // batch dataset must have exactly `sources()` sources; its assertion
-  // space is independent of previous batches. Throws on shape mismatch.
+  // batch dataset must have exactly `source_count()` sources; its
+  // assertion space is independent of previous batches. Throws on
+  // shape mismatch; a batch that throws changes no state.
   StreamingBatchResult observe(const Dataset& batch);
 
   // Sequence-checked variant for unreliable transports; see the
@@ -113,16 +124,16 @@ class StreamingEmExt {
   std::size_t stale_batches() const { return stale_batches_; }
 
   // Serializes / restores the full mutable state (params, counters,
-  // running statistics) bit-exactly via the checkpoint binary codec.
-  // load_state throws std::runtime_error when the serialized source
-  // universe disagrees with this instance's. Config is not serialized:
-  // the resuming caller must construct with the same config, as with
-  // (seed, config)-keyed checkpoints elsewhere.
+  // decayed history and totals) bit-exactly via the checkpoint binary
+  // codec. load_state throws std::runtime_error when the serialized
+  // source universe disagrees with this instance's. Config is not
+  // serialized: the resuming caller must construct with the same
+  // config, as with (seed, config)-keyed checkpoints elsewhere.
   void save_state(BinWriter& writer) const;
   void load_state(BinReader& reader);
 
   const ModelParams& params() const { return params_; }
-  std::size_t source_count() const { return stats_claim_indep_z_.size(); }
+  std::size_t source_count() const { return history_.size(); }
   std::size_t batches_seen() const { return batches_; }
   // Batches whose statistics were withheld because an E-step produced a
   // non-finite posterior (see StreamingBatchResult::stats_committed).
@@ -135,31 +146,26 @@ class StreamingEmExt {
   std::size_t skipped_batches_ = 0;
   std::size_t stale_batches_ = 0;
   std::uint64_t next_sequence_ = 0;
-  // Running (decayed) sufficient statistics per source.
-  std::vector<double> stats_claim_indep_z_;
-  std::vector<double> stats_claim_indep_y_;
-  std::vector<double> stats_claim_dep_z_;
-  std::vector<double> stats_claim_dep_y_;
-  std::vector<double> stats_denom_a_;
-  std::vector<double> stats_denom_b_;
-  std::vector<double> stats_denom_f_;
-  std::vector<double> stats_denom_g_;
-  double stats_z_num_ = 0.0;
-  double stats_z_den_ = 0.0;
+  // Decayed sufficient statistics: one packed row per source (the
+  // lambda-decayed sums of its four claim masses, its exposed posterior
+  // mass and its exposed-cell count) and the decayed posterior mass
+  // and assertion count of all batches. Every decayed M-step
+  // denominator derives from them as in em_detail::SourceMStatsPacked.
+  std::vector<em_detail::SourceMStatsPacked> history_;
+  double total_z_ = 0.0;
+  double total_m_ = 0.0;
   // Batch-local scratch reused across observe() calls and inner
-  // iterations. `table_` is rebound to each batch (its source-sized
-  // buffers are allocated once per stream) and is never read between
-  // observe() calls. `posterior_` adapts to each batch's assertion count
-  // in place. `batch_stats_` holds the batch's statistics in the packed
-  // M-step layout, one row per source of the fixed universe; only the
-  // rows of `active_` — the sources with a claim or an exposure in the
-  // batch — are gathered, and every other row is all-zero, which
-  // derives exactly the statistics a silent source has (see
-  // observe()). The previous batch's active rows are re-zeroed before
-  // the next batch gathers, however that batch ended.
+  // iterations, never read between calls. `table_` is rebound to each
+  // batch (its source-sized buffers are allocated once per stream);
+  // `posterior_` adapts to each batch's assertion count in place.
+  // `staged_` (theta) and `blended_` (lambda * history plus the batch)
+  // hold what the batch will commit; a successful batch swaps them
+  // with `params_` and `history_`. `active_` lists the sources with a
+  // claim or an exposure in the batch.
   std::optional<LikelihoodTable> table_;
   std::vector<double> posterior_;
-  std::vector<em_detail::SourceMStatsPacked> batch_stats_;
+  ModelParams staged_;
+  std::vector<em_detail::SourceMStatsPacked> blended_;
   std::vector<std::uint32_t> active_;
 };
 

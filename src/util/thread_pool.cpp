@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -140,7 +139,6 @@ struct TaskJob {
       std::numeric_limits<std::size_t>::max();
   const std::function<void(std::size_t)>* body = nullptr;
   std::size_t tasks = 0;
-  double* seconds = nullptr;  // slot-per-task, or null
 
   static constexpr std::size_t kNoTask =
       std::numeric_limits<std::size_t>::max();
@@ -169,8 +167,6 @@ struct TaskJob {
   }
 
   void run_one(std::size_t t) {
-    std::chrono::steady_clock::time_point start;
-    if (seconds != nullptr) start = std::chrono::steady_clock::now();
     try {
       fault::maybe_drop_task();
       (*body)(t);
@@ -180,11 +176,6 @@ struct TaskJob {
         error_task = t;
         error = std::current_exception();
       }
-    }
-    if (seconds != nullptr) {
-      seconds[t] = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
     }
     if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == tasks) {
       MutexLock lock(mu);
@@ -208,19 +199,13 @@ struct TaskJob {
 
 void ThreadPool::parallel_tasks(
     const std::vector<double>& weights,
-    const std::function<void(std::size_t)>& body,
-    std::vector<double>* task_seconds) {
+    const std::function<void(std::size_t)>& body) {
   std::size_t n = weights.size();
-  if (task_seconds != nullptr) {
-    task_seconds->assign(n, 0.0);
-  }
   if (n == 0) return;
 
   auto job = std::make_shared<TaskJob>();
   job->body = &body;
   job->tasks = n;
-  job->seconds =
-      task_seconds != nullptr ? task_seconds->data() : nullptr;
 
   if (n == 1) {
     job->run_one(0);

@@ -85,14 +85,8 @@ class ThreadPool {
   // stay bit-identical for any worker count and any steal interleaving.
   // Exceptions: every task still runs; the exception from the
   // lowest-indexed failing task is rethrown at the end.
-  //
-  // When `task_seconds` is non-null it is resized to weights.size() and
-  // task_seconds[t] receives the wall-clock seconds body(t) took (each
-  // slot written by the thread that ran the task; read only after this
-  // call returns).
   void parallel_tasks(const std::vector<double>& weights,
-                      const std::function<void(std::size_t task)>& body,
-                      std::vector<double>* task_seconds = nullptr);
+                      const std::function<void(std::size_t task)>& body);
 
   // Number of chunks parallel_for_chunks uses for (count, grain).
   static std::size_t chunk_count(std::size_t count, std::size_t grain) {

@@ -109,19 +109,44 @@ inline std::uint64_t golden_em_ext_random(std::size_t threads) {
   return h.value();
 }
 
+// Both hashes of one streaming run. `bits` folds every batch's beliefs,
+// log-odds and log-likelihood (plus, for the sparse stream, its commit
+// flag), then the final params. `decisions` folds what a caller reads
+// from each batch: the commit flag, the decision (belief > 0.5) per
+// assertion and the full log-odds ranking. The streaming bit hashes
+// were re-pinned once, when StreamingEmExt moved onto the engine's
+// fused M-step tail; the decision hashes were recorded before that
+// change and still hold on every backend.
+struct StreamingHashes {
+  std::uint64_t bits = 0;
+  std::uint64_t decisions = 0;
+};
+
+inline void hash_batch_decisions(Hash& h, const StreamingBatchResult& r) {
+  h.u64(r.stats_committed ? 1 : 0);
+  h.u64(r.belief.size());
+  for (double b : r.belief) h.u64(b > 0.5 ? 1 : 0);
+  EstimateResult est;
+  est.belief = r.belief;
+  est.log_odds = r.log_odds;
+  for (std::uint32_t j : est.ranking()) h.u64(j);
+}
+
 // StreamingEmExt over three batches sharing one source universe.
-inline std::uint64_t golden_streaming() {
+inline StreamingHashes golden_streaming() {
   StreamingEmExt stream(100);
   Hash h;
+  Hash d;
   for (std::uint64_t seed : {201u, 202u, 203u}) {
     Dataset batch = golden_dataset(seed, 100, 150);
     StreamingBatchResult r = stream.observe(batch);
     h.vec(r.belief);
     h.vec(r.log_odds);
     h.f64(r.log_likelihood);
+    hash_batch_decisions(d, r);
   }
   hash_params(h, stream.params());
-  return h.value();
+  return {h.value(), d.value()};
 }
 
 // StreamingEmExt above the per-source chunk size (kernels::
@@ -131,11 +156,10 @@ inline std::uint64_t golden_streaming() {
 // active and silent from batch to batch; exposures follow a sparse
 // random follower graph. Batch 3 is poisoned by fault injection on its
 // third inner iteration (seed 18 at rate 0.5 fires on the third draw),
-// so it exits early after two iterations gathered statistics. The hash
-// covers every batch's beliefs, log-odds, log-likelihood and commit
-// flag, then the final params; recorded against the dense-statistics
-// streaming M-step, before the active-source rewrite.
-inline std::uint64_t golden_streaming_sparse(ThreadPool* pool) {
+// so it exits early after two iterations gathered statistics. The bit
+// hash covers every batch's commit flag, beliefs, log-odds and
+// log-likelihood, then the final params.
+inline StreamingHashes golden_streaming_sparse(ThreadPool* pool) {
   constexpr std::size_t kSources = 6000;
   constexpr std::size_t kAssertions = 40;
   Rng rng(301);
@@ -147,6 +171,7 @@ inline std::uint64_t golden_streaming_sparse(ThreadPool* pool) {
   config.pool = pool;
   StreamingEmExt stream(kSources, config);
   Hash h;
+  Hash d;
   for (std::size_t b = 0; b < 6; ++b) {
     std::vector<Claim> claims;
     for (int k = 0; k < 300; ++k) {
@@ -174,9 +199,10 @@ inline std::uint64_t golden_streaming_sparse(ThreadPool* pool) {
     h.vec(r.belief);
     h.vec(r.log_odds);
     h.f64(r.log_likelihood);
+    hash_batch_decisions(d, r);
   }
   hash_params(h, stream.params());
-  return h.value();
+  return {h.value(), d.value()};
 }
 
 // Gibbs bound, two chains (chain 0 keeps the historical stream).

@@ -20,9 +20,12 @@
 #include "csr_check.h"
 #include "data/dataset.h"
 #include "data/io.h"
+#include "graph/digraph.h"
+#include "math/kernels.h"
 #include "twitter/tweet_io.h"
 #include "util/checkpoint.h"
 #include "util/fault_inject.h"
+#include "util/rng.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -273,6 +276,84 @@ TEST(TaskDrop, SurfacesAsFaultInjectedErrorAndPoolSurvives) {
   for (std::size_t i = 0; i < out.size(); ++i) {
     ASSERT_EQ(out[i], static_cast<double>(i));
   }
+}
+
+// A streaming batch whose pool task is dropped throws, and must leave
+// the stream exactly as it was: the save_state bytes are unchanged, and
+// once the injection is disarmed, retrying the batch and observing one
+// more reproduces an uninterrupted stream bit for bit. The universe is
+// larger than one kernels::kSourceChunk and the pool has 4 workers, so
+// every per-source pass goes through parallel_for_chunks and the one
+// drop lands in a different pass from seed to seed.
+TEST(TaskDrop, StreamingBatchThatThrowsLeavesStreamUntouched) {
+  constexpr std::size_t kSources = 6000;
+  constexpr std::size_t kAssertions = 40;
+  static_assert(kSources > kernels::kSourceChunk);
+  Rng rng(41);
+  Digraph follows(kSources);
+  for (std::size_t u = 0; u < kSources; ++u) {
+    for (int e = 0; e < 3; ++e) follows.add_edge(u, rng.uniform_u32(kSources));
+  }
+  std::vector<Dataset> batches(3);
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    std::vector<Claim> claims;
+    for (int k = 0; k < 300; ++k) {
+      std::size_t source = (b * 900 + rng.uniform_u32(2400)) % kSources;
+      claims.push_back({static_cast<std::uint32_t>(source),
+                        rng.uniform_u32(kAssertions),
+                        rng.uniform(0.0, 10.0)});
+    }
+    batches[b].claims = SourceClaimMatrix(kSources, kAssertions, claims);
+    batches[b].dependency =
+        DependencyIndicators::from_graph(batches[b].claims, follows);
+  }
+  ThreadPool pool(4);
+  StreamingEmConfig config;
+  config.pool = &pool;
+  auto state = [](const StreamingEmExt& em) {
+    BinWriter writer;
+    em.save_state(writer);
+    return writer.take();
+  };
+
+  StreamingEmExt reference(kSources, config);
+  std::vector<std::vector<double>> want;
+  for (const Dataset& batch : batches) {
+    want.push_back(reference.observe(batch).belief);
+  }
+  const std::string want_state = state(reference);
+
+  std::size_t thrown = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    StreamingEmExt em(kSources, config);
+    ASSERT_EQ(em.observe(batches[0]).belief, want[0]);
+    const std::string before = state(em);
+    std::vector<double> belief;
+    bool threw = false;
+    {
+      fault::FaultConfig fc;
+      fc.seed = seed;
+      fc.task_drop_rate = 0.05;
+      fc.max_injections = 1;
+      fault::ScopedFaultInjection inj(fc);
+      try {
+        belief = em.observe(batches[1]).belief;
+      } catch (const fault::FaultInjectedError&) {
+        threw = true;
+      }
+    }
+    if (threw) {
+      ++thrown;
+      // Compared as a bool: a failing diff of the raw bytes is unreadable.
+      EXPECT_TRUE(state(em) == before) << "seed " << seed;
+      EXPECT_EQ(em.next_sequence(), 1u) << "seed " << seed;
+      belief = em.observe(batches[1]).belief;
+    }
+    EXPECT_EQ(belief, want[1]) << "seed " << seed;
+    EXPECT_EQ(em.observe(batches[2]).belief, want[2]) << "seed " << seed;
+    EXPECT_TRUE(state(em) == want_state) << "seed " << seed;
+  }
+  EXPECT_GE(thrown, 10u);
 }
 
 // --- checkpoint/resume ------------------------------------------------

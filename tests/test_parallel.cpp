@@ -379,29 +379,6 @@ TEST(ParallelTasks, LowestIndexExceptionWinsAndAllTasksStillRun) {
   }
 }
 
-TEST(ParallelTasks, TimingCaptureFillsEverySlot) {
-  ThreadPool pool(2);
-  std::vector<double> weights(16, 1.0);
-  std::vector<double> seconds(3, -1.0);  // wrong size: must be reset
-  std::vector<std::atomic<int>> runs(weights.size());
-  for (auto& r : runs) r.store(0);
-  pool.parallel_tasks(
-      weights,
-      [&](std::size_t t) {
-        runs[t].fetch_add(1);
-        // Make the timed section observable without flakiness: any
-        // duration >= 0 is legal, we only assert the slots were written.
-        volatile double sink = 0.0;
-        for (int i = 0; i < 1000; ++i) sink = sink + 1.0;
-      },
-      &seconds);
-  ASSERT_EQ(seconds.size(), weights.size());
-  for (std::size_t t = 0; t < seconds.size(); ++t) {
-    EXPECT_GE(seconds[t], 0.0) << "task " << t;
-    EXPECT_EQ(runs[t].load(), 1);
-  }
-}
-
 TEST(ParallelTasks, NestedInsidePoolTaskDoesNotDeadlock) {
   ThreadPool pool(2);
   std::atomic<int> total{0};
@@ -541,24 +518,27 @@ TEST(ParallelEngine, LikelihoodSetParamsBitwiseEqualWithAndWithoutPool) {
   }
 }
 
-// golden::golden_streaming_sparse on the scalar backend, recorded with
-// the dense-statistics streaming M-step (every source gathered into
-// eight dense arrays each inner iteration, all passes serial).
-constexpr std::uint64_t kGoldenStreamingSparse = 0xd262ab14fbd70461ull;
+// golden::golden_streaming_sparse: the bit hash on the scalar backend
+// (re-pinned once) and the decision hash, which predates that re-pin
+// and holds on every backend (see kernel_golden.h).
+constexpr std::uint64_t kGoldenStreamingSparse = 0xa4d487d463c4b66dull;
+constexpr std::uint64_t kGoldenStreamingSparseDecisions =
+    0x2d1e13481a597e22ull;
 
 TEST(ParallelEngine, StreamingAboveChunkSizeMatchesGolden) {
   ThreadPool pool1(1), pool4(4);
-  {
-    test_support::ScopedBackend pin(simd::Backend::kScalar);
-    EXPECT_EQ(golden::golden_streaming_sparse(&pool1),
-              kGoldenStreamingSparse);
-    EXPECT_EQ(golden::golden_streaming_sparse(&pool4),
-              kGoldenStreamingSparse);
+  for (simd::Backend backend : test_support::available_backends()) {
+    test_support::ScopedBackend pin(backend);
+    golden::StreamingHashes one = golden::golden_streaming_sparse(&pool1);
+    golden::StreamingHashes four = golden::golden_streaming_sparse(&pool4);
+    if (backend == simd::Backend::kScalar) {
+      EXPECT_EQ(one.bits, kGoldenStreamingSparse);
+    }
+    // On every backend the stream is identical for any pool.
+    EXPECT_EQ(one.bits, four.bits);
+    EXPECT_EQ(one.decisions, kGoldenStreamingSparseDecisions);
+    EXPECT_EQ(four.decisions, kGoldenStreamingSparseDecisions);
   }
-  // Under the dispatched backend (AVX2 where the host has it) the
-  // stream is still identical for any pool.
-  EXPECT_EQ(golden::golden_streaming_sparse(&pool1),
-            golden::golden_streaming_sparse(&pool4));
 }
 
 TEST(ParallelEngine, LiveApolloRefreshesBitwiseEqualAcrossPoolSizes) {

@@ -266,6 +266,30 @@ TEST(SimProcess, ResumeRefusesCorruptSnapshot) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(SimProcess, ResumeRefusesSnapshotOfPreviousLayout) {
+  TwitterSimulation w = simulate_twitter(
+      scenario_by_name("Kirkuk").scaled(0.02), 5);
+  std::string dir = temp_dir("old_kind");
+  ProcessConfig config;
+  config.checkpoint_path = dir + "/p.snap";
+  config.fingerprint = 9;
+  SimProcess process(&w.follows, config);
+  StreamConfig stream_config;
+  stream_config.batch_size = 30;
+  SimStream stream(w.tweets, stream_config, 5);
+  process.deliver(0, stream.clean_batch(0));
+  process.checkpoint();
+  process.crash();
+  // A well-sealed snapshot under the previous kind tag ("SIMPROC1"),
+  // whose payload layout differs, must be refused rather than decoded.
+  constexpr std::uint64_t kPreviousKind = 0x53494d50'524f4331ULL;
+  static_assert(kPreviousKind != SimProcess::kSnapshotKind);
+  write_snapshot(config.checkpoint_path, kPreviousKind, config.fingerprint,
+                 process.last_committed_state());
+  EXPECT_THROW(process.resume(), TaxonomyError);
+  std::filesystem::remove_all(dir);
+}
+
 // --- storm-level tests ----------------------------------------------
 
 StormConfig storm_config(std::uint64_t seed) {
