@@ -1,79 +1,11 @@
 #include "bench_common.h"
 
-#include <algorithm>
 #include <filesystem>
-
-#if defined(_WIN32)
-// No cheap portable reading wired up; peak_rss_bytes reports 0.
-#else
-#include <sys/resource.h>
-#endif
 
 #include "math/simd/dispatch.h"
 #include "util/cpu.h"
 
 namespace ss::bench {
-
-std::size_t peak_rss_bytes() {
-#if defined(_WIN32)
-  return 0;
-#else
-  struct rusage usage;
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
-#if defined(__APPLE__)
-  return static_cast<std::size_t>(usage.ru_maxrss);  // bytes
-#else
-  return static_cast<std::size_t>(usage.ru_maxrss) * 1024;  // kilobytes
-#endif
-#endif
-}
-
-double min_wall_ms(int reps, const std::function<void()>& work) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    WallTimer timer;
-    work();
-    best = std::min(best, timer.millis());
-  }
-  return best;
-}
-
-StreamingStats timed_reps(std::size_t reps,
-                          const std::function<void()>& work) {
-  StreamingStats stats;
-  for (std::size_t r = 0; r < reps; ++r) {
-    WallTimer timer;
-    work();
-    stats.add(timer.millis());
-  }
-  return stats;
-}
-
-void SectionTimer::section(const std::string& name) {
-  finish();
-  open_ = name;
-  running_ = true;
-  timer_.reset();
-}
-
-void SectionTimer::finish() {
-  if (!running_) return;
-  sections_.emplace_back(open_, timer_.seconds());
-  running_ = false;
-}
-
-double SectionTimer::seconds(const std::string& name) const {
-  for (const auto& [n, s] : sections_) {
-    if (n == name) return s;
-  }
-  return 0.0;
-}
-
-JsonValue SectionTimer::to_json() const {
-  JsonValue out = JsonValue::object();
-  for (const auto& [n, s] : sections_) out[n] = s;
-  return out;
-}
 
 JsonValue host_metadata() {
   JsonValue host = JsonValue::object();

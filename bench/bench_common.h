@@ -9,17 +9,13 @@
 
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "eval/json.h"
 #include "eval/runner.h"
 #include "eval/table.h"
 #include "util/env.h"
 #include "util/string_util.h"
-#include "util/timer.h"
 
 namespace ss::bench {
 
@@ -37,46 +33,6 @@ JsonValue host_metadata();
 // A "host" metadata block is added (unless the doc already carries
 // one, so callers can override when replaying foreign results).
 void write_result(const std::string& name, const JsonValue& doc);
-
-// Peak resident set size of this process in bytes (ru_maxrss), 0 when
-// the platform offers no cheap reading. Monotone over the process
-// lifetime — sample it after each phase and diff against the previous
-// sample to attribute growth, or against a budget for regression gates
-// (bench_scale's SS_RSS_BUDGET_MB check).
-std::size_t peak_rss_bytes();
-
-inline double peak_rss_mb() {
-  return static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0);
-}
-
-// Minimum wall time of `work` over `reps` runs, in milliseconds — the
-// standard noise-robust point estimate for deterministic workloads.
-double min_wall_ms(int reps, const std::function<void()>& work);
-
-// All `reps` timings as a StreamingStats (ms), for mean_ci cells.
-StreamingStats timed_reps(std::size_t reps,
-                          const std::function<void()>& work);
-
-// Named wall-clock phases for multi-stage harnesses:
-//   SectionTimer t;
-//   t.section("generate"); ...; t.section("load"); ...; t.finish();
-// Each section's seconds land in order; to_json() emits {name: s}.
-class SectionTimer {
- public:
-  void section(const std::string& name);
-  void finish();
-  const std::vector<std::pair<std::string, double>>& sections() const {
-    return sections_;
-  }
-  double seconds(const std::string& name) const;
-  JsonValue to_json() const;
-
- private:
-  std::vector<std::pair<std::string, double>> sections_;
-  std::string open_;
-  WallTimer timer_;
-  bool running_ = false;
-};
 
 // Formats "mean +- ci" cells.
 inline std::string mean_ci(const StreamingStats& s, int precision = 4) {

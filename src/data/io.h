@@ -58,7 +58,8 @@ Dataset load_dataset(const std::string& directory,
 // Times use %.17g so values round-trip exactly (unlike the diff-able
 // CSV directory, which trades precision for readability). This is the
 // interchange format ss_pack converts to .ssd — and the text baseline
-// bench_scale measures the binary format's load speedup against.
+// the scale gate (tests/test_scale_smoke.cpp) holds the binary
+// format's open to >= 50x faster than.
 void save_dataset_jsonl(const Dataset& dataset, const std::string& path);
 
 // Strict load: throws TaxonomyError with file:line and taxonomy code

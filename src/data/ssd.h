@@ -15,10 +15,11 @@
 //
 // Opening a file costs one mmap plus an O(sections + offsets) header
 // check — milliseconds at 10^6 sources, versus seconds of JSONL/CSV
-// parsing (bench_scale records the ratio). The header digest seals the
-// metadata; the payload digest is stored but verified only on demand
-// (`verify_payload`, ss_pack --verify), so corruption anywhere is
-// detectable without taxing every open with a full-file scan.
+// parsing (tests/test_scale_smoke.cpp gates the ratio). The header
+// digest seals the metadata; the payload digest is stored but verified
+// only on demand (`verify_payload`, ss_pack --verify), so corruption
+// anywhere is detectable without taxing every open with a full-file
+// scan.
 //
 // Every load failure is classified and located, never UB: kIoError for
 // filesystem problems, kCheckpointCorrupt for magic/version/digest/

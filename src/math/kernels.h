@@ -51,9 +51,9 @@
 //    polynomial, so their results differ from scalar at the ULP level.
 //    The contract is accuracy, not identity: tests/test_simd.cpp
 //    bounds the per-kernel ULP distance against the scalar reference
-//    (ctest label `simd`) and bench_perf_scaling's backend sweep
-//    records the full ULP ablation plus an end-to-end estimator
-//    agreement check in bench_results/.
+//    (ctest label `simd`), and tests/test_perf_smoke.cpp checks the
+//    agreement on Twitter-scale inputs through a whole EM-Ext fit
+//    (label `perf-smoke`).
 //
 // To add a new estimator on the kernel layer: hoist its per-source log
 // terms into a table rebuilt once per iteration (reuse the buffers —

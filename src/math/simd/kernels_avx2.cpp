@@ -12,8 +12,8 @@
 // into independent partial sums (the whole point — the scalar chains
 // are FP-add-latency-bound) and may evaluate exp/log/log1p by
 // polynomial. Each kernel documents its summation order; the ULP
-// budget is enforced by tests/test_simd.cpp and measured end-to-end by
-// bench_perf_scaling's backend sweep.
+// budget is enforced by tests/test_simd.cpp and checked end-to-end by
+// tests/test_perf_smoke.cpp.
 
 #include "math/kernels.h"
 

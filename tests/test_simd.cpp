@@ -17,9 +17,11 @@
 //    batch epilogues is exercised exactly as posterior.cpp uses it;
 //  * forcing the scalar backend on an AVX2 host must reproduce the
 //    pre-SIMD golden hashes (the dispatch override is load-bearing);
-//  * one end-to-end check: every EM path (EM-Ext, EM-Social,
+//  * end-to-end checks: every EM path (EM-Ext, EM-Social,
 //    EM (IPSN'12), StreamingEmExt) under scalar vs AVX2 agrees on
-//    beliefs to estimator-level tolerance, with identical decisions.
+//    beliefs to estimator-level tolerance, with identical decisions,
+//    and every Fig. 11 estimator picks the same top 100 in the same
+//    order on the five Twitter scenarios at x1.
 //
 // Tolerances: pure-add kernels see only reassociation error, bounded
 // in ULPs unless cancellation shrinks the result (then an absolute
@@ -37,11 +39,14 @@
 #include <string>
 #include <vector>
 
+#include "apollo/pipeline.h"
 #include "backend_guard.h"
 #include "core/likelihood.h"
+#include "estimators/registry.h"
 #include "kernel_golden.h"
 #include "math/kernels.h"
 #include "math/simd/dispatch.h"
+#include "twitter/builder.h"
 #include "util/rng.h"
 
 #define SKIP_WITHOUT_AVX2()                                        \
@@ -505,8 +510,8 @@ TEST(ScalarPin, ForcedScalarReproducesPreSimdGoldens) {
 
 // ---------------------------------------------------------------------
 // End-to-end: the backends must agree at estimator level, not just per
-// kernel. (The full Kirkuk-scale agreement + ranking check runs in
-// bench_perf_scaling's backend sweep; this is the fast in-suite form.)
+// kernel. (test_perf_smoke.cpp bounds the Kirkuk-scale E-step, table
+// and EM-Ext divergence; these are the decision-level forms.)
 // ---------------------------------------------------------------------
 
 // Beliefs of every EM path under one pinned backend: EM-Ext, its two
@@ -549,6 +554,36 @@ TEST(BackendAgreement, EmExtBeliefsAgreeAcrossBackends) {
     // ULP-level kernel divergence may compound over EM iterations but
     // stays far below any decision threshold the estimators use.
     EXPECT_LT(max_diff, 1e-6) << paths[p];
+  }
+}
+
+// Fig. 11's nominations: at x1 with the figure's dataset seeds
+// (1100 + i) and pipeline seed 42, every registered estimator's top 100
+// lists the same assertions in the same order under both backends.
+TEST(BackendAgreement, Fig11TopHundredAgreesAcrossBackends) {
+  SKIP_WITHOUT_AVX2();
+  auto top_ids = [](simd::Backend backend, const std::string& name,
+                    const Dataset& d) {
+    test_support::ScopedBackend pin(backend);
+    std::vector<std::uint32_t> ids;
+    for (const RankedAssertion& ra :
+         ApolloPipeline(name).analyze(d, 42).top(100)) {
+      ids.push_back(ra.assertion);
+    }
+    return ids;
+  };
+  std::vector<TwitterScenario> scenarios = paper_scenarios();
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    BuiltDataset built = make_twitter_dataset(scenarios[i], 1100 + i);
+    for (const std::string& name : estimator_names()) {
+      std::vector<std::uint32_t> scalar_top =
+          top_ids(simd::Backend::kScalar, name, built.dataset);
+      EXPECT_EQ(scalar_top.size(),
+                std::min<std::size_t>(100, built.dataset.assertion_count()));
+      EXPECT_EQ(scalar_top,
+                top_ids(simd::Backend::kAvx2, name, built.dataset))
+          << scenarios[i].name << " / " << name;
+    }
   }
 }
 
