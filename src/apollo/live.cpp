@@ -95,8 +95,8 @@ void save_belief_map(BinWriter& writer,
 void load_belief_map(BinReader& reader,
                      std::unordered_map<std::uint32_t, double>& map) {
   map.clear();
-  std::uint64_t n = reader.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
+  std::size_t n = reader.count(16);  // u64 key + f64 value
+  for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t k = reader.u64();
     double v = reader.f64();
     map.emplace(static_cast<std::uint32_t>(k), v);
@@ -135,13 +135,13 @@ void LiveApollo::load_state(BinReader& reader) {
   clusterer_.load_state(reader);
   em_.load_state(reader);
   claims_of_cluster_.clear();
-  std::uint64_t clusters = reader.u64();
-  for (std::uint64_t i = 0; i < clusters; ++i) {
+  std::size_t clusters = reader.count(16);  // u64 key + u64 count
+  for (std::size_t i = 0; i < clusters; ++i) {
     std::uint32_t k = static_cast<std::uint32_t>(reader.u64());
-    std::uint64_t count = reader.u64();
+    std::size_t count = reader.count(24);  // source, assertion, time
     std::vector<Claim> claims;
     claims.reserve(count);
-    for (std::uint64_t j = 0; j < count; ++j) {
+    for (std::size_t j = 0; j < count; ++j) {
       Claim c;
       c.source = static_cast<std::uint32_t>(reader.u64());
       c.assertion = static_cast<std::uint32_t>(reader.u64());
@@ -150,10 +150,10 @@ void LiveApollo::load_state(BinReader& reader) {
     }
     claims_of_cluster_.emplace(k, std::move(claims));
   }
-  std::uint64_t actives = reader.u64();
+  std::size_t actives = reader.count(8);
   active_.clear();
   active_.reserve(actives);
-  for (std::uint64_t i = 0; i < actives; ++i) {
+  for (std::size_t i = 0; i < actives; ++i) {
     active_.push_back(static_cast<std::uint32_t>(reader.u64()));
   }
   window_claims_ = reader.u64();

@@ -284,7 +284,7 @@ ChainRun run_chain(const ColumnModel& model,
             : run.err_mc / static_cast<double>(run.samples);
     if (run.samples >= config.min_sweeps && monitor.update(current)) {
       done = true;
-      run.converged = !monitor.hit_max();
+      run.converged = monitor.converged();
     }
     if (sweep >= config.max_sweeps) done = true;
   }

@@ -37,47 +37,52 @@ constexpr std::size_t kSourceGrain = 256;
 // One fixed block of one shard's columns (or sources). The flat list
 // of units — not shard-per-task — is what keeps the pool busy when one
 // giant component swallows most of the data: an oversized shard simply
-// contributes many units. Each unit carries its incidence mass (claim
-// + exposure entries it touches), the LPT scheduling weight for
-// parallel_tasks — weights steer placement only, never results.
+// contributes many units.
 struct WorkUnit {
   std::uint32_t shard;
   std::uint32_t begin;  // position range within the shard
   std::uint32_t end;
 };
 
-struct UnitPlan {
-  std::vector<WorkUnit> units;
-  std::vector<double> weights;  // parallel to `units`
-};
-
-UnitPlan chunk_units(const ShardedDataset& sharded, bool columns,
-                     std::size_t grain) {
-  UnitPlan plan;
+// The units of every shard, heaviest first by incidence mass (claim +
+// exposure entries the unit touches); ties keep shard/position order.
+// parallel_for_chunks hands them out in list order from one cursor, so
+// the next-heaviest unit goes to whichever participant is free —
+// longest-first list scheduling. The order decides placement only:
+// every unit writes its own global slots.
+std::vector<WorkUnit> chunk_units(const ShardedDataset& sharded,
+                                  bool columns, std::size_t grain) {
+  std::vector<std::pair<std::size_t, WorkUnit>> weighted;
   for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
     const DatasetShard& sh = sharded.shard(s);
     std::size_t count =
         columns ? sh.assertion_ids().size() : sh.source_ids().size();
     for (std::size_t begin = 0; begin < count; begin += grain) {
       std::size_t end = std::min(begin + grain, count);
-      double mass = 0.0;
+      std::size_t mass = 0;
       for (std::size_t p = begin; p < end; ++p) {
         if (columns) {
-          mass += static_cast<double>(sh.claimants(p).size() +
-                                      sh.exposed_sources(p).size());
+          mass += sh.claimants(p).size() + sh.exposed_sources(p).size();
         } else {
-          mass += static_cast<double>(sh.dependent_claims(p).size() +
-                                      sh.independent_claims(p).size() +
-                                      sh.exposed_assertions(p).size());
+          mass += sh.dependent_claims(p).size() +
+                  sh.independent_claims(p).size() +
+                  sh.exposed_assertions(p).size();
         }
       }
-      plan.units.push_back({static_cast<std::uint32_t>(s),
-                            static_cast<std::uint32_t>(begin),
-                            static_cast<std::uint32_t>(end)});
-      plan.weights.push_back(mass);
+      weighted.push_back({mass,
+                          {static_cast<std::uint32_t>(s),
+                           static_cast<std::uint32_t>(begin),
+                           static_cast<std::uint32_t>(end)}});
     }
   }
-  return plan;
+  std::stable_sort(weighted.begin(), weighted.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first > b.first;
+                   });
+  std::vector<WorkUnit> units;
+  units.reserve(weighted.size());
+  for (const auto& [mass, unit] : weighted) units.push_back(unit);
+  return units;
 }
 
 // Gathers run over per-shard CSR slices; values are read from (and
@@ -91,8 +96,9 @@ class ShardedEmEngine {
       : sharded_(sharded),
         config_(config),
         pool_(pool),
-        column_plan_(chunk_units(sharded, /*columns=*/true, kColumnGrain)),
-        source_plan_(
+        column_units_(
+            chunk_units(sharded, /*columns=*/true, kColumnGrain)),
+        source_units_(
             chunk_units(sharded, /*columns=*/false, kSourceGrain)) {}
 
   // Per-attempt state, reused by every EM iteration of the attempt
@@ -164,7 +170,7 @@ class ShardedEmEngine {
         lb_buf[j] = acc.f + log_1mz;
       }
     };
-    run_units(column_plan_, gather_unit);
+    run_units(column_units_, gather_unit);
 
     // Epilogue over global assertion ranges (sanctioned elementwise
     // aliasing: log_odds == la, column_ll == lb; see kernels.h).
@@ -181,7 +187,7 @@ class ShardedEmEngine {
       }
     }
     // Canonical fixed-shape tree sum over the *global* column_ll array
-    // (independent of shard layout, thread count and steal order).
+    // (independent of shard layout, thread count and unit order).
     s.e.log_likelihood = kernels::tree_sum(pool_, s.column_ll.data(), m);
   }
 
@@ -228,7 +234,7 @@ class ShardedEmEngine {
         st.exposed_count = exposed_count;
       }
     };
-    run_units(source_plan_, fill_unit);
+    run_units(source_units_, fill_unit);
     em_detail::finalize_m_step_fused(stats, total_z,
                                      static_cast<double>(m), params,
                                      config_.clamp_eps, config_.shrinkage,
@@ -268,26 +274,23 @@ class ShardedEmEngine {
   }
 
  private:
-  // Runs fn over every unit through the pool's LPT work-stealing
-  // scheduler, weighted by incidence mass, so the giant-component
-  // shard's units start first and an idle worker steals from whoever
-  // has the longest backlog — placement only; every unit writes the
-  // same global slots it would serially.
+  // Runs fn over every unit, heaviest first, one unit per chunk.
   template <typename Fn>
-  void run_units(const UnitPlan& plan, const Fn& fn) const {
-    if (pool_ != nullptr && pool_->size() > 1 && plan.units.size() > 1) {
-      pool_->parallel_tasks(plan.weights,
-                            [&](std::size_t u) { fn(plan.units[u]); });
+  void run_units(const std::vector<WorkUnit>& units, const Fn& fn) const {
+    if (pool_ != nullptr && pool_->size() > 1 && units.size() > 1) {
+      pool_->parallel_for_chunks(
+          units.size(), 1,
+          [&](std::size_t u, std::size_t, std::size_t) { fn(units[u]); });
     } else {
-      for (const WorkUnit& u : plan.units) fn(u);
+      for (const WorkUnit& u : units) fn(u);
     }
   }
 
   const ShardedDataset& sharded_;
   const EmExtConfig& config_;
   ThreadPool* pool_;
-  UnitPlan column_plan_;
-  UnitPlan source_plan_;
+  std::vector<WorkUnit> column_units_;
+  std::vector<WorkUnit> source_units_;
 };
 
 // ---------------------------------------------------------------------
@@ -350,11 +353,7 @@ EmExtResult decode_attempt(const std::string& bytes) {
   r.likelihood_trace = rd.vec_f64();
   r.log_likelihood = rd.f64();
   r.params.z = rd.f64();
-  std::uint64_t n = rd.u64();
-  if (n > bytes.size()) {  // 32 bytes per source; reject garbage counts
-    throw std::runtime_error("checkpoint: truncated payload");
-  }
-  r.params.source.resize(static_cast<std::size_t>(n));
+  r.params.source.resize(rd.count(4 * sizeof(double)));
   for (SourceParams& s : r.params.source) {
     s.a = rd.f64();
     s.b = rd.f64();
@@ -376,8 +375,8 @@ EmExtResult decode_attempt(const std::string& bytes) {
 // reduction the outer loop or the engine owns is either serial in
 // canonical order or a fixed-shape tree reduction over a global array
 // (kernels::tree_reduce — shape depends only on the element count, so
-// thread counts, shard layouts and work-stealing schedules cannot
-// perturb it): log-likelihood via kernels::tree_sum in assertion
+// thread counts, shard layouts and unit dispatch order cannot perturb
+// it): log-likelihood via kernels::tree_sum in assertion
 // order, M-step statistics slot-addressed with a tree-pooled
 // reduction, per-source updates combined by order-independent +/max.
 // Integer health counters are the only values merged without ordering.
@@ -489,7 +488,7 @@ EmExtResult run_em(const ShardedEmEngine& engine, const EmExtConfig& config,
     result.estimate.log_odds = std::move(scratch.e.log_odds);
     result.estimate.probabilistic = true;
     result.estimate.iterations = monitor.iterations();
-    result.estimate.converged = !monitor.hit_max();
+    result.estimate.converged = monitor.converged();
     result.params = std::move(params);
     result.log_likelihood = scratch.e.log_likelihood;
     return result;

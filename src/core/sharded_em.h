@@ -12,18 +12,19 @@
 // stay global, the likelihood base / pooled shrinkage rates / prior z
 // are computed over all sources, and every per-column and per-source
 // gather walks the dataset's ascending list order whatever the layout.
-// Work units (shard-confined column/source ranges) are dispatched
-// through the LPT work-stealing scheduler (ThreadPool::parallel_tasks)
-// — heaviest shards first, idle workers steal — so a skewed shard
-// histogram does not serialize on its largest shard. Scheduling
-// freedom is safe because units only scatter into disjoint
-// index-addressed slots; every global floating-point reduction (column
-// log-likelihood, M-step pooling, update deltas) then runs through the
-// fixed-shape tree reductions of math/kernels.h, whose shape depends
-// only on the element count. For a fixed kernel backend the results
-// are therefore bit-identical for any shard layout, any thread count
-// and any steal order — tests/test_shard.cpp pins this on every
-// backend the host supports (docs/MODEL.md §12, §16). The checkpoint
+// Work units (shard-confined column/source ranges) are sorted
+// heaviest first once, when the engine plans them, and handed to
+// ThreadPool::parallel_for_chunks one unit per chunk, so a free worker
+// always takes the heaviest unit left and a skewed shard histogram does
+// not serialize on its largest shard. Dispatch order is free because
+// units only scatter into disjoint index-addressed slots; every global
+// floating-point reduction (column log-likelihood, M-step pooling,
+// update deltas) then runs through the fixed-shape tree reductions of
+// math/kernels.h, whose shape depends only on the element count. For a
+// fixed kernel backend the results are therefore bit-identical for any
+// shard layout, any thread count and any dispatch order —
+// tests/test_shard.cpp pins this on every backend the host supports
+// (docs/MODEL.md §12, §16). The checkpoint
 // fingerprint depends on the dataset shape, not the layout, so a run
 // checkpointed through either entry point resumes through the other.
 #pragma once

@@ -201,14 +201,12 @@ ShardedDataset ShardedDataset::build_impl(const Access& a,
   // aligned D_ij flags (merge walk against the ascending exposed list)
   // + exposed list. Row CSR: dependent/independent claim split (merge
   // walk of the ascending claim and exposure lists) + exposure list.
-  // Each task allocates and writes only its own shard's vectors, so
-  // with an affinity-pinned pool the worker that fills a shard
-  // first-touches its pages — the NUMA placement the EM passes later
-  // want. The fill content depends only on the (already decided) shard
-  // layout, never on scheduling; range errors propagate via
-  // parallel_tasks' lowest-task-index rethrow, matching the serial
-  // loop's first-failure behaviour because shards partition ascending
-  // id ranges.
+  // Each task allocates and writes only its own shard's vectors, and
+  // the fill content depends only on the (already decided) shard
+  // layout, never on scheduling. On the pool, chunk index = shard
+  // index, so range errors propagate via parallel_for_chunks'
+  // lowest-chunk rethrow, matching the serial loop's first-failure
+  // behaviour because shards partition ascending id ranges.
   auto fill_shard = [&](DatasetShard& sh) {
     sh.cl_off_.assign(sh.assertions_.size() + 1, 0);
     sh.ex_off_.assign(sh.assertions_.size() + 1, 0);
@@ -244,23 +242,11 @@ ShardedDataset ShardedDataset::build_impl(const Access& a,
   };
   if (config.pool != nullptr && config.pool->size() > 1 &&
       out.shards_.size() > 1) {
-    // LPT weight: incidence slots to fill, known exactly up front
-    // (claimed + exposed entries per shard's assertions and sources).
-    std::vector<double> weights(out.shards_.size(), 0.0);
-    for (std::size_t s = 0; s < out.shards_.size(); ++s) {
-      double w = 0.0;
-      for (std::uint32_t j : out.shards_[s].assertions_) {
-        w += static_cast<double>(a.claimants(j).size() +
-                                 a.exposed(j).size());
-      }
-      for (std::uint32_t i : out.shards_[s].sources_) {
-        w += static_cast<double>(a.claims_of(i).size() +
-                                 a.exposed_assertions(i).size());
-      }
-      weights[s] = w;
-    }
-    config.pool->parallel_tasks(
-        weights, [&](std::size_t s) { fill_shard(out.shards_[s]); });
+    config.pool->parallel_for_chunks(
+        out.shards_.size(), 1,
+        [&](std::size_t s, std::size_t, std::size_t) {
+          fill_shard(out.shards_[s]);
+        });
   } else {
     for (DatasetShard& sh : out.shards_) fill_shard(sh);
   }

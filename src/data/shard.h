@@ -47,14 +47,11 @@ struct ShardConfig {
   // unconditionally. 0 = auto: max(1024, ceil(m / 64)), i.e. at most
   // ~64 shards, deterministic and independent of the thread count.
   std::size_t max_shard_assertions = 0;
-  // When non-null, the per-shard CSR fill runs as one LPT-scheduled
-  // task per shard on this pool, so under SS_AFFINITY pinning each
-  // shard's CSR slices are first-touched (allocated and written) by a
-  // worker rather than the calling thread — the same workers that
-  // later gather from them in the EM passes. The shard layout and
-  // every CSR byte are decided before the parallel phase and each task
-  // writes only its own shard, so the result is bit-identical to the
-  // serial build for any pool size.
+  // When non-null, this pool parallelizes the fill: the per-shard CSR
+  // slices are filled one shard per task, in shard index order. The
+  // shard layout and every CSR byte are decided before the parallel
+  // phase and each task writes only its own shard, so the result is
+  // bit-identical to the serial build for any pool size.
   ThreadPool* pool = nullptr;
 };
 

@@ -1,6 +1,5 @@
 #include "eval/runner.h"
 
-#include <mutex>
 #include <vector>
 
 #include "util/env.h"
@@ -11,18 +10,15 @@ namespace ss {
 MetricSummary run_repetitions(
     std::size_t reps, std::uint64_t seed,
     const std::function<MetricRow(std::size_t, Rng&)>& body,
-    std::size_t threads) {
-  if (threads == 0) threads = default_thread_count();
+    ThreadPool* pool) {
+  if (pool == nullptr) pool = &global_pool();
   Rng master(seed, /*stream=*/0xe);
 
   std::vector<MetricRow> rows(reps);
-  {
-    ThreadPool pool(threads);
-    pool.parallel_for(reps, [&](std::size_t rep) {
-      Rng rep_rng = master.split(rep);
-      rows[rep] = body(rep, rep_rng);
-    });
-  }
+  pool->parallel_for(reps, [&](std::size_t rep) {
+    Rng rep_rng = master.split(rep);
+    rows[rep] = body(rep, rep_rng);
+  });
   // Deterministic merge order regardless of completion order.
   MetricSummary summary;
   for (const MetricRow& row : rows) {

@@ -17,6 +17,8 @@
 
 namespace ss {
 
+class ThreadPool;
+
 // One repetition's named metric values.
 using MetricRow = std::map<std::string, double>;
 
@@ -24,12 +26,14 @@ using MetricRow = std::map<std::string, double>;
 using MetricSummary = std::map<std::string, StreamingStats>;
 
 // Runs `reps` repetitions of `body` (given the repetition index and a
-// repetition-specific Rng) across `threads` workers (0 = default count).
-// Exceptions from repetitions propagate after all workers finish.
+// repetition-specific Rng) on `pool` (nullptr = global_pool(), the pool
+// the estimators and bounds inside `body` use by default; the caller
+// takes part in the work, so that nesting is safe). Exceptions from
+// repetitions propagate after all repetitions finish.
 MetricSummary run_repetitions(
     std::size_t reps, std::uint64_t seed,
     const std::function<MetricRow(std::size_t, Rng&)>& body,
-    std::size_t threads = 0);
+    ThreadPool* pool = nullptr);
 
 // Number of repetitions a bench should run: the SS_REPS env override,
 // else `paper_default` scaled down by SS_FAST=1 to `fast_default`.

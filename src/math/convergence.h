@@ -8,8 +8,9 @@
 
 namespace ss {
 
-// Declares convergence when the monitored scalar changes by less than
-// `tol` for `patience` consecutive updates, or when `max_iters` is hit.
+// Stops iteration when the monitored scalar changes by less than `tol`
+// for `patience` consecutive updates, or when `max_iters` is hit;
+// converged() tells the first case from the second.
 class ConvergenceMonitor {
  public:
   ConvergenceMonitor(double tol, std::size_t max_iters,
@@ -36,7 +37,9 @@ class ConvergenceMonitor {
   }
 
   std::size_t iterations() const { return iters_; }
-  bool hit_max() const { return iters_ >= max_iters_; }
+  // True once the tolerance streak has reached `patience`, whether or
+  // not that happened on the last allowed iteration.
+  bool converged() const { return streak_ >= patience_; }
 
  private:
   double tol_;

@@ -89,10 +89,9 @@ namespace kernels {
 // partials are folded pairwise (p[i] = p[2i] (+) p[2i+1], odd tail
 // carried) until one value remains. Thread count, shard layout and
 // arrival order never enter the shape, so the result is bit-identical
-// whether the block partials were computed serially, by
-// parallel_for_chunks, or by a work-stealing parallel_tasks schedule —
-// and a count <= kTreeReduceBlock reduction degenerates to the plain
-// serial left fold it replaces.
+// whether the block partials were computed serially or by
+// parallel_for_chunks on any pool — and a count <= kTreeReduceBlock
+// reduction degenerates to the plain serial left fold it replaces.
 // ---------------------------------------------------------------------
 
 // Block size of the reduction tree. Chosen so per-block sums amortize

@@ -2,9 +2,11 @@
 
 #include <filesystem>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/checkpoint.h"
+#include "util/status.h"
 
 namespace ss {
 namespace sim {
@@ -84,19 +86,35 @@ void SimProcess::resume() {
   if (running()) {
     throw std::logic_error("SimProcess::resume: already running");
   }
-  live_ = std::make_unique<LiveApollo>(*follows_, config_.live);
-  next_seq_ = 0;
-  stale_ = 0;
+  // Decode into locals and commit only once the whole payload has
+  // decoded, so a failed resume leaves the process down.
+  auto live = std::make_unique<LiveApollo>(*follows_, config_.live);
+  std::uint64_t next_seq = 0;
+  std::size_t stale = 0;
   std::error_code ec;
-  if (!std::filesystem::exists(config_.checkpoint_path, ec)) {
-    return;  // nothing ever committed: fresh start
+  if (std::filesystem::exists(config_.checkpoint_path, ec)) {
+    std::string payload = read_snapshot_or_throw(
+        config_.checkpoint_path, kSnapshotKind, config_.fingerprint);
+    BinReader reader(payload);
+    auto corrupt = [&](const std::string& why) {
+      return TaxonomyError(ErrorCode::kCheckpointCorrupt,
+                           config_.checkpoint_path + ": " + why);
+    };
+    try {
+      next_seq = reader.u64();
+      stale = reader.u64();
+      live->load_state(reader);
+    } catch (const std::exception& e) {
+      throw corrupt(e.what());  // BinReader errors name the byte
+    }
+    if (!reader.done()) {
+      throw corrupt("checkpoint: trailing bytes at byte " +
+                    std::to_string(reader.position()));
+    }
   }
-  std::string payload = read_snapshot_or_throw(
-      config_.checkpoint_path, kSnapshotKind, config_.fingerprint);
-  BinReader reader(payload);
-  next_seq_ = reader.u64();
-  stale_ = reader.u64();
-  live_->load_state(reader);
+  live_ = std::move(live);
+  next_seq_ = next_seq;
+  stale_ = stale;
 }
 
 }  // namespace sim

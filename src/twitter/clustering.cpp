@@ -118,8 +118,8 @@ void save_u32_map(BinWriter& writer, const Map& map) {
 template <typename Map>
 void load_u32_map(BinReader& reader, Map& map) {
   map.clear();
-  std::uint64_t n = reader.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
+  std::size_t n = reader.count(16);  // u64 key + u64 value
+  for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t k = reader.u64();
     std::uint64_t v = reader.u64();
     map.emplace(static_cast<std::uint32_t>(k),
@@ -140,15 +140,16 @@ void IncrementalClusterer::save_state(BinWriter& writer) const {
 }
 
 void IncrementalClusterer::load_state(BinReader& reader) {
-  std::uint64_t clusters = reader.u64();
+  // Every cluster and every token carries at least a u64 length.
+  std::size_t clusters = reader.count(8);
   cluster_tokens_.clear();
   cluster_tokens_.reserve(clusters);
   index_.clear();
-  for (std::uint64_t c = 0; c < clusters; ++c) {
-    std::uint64_t count = reader.u64();
+  for (std::size_t c = 0; c < clusters; ++c) {
+    std::size_t count = reader.count(8);
     std::vector<std::string> tokens;
     tokens.reserve(count);
-    for (std::uint64_t t = 0; t < count; ++t) {
+    for (std::size_t t = 0; t < count; ++t) {
       tokens.push_back(reader.str());
     }
     // Replaying clusters in id order rebuilds every postings list in

@@ -86,14 +86,8 @@ double BinReader::f64() {
 }
 
 std::vector<double> BinReader::vec_f64() {
-  std::uint64_t n = u64();
-  if (n > bytes_.size()) {  // rejects absurd length prefixes pre-alloc
-    throw std::runtime_error("checkpoint: truncated payload at byte " +
-                             std::to_string(pos_));
-  }
-  require(n * 8);
-  std::vector<double> v(n);
-  for (std::uint64_t i = 0; i < n; ++i) v[i] = f64();
+  std::vector<double> v(count(8));
+  for (double& x : v) x = f64();
   return v;
 }
 
@@ -103,6 +97,17 @@ std::string BinReader::str() {
   std::string s = bytes_.substr(pos_, n);
   pos_ += n;
   return s;
+}
+
+std::size_t BinReader::count(std::size_t min_element_bytes) {
+  std::uint64_t n = u64();
+  std::size_t left = bytes_.size() - pos_;
+  if (min_element_bytes > 0 && n > left / min_element_bytes) {
+    throw std::runtime_error("checkpoint: count " + std::to_string(n) +
+                             " overruns the payload at byte " +
+                             std::to_string(pos_));
+  }
+  return static_cast<std::size_t>(n);
 }
 
 void atomic_write_file(const std::string& path,

@@ -46,8 +46,8 @@ class BinWriter {
 };
 
 // Matching decoder. Any read past the end or oversized length prefix
-// throws std::runtime_error("checkpoint: truncated payload") — callers
-// treat that as a corrupt checkpoint, not a fatal error.
+// throws std::runtime_error naming the byte offset — callers treat that
+// as a corrupt checkpoint, not a fatal error.
 class BinReader {
  public:
   explicit BinReader(const std::string& bytes) : bytes_(bytes) {}
@@ -57,6 +57,10 @@ class BinReader {
   double f64();
   std::vector<double> vec_f64();
   std::string str();
+  // Reads a u64 element count and rejects it, before the caller
+  // allocates anything, when that many elements of at least
+  // `min_element_bytes` bytes each cannot fit in the bytes left.
+  std::size_t count(std::size_t min_element_bytes);
 
   bool done() const { return pos_ == bytes_.size(); }
   // Byte offset of the next read — failure messages locate the defect

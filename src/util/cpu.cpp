@@ -1,24 +1,12 @@
 #include "util/cpu.h"
 
-#include <algorithm>
 #include <cstring>
-
-#include "util/env.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <cpuid.h>
 #define SS_CPU_X86 1
 #else
 #define SS_CPU_X86 0
-#endif
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#include <unistd.h>
-#define SS_CPU_CAN_PIN 1
-#else
-#define SS_CPU_CAN_PIN 0
 #endif
 
 namespace ss {
@@ -89,56 +77,6 @@ std::string cpu_feature_summary() {
   add(f.avx2, "avx2");
   add(f.fma, "fma");
   return out.empty() ? "none" : out;
-}
-
-AffinityMode affinity_mode() {
-  static const AffinityMode cached = [] {
-    std::string v = env_string("SS_AFFINITY", "none");
-    if (v == "compact") return AffinityMode::kCompact;
-    if (v == "spread") return AffinityMode::kSpread;
-    return AffinityMode::kNone;
-  }();
-  return cached;
-}
-
-std::size_t online_cpu_count() {
-  static const std::size_t cached = [] {
-#if SS_CPU_CAN_PIN
-    long n = sysconf(_SC_NPROCESSORS_ONLN);
-    if (n > 0) return static_cast<std::size_t>(n);
-#endif
-    return std::size_t{1};
-  }();
-  return cached;
-}
-
-void apply_worker_affinity(AffinityMode mode, std::size_t index,
-                           std::size_t total) {
-#if SS_CPU_CAN_PIN
-  if (mode == AffinityMode::kNone) return;
-  std::size_t ncpu = online_cpu_count();
-  if (ncpu <= 1) return;
-  std::size_t cpu = 0;
-  if (mode == AffinityMode::kCompact) {
-    cpu = index % ncpu;
-  } else {
-    // Stride the workers across the online set so siblings land on
-    // distant cores (separate caches / memory controllers).
-    std::size_t stride =
-        std::max<std::size_t>(1, ncpu / std::max<std::size_t>(1, total));
-    cpu = (index * stride) % ncpu;
-  }
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(cpu), &set);
-  // Best-effort: a failure (restrictive cpuset, masked cores) leaves
-  // the thread where the OS put it, which is always correct.
-  (void)pthread_setaffinity_np(pthread_self(), sizeof set, &set);
-#else
-  (void)mode;
-  (void)index;
-  (void)total;
-#endif
 }
 
 }  // namespace ss

@@ -7,7 +7,6 @@
 // YMM state is included) and later calls return the cached answer.
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 namespace ss {
@@ -32,33 +31,5 @@ const std::string& cpu_model_name();
 // Space-separated list of the detected flags above ("sse2 avx avx2
 // fma"), or "none". Meant for human-readable bench metadata.
 std::string cpu_feature_summary();
-
-// ---------------------------------------------------------------------------
-// Worker placement (docs/MODEL.md §16). Pinning is a pure scheduling
-// hint: it never changes what a worker computes, only which core runs
-// it, so every mode is bit-identical to every other.
-
-enum class AffinityMode {
-  kNone,     // leave placement to the OS scheduler (default)
-  kCompact,  // worker i -> cpu (i % N): pack siblings onto nearby cores
-  kSpread,   // worker i -> cpus strided across the online set
-};
-
-// Parses SS_AFFINITY={none,compact,spread}; unset or unrecognized
-// values mean kNone. Cached on first use.
-AffinityMode affinity_mode();
-
-// Number of CPUs currently online (sysconf(_SC_NPROCESSORS_ONLN)),
-// minimum 1. Distinct from hardware_concurrency on hosts with offlined
-// or masked cores. Cached on first use.
-std::size_t online_cpu_count();
-
-// Pins the calling thread to one CPU chosen by `mode` for worker
-// `index` of `total`. kNone is a no-op; on platforms without the
-// affinity syscalls (or when the syscall fails, e.g. under a
-// restrictive cpuset) the call degrades to a silent no-op — placement
-// is best-effort by design.
-void apply_worker_affinity(AffinityMode mode, std::size_t index,
-                           std::size_t total);
 
 }  // namespace ss

@@ -9,8 +9,6 @@
 struct Pool {
   template <typename F> void parallel_for(int n, F f);
   template <typename F> void parallel_for_chunks(int n, F f);
-  template <typename F>
-  void parallel_tasks(const std::vector<double>& w, F f);
 };
 
 double tree_sum(Pool* pool, const double* xs, unsigned n);
@@ -25,13 +23,9 @@ double total_error(Pool& pool, const std::vector<double>& xs) {
     for (int i = begin; i < end; ++i) sum -= xs[i];
     sum += std::accumulate(xs.begin() + begin, xs.begin() + end, 0.0);
   });
-  double stolen = 0.0;
-  pool.parallel_tasks(xs, [&](unsigned t) {
-    stolen += xs[t];
-  });
   double rest = tree_sum(&pool, xs.data(), 2);
   for (double v : xs) rest += v;
-  return total + sum + stolen + rest;
+  return total + sum + rest;
 }
 
 template <typename F> void for_each_chunk(Pool* pool, int n, int grain, F f);

@@ -1,17 +1,13 @@
 // Good fixture for checker C: per-chunk partials written to owned
-// slots, a region-local accumulator, an ordered_reduce body, a
-// parallel_tasks body that only scatters into its own slot, a
-// tree_reduce block fold, and a for_each_chunk body that writes one
-// slot per element — all sanctioned shapes. Note the file
-// references the tree primitives, so a hand-rolled serial fold here
-// WOULD fire; the canonical tree_sum call below does not.
+// slots, a region-local accumulator, a tree_reduce block fold, and a
+// for_each_chunk body that writes one slot per element — all
+// sanctioned shapes. Note the file references the tree primitives, so
+// a hand-rolled serial fold here WOULD fire; the canonical tree_sum
+// call below does not.
 #include <vector>
 
 struct Pool {
   template <typename F> void parallel_for_chunks(int n, F f);
-  template <typename F> double ordered_reduce(int n, F f);
-  template <typename F>
-  void parallel_tasks(const std::vector<double>& w, F f);
 };
 
 double tree_sum(Pool* pool, const double* xs, unsigned n);
@@ -30,16 +26,6 @@ double total_error(Pool& pool, const std::vector<double>& xs,
   });
   double total = tree_sum(&pool, partials->data(),
                           static_cast<unsigned>(partials->size()));
-  double ordered = pool.ordered_reduce(4, [&](int i) {
-    double slot = xs[static_cast<unsigned>(i)];
-    slot += 1.0;
-    return slot;
-  });
-  pool.parallel_tasks(xs, [&](unsigned t) {
-    double local = xs[t];
-    local += 1.0;
-    (*partials)[t] = local;
-  });
   double treed = tree_reduce(&pool, 4, 0.0, [&](int begin, int end) {
     double acc = 0.0;
     for (int i = begin; i < end; ++i) acc += xs[i];
@@ -50,5 +36,5 @@ double total_error(Pool& pool, const std::vector<double>& xs,
       (*partials)[static_cast<unsigned>(i)] = xs[i];
     }
   });
-  return total + ordered + treed;
+  return total + treed;
 }

@@ -83,7 +83,7 @@ TEST(AnalyzeBadFixtures, EachCheckFiresAtItsSeededLines) {
   const BadCase cases[] = {
       {"bad/must_use.cpp", "must-use", {9, 12, 17, 19, 20, 21, 22}},
       {"bad/determinism.cpp", "unordered-reduction",
-       {21, 25, 26, 30, 33, 42}},
+       {19, 23, 24, 27, 36}},
       {"bad/hot_loop.cpp", "hot-loop-alloc", {13, 14, 15, 23}},
       {"bad/suppress_bad.cpp", "bad-suppression", {6, 10}},
   };

@@ -13,6 +13,7 @@
 #include "eval/table.h"
 #include "simgen/parametric_gen.h"
 #include "twitter/builder.h"
+#include "util/thread_pool.h"
 
 namespace ss {
 namespace {
@@ -180,8 +181,9 @@ TEST(Runner, AggregatesDeterministically) {
     row["value"] = static_cast<double>(rep) + rng.uniform() * 0.0;
     return row;
   };
-  MetricSummary a = run_repetitions(10, 42, body, 4);
-  MetricSummary b = run_repetitions(10, 42, body, 1);
+  ThreadPool pool4(4), pool1(1);
+  MetricSummary a = run_repetitions(10, 42, body, &pool4);
+  MetricSummary b = run_repetitions(10, 42, body, &pool1);
   EXPECT_DOUBLE_EQ(a["value"].mean(), b["value"].mean());
   EXPECT_EQ(a["value"].count(), 10u);
   EXPECT_DOUBLE_EQ(a["value"].mean(), 4.5);
@@ -193,7 +195,8 @@ TEST(Runner, RepetitionRngsIndependent) {
     row["u"] = rng.uniform();
     return row;
   };
-  MetricSummary s = run_repetitions(200, 7, body, 8);
+  ThreadPool pool8(8);
+  MetricSummary s = run_repetitions(200, 7, body, &pool8);
   // 200 independent uniforms: mean near 0.5, nonzero spread.
   EXPECT_NEAR(s["u"].mean(), 0.5, 0.08);
   EXPECT_GT(s["u"].stddev(), 0.1);

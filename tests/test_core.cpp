@@ -289,6 +289,23 @@ TEST(EmExt, ConvergedFlagAndIterationCap) {
   EXPECT_FALSE(r.estimate.converged);
 }
 
+TEST(EmExt, ConvergedWhenToleranceMetOnLastAllowedIteration) {
+  // Capping max_iters at the iteration count a free run converges in
+  // must return the same fit, still flagged converged.
+  Rng rng(1);
+  SimInstance inst =
+      generate_parametric(SimKnobs::paper_defaults(30, 60), rng);
+  EmExtResult free_run = EmExtEstimator().run_detailed(inst.dataset, 1);
+  ASSERT_TRUE(free_run.estimate.converged);
+  EmExtConfig config;
+  config.max_iters = free_run.estimate.iterations;
+  EmExtResult capped =
+      EmExtEstimator(config).run_detailed(inst.dataset, 1);
+  EXPECT_EQ(capped.estimate.iterations, free_run.estimate.iterations);
+  EXPECT_EQ(capped.estimate.belief, free_run.estimate.belief);
+  EXPECT_TRUE(capped.estimate.converged);
+}
+
 TEST(EmExt, RankingSortedByBelief) {
   Rng rng(29);
   SimKnobs knobs = SimKnobs::paper_defaults(30, 40);

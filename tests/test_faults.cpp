@@ -16,11 +16,14 @@
 #include "bounds/dataset_bound.h"
 #include "bounds/gibbs_bound.h"
 #include "core/em_ext.h"
+#include "core/sharded_em.h"
 #include "core/streaming_em.h"
 #include "csr_check.h"
 #include "data/dataset.h"
 #include "data/io.h"
+#include "data/shard.h"
 #include "graph/digraph.h"
+#include "kernel_golden.h"
 #include "math/kernels.h"
 #include "twitter/tweet_io.h"
 #include "util/checkpoint.h"
@@ -276,6 +279,102 @@ TEST(TaskDrop, SurfacesAsFaultInjectedErrorAndPoolSurvives) {
   for (std::size_t i = 0; i < out.size(); ++i) {
     ASSERT_EQ(out[i], static_cast<double>(i));
   }
+}
+
+// Every id and CSR list of every shard, length-prefixed, in shard order.
+std::vector<std::uint32_t> shard_words(const ShardedDataset& sharded) {
+  std::vector<std::uint32_t> out;
+  auto put = [&out](auto list) {
+    out.push_back(static_cast<std::uint32_t>(list.size()));
+    for (auto v : list) out.push_back(static_cast<std::uint32_t>(v));
+  };
+  for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
+    const DatasetShard& sh = sharded.shard(s);
+    put(sh.assertion_ids());
+    put(sh.source_ids());
+    for (std::size_t c = 0; c < sh.assertion_ids().size(); ++c) {
+      put(sh.claimants(c));
+      put(sh.claimant_dependent(c));
+      put(sh.exposed_sources(c));
+    }
+    for (std::size_t p = 0; p < sh.source_ids().size(); ++p) {
+      put(sh.dependent_claims(p));
+      put(sh.independent_claims(p));
+      put(sh.exposed_assertions(p));
+    }
+  }
+  return out;
+}
+
+// Six independent 20 x 30 parametric blocks side by side: six
+// components, so a shard cap of 8 columns gives six shards.
+Dataset block_dataset() {
+  constexpr std::uint32_t kBlocks = 6, kN = 20, kM = 30;
+  std::vector<Claim> claims;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> cells;
+  Dataset d;
+  for (std::uint32_t b = 0; b < kBlocks; ++b) {
+    Dataset part = golden::golden_dataset(200 + b, kN, kM);
+    for (const Claim& c : part.claims.to_claims()) {
+      claims.push_back({c.source + b * kN, c.assertion + b * kM, c.time});
+    }
+    for (std::uint32_t i = 0; i < kN; ++i) {
+      for (std::uint32_t j : part.dependency.exposed_assertions(i)) {
+        cells.emplace_back(i + b * kN, j + b * kM);
+      }
+    }
+    d.truth.insert(d.truth.end(), part.truth.begin(), part.truth.end());
+  }
+  d.claims = SourceClaimMatrix(kBlocks * kN, kBlocks * kM, claims);
+  d.dependency =
+      DependencyIndicators::from_cells(kBlocks * kN, kBlocks * kM, cells);
+  return d;
+}
+
+fault::FaultConfig drop_one_task() {
+  fault::FaultConfig fc;
+  fc.seed = 31;
+  fc.task_drop_rate = 1.0;
+  fc.max_injections = 1;
+  return fc;
+}
+
+// The shard engine hands its work units to the pool; a dropped unit
+// fails the fit, and the same pool then reproduces the reference fit.
+TEST(TaskDrop, ShardEngineUnitDropThrowsAndRerunMatches) {
+  Dataset d = block_dataset();
+  ShardedDataset sharded = ShardedDataset::build(d, {8});
+  ASSERT_GT(sharded.shard_count(), 1u);
+  ThreadPool pool(4);
+  EmExtConfig config;
+  config.pool = &pool;
+  ShardedEmEstimator em(config);
+  golden::Hash want;
+  golden::hash_em_result(want, em.run_detailed(sharded, 5));
+  {
+    fault::ScopedFaultInjection inj(drop_one_task());
+    EXPECT_THROW(em.run_detailed(sharded, 5), fault::FaultInjectedError);
+  }
+  golden::Hash got;
+  golden::hash_em_result(got, em.run_detailed(sharded, 5));
+  EXPECT_EQ(got.value(), want.value());
+}
+
+// The pooled CSR fill runs one shard per task; a dropped shard fails
+// the build, and a rebuild on the same pool equals the serial build.
+TEST(TaskDrop, PooledShardFillDropThrowsAndRebuildMatches) {
+  Dataset d = block_dataset();
+  ShardedDataset serial = ShardedDataset::build(d, {8});
+  ASSERT_GT(serial.shard_count(), 1u);
+  ThreadPool pool(4);
+  {
+    fault::ScopedFaultInjection inj(drop_one_task());
+    EXPECT_THROW(ShardedDataset::build(d, {8, &pool}),
+                 fault::FaultInjectedError);
+  }
+  ShardedDataset rebuilt = ShardedDataset::build(d, {8, &pool});
+  rebuilt.check();
+  EXPECT_TRUE(shard_words(rebuilt) == shard_words(serial));
 }
 
 // A streaming batch whose pool task is dropped throws, and must leave

@@ -129,6 +129,17 @@ TEST(LintBadFixtures, SecondarySitesAlsoFire) {
   EXPECT_NE(run.output.find("r9_raw_mmap.cpp:10:"), std::string::npos)
       << run.output;
   EXPECT_NE(run.output.find("munmap()"), std::string::npos) << run.output;
+  // r5_throw_in_parallel seeds a throw in a kernels::for_each_chunk body
+  // and one in a kernels::tree_reduce leaf after the parallel_for one.
+  run = run_lint(fixture("bad/r5_throw_in_parallel.cpp"));
+  EXPECT_NE(run.output.find("r5_throw_in_parallel.cpp:14:"),
+            std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find("r5_throw_in_parallel.cpp:20:"),
+            std::string::npos)
+      << run.output;
+  EXPECT_EQ(count_occurrences(run.output, "[throw-in-parallel]"), 3u)
+      << run.output;
 }
 
 TEST(LintGoodFixtures, WholeCorpusScansClean) {

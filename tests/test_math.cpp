@@ -225,7 +225,7 @@ TEST(Convergence, StopsOnSmallDelta) {
   EXPECT_FALSE(m.update_delta(0.5));
   EXPECT_FALSE(m.update_delta(0.1));
   EXPECT_TRUE(m.update_delta(1e-4));
-  EXPECT_FALSE(m.hit_max());
+  EXPECT_TRUE(m.converged());
   EXPECT_EQ(m.iterations(), 3u);
 }
 
@@ -234,7 +234,19 @@ TEST(Convergence, HitsMaxIters) {
   bool stopped = false;
   for (int i = 0; i < 5 && !stopped; ++i) stopped = m.update_delta(1.0);
   EXPECT_TRUE(stopped);
-  EXPECT_TRUE(m.hit_max());
+  EXPECT_FALSE(m.converged());
+  EXPECT_EQ(m.iterations(), 5u);
+}
+
+TEST(Convergence, ConvergedOnLastAllowedIteration) {
+  // The tolerance is met on the final allowed update: the run stops at
+  // the cap and still counts as converged.
+  ConvergenceMonitor m(1e-3, 3);
+  EXPECT_FALSE(m.update_delta(1.0));
+  EXPECT_FALSE(m.update_delta(1.0));
+  EXPECT_TRUE(m.update_delta(0.0));
+  EXPECT_TRUE(m.converged());
+  EXPECT_EQ(m.iterations(), 3u);
 }
 
 TEST(Convergence, ValueModeNeedsStability) {

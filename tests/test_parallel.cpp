@@ -6,13 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <iterator>
 #include <limits>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "apollo/live.h"
@@ -319,77 +316,6 @@ TEST(ParallelEngine, ExactDatasetBoundEqualsUnmemoizedColumnAverage) {
          got.bound.false_negative},
         "exact vs unmemoized");
   }
-}
-
-TEST(ParallelTasks, EveryTaskRunsExactlyOnce) {
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                              std::size_t{8}}) {
-    ThreadPool pool(threads);
-    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
-                          std::size_t{64}, std::size_t{257}}) {
-      std::vector<double> weights(n, 1.0);
-      std::vector<std::atomic<int>> runs(n);
-      for (auto& r : runs) r.store(0);
-      pool.parallel_tasks(weights, [&](std::size_t t) {
-        runs[t].fetch_add(1);
-      });
-      for (std::size_t t = 0; t < n; ++t) {
-        EXPECT_EQ(runs[t].load(), 1) << "task " << t << " with "
-                                     << threads << " threads";
-      }
-    }
-  }
-}
-
-TEST(ParallelTasks, SkewedWeightsStillRunEverything) {
-  // One task carries ~all the weight; work stealing must not starve or
-  // double-run the light ones, and the body's effects must be the same
-  // as serial execution.
-  ThreadPool pool(8);
-  std::vector<double> weights(100, 1.0);
-  weights[37] = 1e9;
-  std::vector<double> out(weights.size(), 0.0);
-  pool.parallel_tasks(weights, [&](std::size_t t) {
-    out[t] = static_cast<double>(t) + 0.5;
-  });
-  for (std::size_t t = 0; t < out.size(); ++t) {
-    EXPECT_EQ(out[t], static_cast<double>(t) + 0.5);
-  }
-}
-
-TEST(ParallelTasks, LowestIndexExceptionWinsAndAllTasksStillRun) {
-  ThreadPool pool(4);
-  std::vector<double> weights(40, 1.0);
-  std::vector<std::atomic<int>> runs(weights.size());
-  for (auto& r : runs) r.store(0);
-  auto body = [&](std::size_t t) {
-    runs[t].fetch_add(1);
-    if (t == 7 || t == 23) {
-      throw std::runtime_error("task " + std::to_string(t));
-    }
-  };
-  try {
-    pool.parallel_tasks(weights, body);
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "task 7");
-  }
-  for (std::size_t t = 0; t < weights.size(); ++t) {
-    EXPECT_EQ(runs[t].load(), 1) << "task " << t;
-  }
-}
-
-TEST(ParallelTasks, NestedInsidePoolTaskDoesNotDeadlock) {
-  ThreadPool pool(2);
-  std::atomic<int> total{0};
-  std::vector<double> outer(4, 1.0);
-  pool.parallel_tasks(outer, [&](std::size_t) {
-    std::vector<double> inner(8, 1.0);
-    pool.parallel_tasks(inner, [&](std::size_t) {
-      total.fetch_add(1);
-    });
-  });
-  EXPECT_EQ(total.load(), 32);
 }
 
 TEST(ParallelEngine, StressRepeatedParallelRunsAreStable) {

@@ -10,9 +10,6 @@
 //    supports, EM-Ext through the materialized Dataset hashes equal to
 //    ShardedEmEstimator on shards built straight off the view, and the
 //    sharded run hashes equal on 1- and 8-worker pools;
-//  * scheduler: LPT parallel_tasks beats fixed-grain
-//    parallel_for_chunks on a skewed workload (skipped below 2 online
-//    CPUs);
 //  * RSS: the process's peak RSS stays under SS_RSS_BUDGET_MB, when
 //    that is set.
 //
@@ -30,7 +27,6 @@
 #include <functional>
 #include <string>
 #include <system_error>
-#include <vector>
 
 #include "backend_guard.h"
 #include "core/em_ext.h"
@@ -40,7 +36,6 @@
 #include "data/ssd.h"
 #include "kernel_golden.h"
 #include "simgen/scale_gen.h"
-#include "util/cpu.h"
 #include "util/env.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -143,7 +138,7 @@ TEST_F(ScaleSmoke, SsdOpenBeatsJsonlParseFiftyfold) {
 // The Dataset entry shards the materialized dataset itself; the view
 // entry takes shards built straight off the mapped image. Both, and the
 // view entry at 1 and 8 workers, must return the same bytes (the
-// tree-reduction and LPT determinism contract, §16).
+// tree-reduction and unit-dispatch determinism contract, §16).
 TEST_F(ScaleSmoke, EmBitIdenticalAcrossEntryPointsAndPools) {
   ShardConfig shard_config;
   shard_config.pool = &global_pool();
@@ -173,40 +168,6 @@ TEST_F(ScaleSmoke, EmBitIdenticalAcrossEntryPointsAndPools) {
                 sharded.shard_count(),
                 static_cast<unsigned long long>(view_hash));
   }
-}
-
-// A skewed workload: 32 tasks, the last weighing as much as the other
-// 31 together, so in-order fixed-grain dispatch starts it last. The
-// task bodies spin on arithmetic and share no data.
-TEST_F(ScaleSmoke, LptBeatsFixedGrainOnSkewedTasks) {
-  const std::size_t online = online_cpu_count();
-  if (online < 2) {
-    GTEST_SKIP() << "the scheduler gate needs >= 2 online CPUs (host has "
-                 << online << "); stealing cannot beat anything on a "
-                 << "serial machine";
-  }
-  ThreadPool& pool = global_pool();
-  constexpr std::size_t kTasks = 32;
-  std::vector<double> weights(kTasks, 1.0);
-  weights[kTasks - 1] = static_cast<double>(kTasks);
-  auto spin = [](double weight) {
-    // ~0.2 ms per unit weight.
-    volatile double acc = 1.0;
-    long iters = static_cast<long>(weight * 40000.0);
-    for (long i = 0; i < iters; ++i) acc = acc * 1.0000001 + 1e-9;
-  };
-  double fixed_ms = min_wall_ms(3, [&] {
-    pool.parallel_for_chunks(
-        kTasks, 1, [&](std::size_t, std::size_t begin, std::size_t end) {
-          for (std::size_t t = begin; t < end; ++t) spin(weights[t]);
-        });
-  });
-  double lpt_ms = min_wall_ms(3, [&] {
-    pool.parallel_tasks(weights, [&](std::size_t t) { spin(weights[t]); });
-  });
-  std::printf("scheduler: LPT %.2f ms vs fixed-grain %.2f ms (%.2fx)\n",
-              lpt_ms, fixed_ms, fixed_ms / lpt_ms);
-  EXPECT_LT(lpt_ms, fixed_ms);
 }
 
 TEST_F(ScaleSmoke, PeakRssWithinBudget) {

@@ -7,10 +7,13 @@
 // run byte-for-byte.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <stdexcept>
+#include <string>
 
 #include "sim/process.h"
 #include "sim/scheduler.h"
@@ -263,6 +266,7 @@ TEST(SimProcess, ResumeRefusesCorruptSnapshot) {
     out << file;
   }
   EXPECT_THROW(process.resume(), TaxonomyError);
+  EXPECT_FALSE(process.running());
   std::filesystem::remove_all(dir);
 }
 
@@ -288,6 +292,76 @@ TEST(SimProcess, ResumeRefusesSnapshotOfPreviousLayout) {
                  process.last_committed_state());
   EXPECT_THROW(process.resume(), TaxonomyError);
   std::filesystem::remove_all(dir);
+}
+
+// Commits two batches and crashes, then seals make_bad(committed
+// payload) under the right kind and fingerprint. Resume must refuse
+// that snapshot as a corrupt checkpoint and leave the process down;
+// resealing the committed payload must then resume it exactly.
+void expect_resume_refuses(
+    const std::string& tag,
+    const std::function<std::string(const std::string&)>& make_bad) {
+  TwitterSimulation w = simulate_twitter(
+      scenario_by_name("Kirkuk").scaled(0.02), 6);
+  std::string dir = temp_dir(tag);
+  ProcessConfig config;
+  config.checkpoint_path = dir + "/p.snap";
+  config.fingerprint = 11;
+  std::filesystem::remove(config.checkpoint_path);
+  SimProcess process(&w.follows, config);
+  StreamConfig stream_config;
+  stream_config.batch_size = 30;
+  SimStream stream(w.tweets, stream_config, 6);
+  process.deliver(0, stream.clean_batch(0));
+  process.deliver(1, stream.clean_batch(1));
+  process.checkpoint();
+  const std::string good = process.last_committed_state();
+  process.crash();
+
+  write_snapshot(config.checkpoint_path, SimProcess::kSnapshotKind,
+                 config.fingerprint, make_bad(good));
+  try {
+    process.resume();
+    ADD_FAILURE() << "resume accepted an undecodable payload";
+  } catch (const TaxonomyError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCheckpointCorrupt) << e.what();
+  }
+  EXPECT_FALSE(process.running());
+
+  write_snapshot(config.checkpoint_path, SimProcess::kSnapshotKind,
+                 config.fingerprint, good);
+  process.resume();
+  ASSERT_TRUE(process.running());
+  EXPECT_EQ(process.next_seq(), 2u);
+  EXPECT_TRUE(process.serialized_state() == good);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SimProcess, ResumeRefusesTruncatedPayload) {
+  expect_resume_refuses("truncated", [](const std::string& good) {
+    return good.substr(0, good.size() / 2);
+  });
+}
+
+TEST(SimProcess, ResumeRefusesCountBeyondPayload) {
+  // Bytes 16..23 hold the clusterer's cluster count (after next_seq and
+  // the stale counter). 2^62 is above any vector's max_size(), so a
+  // decoder that reserves from it fails before allocating anything.
+  expect_resume_refuses("huge_count", [](const std::string& good) {
+    std::string bad = good;
+    const std::uint64_t count = std::uint64_t{1} << 62;
+    for (int b = 0; b < 8; ++b) {
+      bad[16 + static_cast<std::size_t>(b)] =
+          static_cast<char>((count >> (8 * b)) & 0xff);
+    }
+    return bad;
+  });
+}
+
+TEST(SimProcess, ResumeRefusesTrailingBytes) {
+  expect_resume_refuses("trailing", [](const std::string& good) {
+    return good + std::string(8, '\0');
+  });
 }
 
 // --- storm-level tests ----------------------------------------------

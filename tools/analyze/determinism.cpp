@@ -33,7 +33,7 @@ void collect_float_decls(const SourceFile& file,
 }
 
 struct Region {
-  bool checked = false;  // parallel_for/_chunks body vs ordered_reduce
+  bool checked = false;  // parallel_*/for_each_chunk body vs tree_reduce
   int depth = 0;
 };
 
@@ -46,7 +46,7 @@ void DeterminismChecker::scan_file(
   if (scan::in_dir(scan::normalize(file.path), "math")) return;
 
   static const std::regex dispatch_re(
-      R"(\b(parallel_for_chunks|parallel_for|parallel_tasks|for_each_chunk|ordered_reduce|tree_reduce)\s*\()");
+      R"(\b(parallel_for_chunks|parallel_for|for_each_chunk|tree_reduce)\s*\()");
   static const std::regex compound_re(
       R"(([A-Za-z_]\w*)\s*((?:\[[^\]]*\]|\.[A-Za-z_]\w*)*)\s*(\+=|-=))");
   static const std::regex helper_re(
@@ -58,16 +58,16 @@ void DeterminismChecker::scan_file(
   static const std::regex serial_fold_re(
       R"(\bfor\s*\(\s*(?:const\s+)?(?:double|float)\s+([A-Za-z_]\w*)\s*:[^)]*\)\s*[A-Za-z_][\w.\[\]]*\s*\+=\s*([A-Za-z_]\w*)\b)");
   static const std::regex tree_api_re(
-      R"(\b(?:tree_sum|tree_reduce|parallel_tasks)\s*\()");
+      R"(\b(?:tree_sum|tree_reduce)\s*\()");
 
   std::set<std::string> float_ids;
   collect_float_decls(file, &float_ids);
 
   // Files already on the canonical-reduction discipline (they call the
-  // tree primitives or the task scheduler) must not also carry
-  // hand-rolled serial float folds: the fold's left-to-right shape
-  // diverges from the fixed tree shape the rest of the file commits
-  // to, so the same data reduced twice can disagree bit-for-bit.
+  // tree primitives) must not also carry hand-rolled serial float
+  // folds: the fold's left-to-right shape diverges from the fixed tree
+  // shape the rest of the file commits to, so the same data reduced
+  // twice can disagree bit-for-bit.
   bool uses_tree_api = false;
   for (const std::string& code : file.code) {
     if (std::regex_search(code, tree_api_re)) {
@@ -88,12 +88,11 @@ void DeterminismChecker::scan_file(
     for (auto it = std::sregex_iterator(code.begin(), code.end(),
                                         dispatch_re);
          it != std::sregex_iterator(); ++it) {
-      // parallel_* bodies are checked regions; ordered_reduce and
+      // parallel_* and for_each_chunk bodies are checked regions;
       // tree_reduce bodies are sanctioned (their partials combine in a
       // fixed order by construction).
-      const std::string name = (*it)[1].str();
       arms.emplace_back(static_cast<std::size_t>(it->position(0)),
-                        name != "ordered_reduce" && name != "tree_reduce");
+                        (*it)[1].str() != "tree_reduce");
     }
 
     // Per-character region state: 0 outside, 1 checked, 2 sanctioned.
@@ -160,7 +159,8 @@ void DeterminismChecker::scan_file(
            "`" + it->str() + "` on a floating-point lvalue captured by "
            "reference inside a parallel worker body; accumulation order "
            "would depend on scheduling — write per-chunk partials and "
-           "reduce serially in canonical order (or use ordered_reduce)"});
+           "reduce serially in canonical order (or use "
+           "kernels::tree_reduce)"});
     }
 
     for (auto it = std::sregex_iterator(code.begin(), code.end(),
@@ -171,7 +171,7 @@ void DeterminismChecker::scan_file(
       sink->push_back(
           {file.path, li + 1, "unordered-reduction",
            "std::" + (*it)[1].str() + " inside a parallel worker body; "
-           "reductions go through ordered_reduce or the canonical "
+           "reductions go through kernels::tree_reduce or the canonical "
            "serial epilogues (src/math/ kernels)"});
     }
 

@@ -4,8 +4,8 @@
 // Every PR since PR 1 is gated on bit-identical results at any thread
 // count; the invariant that makes that possible is that floating-point
 // accumulation order never depends on scheduling. Inside a lambda
-// passed to parallel_for / parallel_for_chunks / parallel_tasks, that
-// means:
+// passed to parallel_for / parallel_for_chunks / kernels::for_each_chunk,
+// that means:
 //
 //   * no `+=` / `-=` on a floating-point lvalue captured by reference
 //     (each worker's additions would interleave non-deterministically;
@@ -13,20 +13,20 @@
 //     fixed-shape tree primitives instead),
 //   * no unordered accumulation helpers (std::accumulate, std::reduce,
 //     std::transform_reduce, std::inner_product) — reductions go
-//     through ordered_reduce, kernels::tree_reduce / tree_sum, or the
-//     canonical serial epilogues.
+//     through kernels::tree_reduce / tree_sum or the canonical serial
+//     epilogues.
 //
-// Sanctioned escapes: the bodies of ordered_reduce and tree_reduce
-// (their partials combine in a fixed order by construction) and
-// src/math/ kernels (the sanctioned home for accumulation loops; their
-// call sites are ordered by the engine).
+// Sanctioned escapes: the bodies of tree_reduce (its partials combine
+// in a fixed order by construction) and src/math/ kernels (the
+// sanctioned home for accumulation loops; their call sites are ordered
+// by the engine).
 //
 // Additionally, a file that already calls the tree primitives
-// (tree_sum / tree_reduce / parallel_tasks) must not carry hand-rolled
-// single-statement serial float folds (`for (double v : xs) acc += v`)
-// at top level: the fold's left-to-right shape diverges from the fixed
-// tree shape the rest of the file commits to, so the same data reduced
-// both ways can disagree bit-for-bit.
+// (tree_sum / tree_reduce) must not carry hand-rolled single-statement
+// serial float folds (`for (double v : xs) acc += v`) at top level: the
+// fold's left-to-right shape diverges from the fixed tree shape the
+// rest of the file commits to, so the same data reduced both ways can
+// disagree bit-for-bit.
 //
 // Like ss_lint's R5, the tracking is lexical: the brace extent that
 // follows a dispatch call is the worker body. Float-ness of an lvalue

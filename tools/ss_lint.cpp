@@ -21,9 +21,10 @@
 //                      math::exactly_zero().
 //   throw-in-parallel  (R5) no `throw` lexically inside a lambda passed
 //                      to parallel_for / parallel_for_chunks /
-//                      ordered_reduce — a throwing chunk surfaces as
-//                      the *call's* exception; workers report failure
-//                      via Expected<T>/captured status instead.
+//                      kernels::for_each_chunk / kernels::tree_reduce —
+//                      a throwing chunk surfaces as the *call's*
+//                      exception; workers report failure via
+//                      Expected<T>/captured status instead.
 //   banned-include     (R6) no <iostream> (static-init fiasco, heavy
 //                      TU cost; the library formats via strprintf), no
 //                      deprecated <strstream>, no C-compat headers
@@ -312,7 +313,7 @@ class FileScanner {
     // rethrows the lowest failing one) — worker bodies must capture
     // status instead.
     static const std::regex call_re(
-        R"(\b(parallel_for_chunks|parallel_for|ordered_reduce)\s*\()");
+        R"(\b(parallel_for_chunks|parallel_for|for_each_chunk|tree_reduce)\s*\()");
     static const std::regex throw_re(R"(\bthrow\b)");
 
     bool inside_body_this_line =
