@@ -8,13 +8,15 @@
 namespace ss {
 
 bool ColumnModel::valid() const {
+  // Written as "inside [0, 1]" so that NaN fails it.
+  auto probability = [](double p) { return p >= 0.0 && p <= 1.0; };
   if (p_claim_true.size() != p_claim_false.size()) return false;
-  if (z < 0.0 || z > 1.0) return false;
+  if (!probability(z)) return false;
   for (double p : p_claim_true) {
-    if (p < 0.0 || p > 1.0) return false;
+    if (!probability(p)) return false;
   }
   for (double p : p_claim_false) {
-    if (p < 0.0 || p > 1.0) return false;
+    if (!probability(p)) return false;
   }
   return true;
 }

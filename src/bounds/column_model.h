@@ -25,6 +25,8 @@ struct ColumnModel {
   double z = 0.5;                     // P(C = 1)
 
   std::size_t source_count() const { return p_claim_true.size(); }
+  // Both rate vectors have one entry per source, and every rate and z
+  // lies in [0, 1] (NaN does not).
   bool valid() const;
 };
 

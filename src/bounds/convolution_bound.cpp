@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "math/logprob.h"
@@ -94,6 +95,11 @@ double mass_at_or_above(const GridDist& dist, double threshold) {
 
 BoundResult convolution_bound(const ColumnModel& model,
                               const ConvolutionBoundConfig& config) {
+  if (!model.valid()) {
+    throw std::invalid_argument(
+        "convolution_bound: rates and z must lie in [0, 1], one rate "
+        "pair per source");
+  }
   std::size_t n = model.source_count();
   std::vector<double> claim_shift(n);
   std::vector<double> silent_shift(n);

@@ -11,8 +11,8 @@
 //   Err = z * P(L < 0 | C=1) + (1-z) * P(L >= 0 | C=0),
 // and the distribution of the sum is computed *exactly up to grid
 // resolution* by convolving the n two-point distributions on a uniform
-// grid — O(n * grid) deterministic work instead of 2^n enumeration or
-// MCMC sampling. This is the library's third bound algorithm, compared
+// grid — O(n * grid) deterministic work instead of exponential
+// enumeration or MCMC sampling. This is the library's third bound algorithm, compared
 // against exact enumeration and Gibbs in ablation A6.
 #pragma once
 
@@ -30,7 +30,9 @@ struct ConvolutionBoundConfig {
 };
 
 // Ties on the decision boundary are counted toward "decide true",
-// matching exact_bound's >= comparison.
+// matching exact_bound's >= comparison. Throws std::invalid_argument
+// when !model.valid(); rates of exactly 0 or 1 are accepted and clamped
+// into (0, 1).
 BoundResult convolution_bound(const ColumnModel& model,
                               const ConvolutionBoundConfig& config = {});
 

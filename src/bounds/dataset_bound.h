@@ -32,7 +32,9 @@ struct DatasetBoundResult {
 
 // Exact enumeration per distinct column pattern. Throws
 // std::invalid_argument, before any pattern runs, when the source count
-// exceeds kExactBoundMaxSources.
+// exceeds kExactBoundMaxSources, and from the pool dispatch when a
+// params rate or z is NaN (clamping keeps NaN, and exact_bound rejects
+// the column model).
 DatasetBoundResult exact_dataset_bound(const Dataset& dataset,
                                        const ModelParams& params,
                                        ThreadPool* pool = nullptr);

@@ -12,37 +12,33 @@ Cli::Cli(std::string program, std::string description)
 
 long long& Cli::add_int(const std::string& name, long long default_value,
                         const std::string& help) {
-  auto* store = new long long(default_value);  // lives for program duration
-  ints_.push_back(store);
+  long long& store = ints_.emplace_back(default_value);
   options_.push_back({name, help, Kind::kInt, ints_.size() - 1,
                       strprintf("%lld", default_value)});
-  return *store;
+  return store;
 }
 
 double& Cli::add_double(const std::string& name, double default_value,
                         const std::string& help) {
-  auto* store = new double(default_value);
-  doubles_.push_back(store);
+  double& store = doubles_.emplace_back(default_value);
   options_.push_back({name, help, Kind::kDouble, doubles_.size() - 1,
                       strprintf("%g", default_value)});
-  return *store;
+  return store;
 }
 
 std::string& Cli::add_string(const std::string& name,
                              const std::string& default_value,
                              const std::string& help) {
-  auto* store = new std::string(default_value);
-  strings_.push_back(store);
+  std::string& store = strings_.emplace_back(default_value);
   options_.push_back(
       {name, help, Kind::kString, strings_.size() - 1, default_value});
-  return *store;
+  return store;
 }
 
 bool& Cli::add_flag(const std::string& name, const std::string& help) {
-  auto* store = new bool(false);
-  flags_.push_back(store);
+  bool& store = flags_.emplace_back(false);
   options_.push_back({name, help, Kind::kFlag, flags_.size() - 1, "false"});
-  return *store;
+  return store;
 }
 
 Cli::Option* Cli::find(const std::string& name) {
@@ -58,17 +54,17 @@ bool Cli::assign(Option& opt, const std::string& value) {
     case Kind::kInt: {
       long long v = std::strtoll(value.c_str(), &end, 10);
       if (end == value.c_str() || *end != '\0') return false;
-      *ints_[opt.index] = v;
+      ints_[opt.index] = v;
       return true;
     }
     case Kind::kDouble: {
       double v = std::strtod(value.c_str(), &end);
       if (end == value.c_str() || *end != '\0') return false;
-      *doubles_[opt.index] = v;
+      doubles_[opt.index] = v;
       return true;
     }
     case Kind::kString:
-      *strings_[opt.index] = value;
+      strings_[opt.index] = value;
       return true;
     case Kind::kFlag:
       return false;  // flags do not take values
@@ -107,7 +103,7 @@ bool Cli::try_parse(int argc, char** argv, std::string* error) {
       if (has_value) {
         return fail("flag --" + name + " takes no value");
       }
-      *flags_[opt->index] = true;
+      flags_[opt->index] = true;
       continue;
     }
     if (!has_value) {

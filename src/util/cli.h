@@ -8,6 +8,7 @@
 // Flags take the form --name=value or --name value; bools are --name.
 #pragma once
 
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -52,14 +53,13 @@ class Cli {
   std::string program_;
   std::string description_;
   std::vector<Option> options_;
-  // Deques not needed: stores are stable because we return references to
-  // deque-like storage; we use std::vector<std::unique_ptr>-free approach
-  // with fixed-capacity reservation instead. Values are held in lists to
-  // keep references valid as options are added.
-  std::vector<long long*> ints_;
-  std::vector<double*> doubles_;
-  std::vector<std::string*> strings_;
-  std::vector<bool*> flags_;
+  // One store per value kind, owned by the Cli. add_* returns references
+  // into them, and std::deque::emplace_back never moves the elements it
+  // already holds, so those references stay valid for the Cli's life.
+  std::deque<long long> ints_;
+  std::deque<double> doubles_;
+  std::deque<std::string> strings_;
+  std::deque<bool> flags_;
 };
 
 }  // namespace ss

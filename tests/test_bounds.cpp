@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "bounds/confidence.h"
 #include "bounds/convolution_bound.h"
@@ -18,28 +21,36 @@ namespace ss {
 namespace {
 
 // Brute force over explicit bit masks — an independent implementation of
-// Eq. 3 to check the DFS enumeration against.
+// Eq. 3 to check the meet-in-the-middle enumeration against. It works
+// in long double: summing 2^n terms one after another in double drifts
+// by ~1e-12 at n = 20, more than the tolerance it is checked to.
 BoundResult brute_force_bound(const ColumnModel& model) {
+  using Real = long double;
   std::size_t n = model.source_count();
-  BoundResult result;
+  Real fp = 0.0L;
+  Real fn = 0.0L;
   for (std::uint64_t mask = 0; mask < (1ULL << n); ++mask) {
-    double p1 = 1.0;
-    double p0 = 1.0;
+    Real p1 = 1.0L;
+    Real p0 = 1.0L;
     for (std::size_t i = 0; i < n; ++i) {
       bool claimed = (mask >> i) & 1u;
-      p1 *= claimed ? model.p_claim_true[i] : 1.0 - model.p_claim_true[i];
-      p0 *= claimed ? model.p_claim_false[i]
-                    : 1.0 - model.p_claim_false[i];
+      Real a = model.p_claim_true[i];
+      Real b = model.p_claim_false[i];
+      p1 *= claimed ? a : 1.0L - a;
+      p0 *= claimed ? b : 1.0L - b;
     }
-    double w1 = model.z * p1;
-    double w0 = (1.0 - model.z) * p0;
+    Real w1 = model.z * p1;
+    Real w0 = (1.0L - model.z) * p0;
     if (w1 >= w0) {
-      result.false_positive += w0;
+      fp += w0;
     } else {
-      result.false_negative += w1;
+      fn += w1;
     }
   }
-  result.error = result.false_positive + result.false_negative;
+  BoundResult result;
+  result.false_positive = static_cast<double>(fp);
+  result.false_negative = static_cast<double>(fn);
+  result.error = static_cast<double>(fp + fn);
   return result;
 }
 
@@ -52,6 +63,28 @@ ColumnModel random_model(std::size_t n, std::uint64_t seed) {
     model.p_claim_false.push_back(rng.uniform(0.05, 0.95));
   }
   return model;
+}
+
+// random_model with about 30% of its rates set to exactly 0 or 1.
+ColumnModel degenerate_model(std::size_t n, std::uint64_t seed) {
+  ColumnModel model = random_model(n, seed);
+  Rng rng(seed + 7919);
+  for (std::vector<double>* rates :
+       {&model.p_claim_true, &model.p_claim_false}) {
+    for (double& p : *rates) {
+      if (rng.bernoulli(0.3)) p = rng.bernoulli(0.5) ? 1.0 : 0.0;
+    }
+  }
+  return model;
+}
+
+void expect_matches_brute_force(const ColumnModel& model,
+                                const std::string& what) {
+  BoundResult fast = exact_bound(model);
+  BoundResult ref = brute_force_bound(model);
+  EXPECT_NEAR(fast.error, ref.error, 1e-12) << what;
+  EXPECT_NEAR(fast.false_positive, ref.false_positive, 1e-12) << what;
+  EXPECT_NEAR(fast.false_negative, ref.false_negative, 1e-12) << what;
 }
 
 TEST(ExactBound, ReproducesPaperTable1) {
@@ -79,7 +112,7 @@ TEST(ExactBound, JointTableSizeMismatchThrows) {
 
 TEST(ExactBound, JointAgreesWithEnumerationOnProductModel) {
   // When the joint *is* a product model, bound_from_joint must agree
-  // with the DFS enumeration.
+  // with the enumeration.
   ColumnModel model = random_model(3, 123);
   std::vector<double> j1(8);
   std::vector<double> j0(8);
@@ -101,13 +134,23 @@ TEST(ExactBound, JointAgreesWithEnumerationOnProductModel) {
 class ExactBoundRandomTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ExactBoundRandomTest, MatchesBruteForce) {
-  for (std::size_t n : {1u, 2u, 5u, 10u}) {
-    ColumnModel model = random_model(n, GetParam() * 1000 + n);
-    BoundResult fast = exact_bound(model);
-    BoundResult ref = brute_force_bound(model);
-    EXPECT_NEAR(fast.error, ref.error, 1e-12);
-    EXPECT_NEAR(fast.false_positive, ref.false_positive, 1e-12);
-    EXPECT_NEAR(fast.false_negative, ref.false_negative, 1e-12);
+  // Odd sizes give the two halves different lengths.
+  for (std::size_t n : {0u, 1u, 2u, 3u, 5u, 10u, 11u, 16u, 17u, 20u}) {
+    expect_matches_brute_force(random_model(n, GetParam() * 1000 + n),
+                               "n = " + std::to_string(n));
+  }
+}
+
+TEST_P(ExactBoundRandomTest, DegenerateRatesAndPriorsMatchBruteForce) {
+  // Rates of 0 and 1 in both halves, and the priors z = 0 and z = 1:
+  // the claim vectors they zero out must add nothing.
+  for (std::size_t n : {7u, 16u}) {
+    ColumnModel model = degenerate_model(n, GetParam() * 1000 + n);
+    for (double z : {model.z, 0.0, 1.0}) {
+      model.z = z;
+      expect_matches_brute_force(
+          model, "n = " + std::to_string(n) + ", z = " + std::to_string(z));
+    }
   }
 }
 
@@ -166,9 +209,64 @@ TEST(ExactBound, ZeroSourcesIsPrior) {
   EXPECT_NEAR(exact_bound(model).error, 0.4, 1e-15);
 }
 
+TEST(ExactBound, MirroredPairsTieOnlyMovesTheSplit) {
+  // Source i and source n-1-i have swapped rates, so at z = 0.5 every
+  // claim vector symmetric across the two halves is an exact tie.
+  // Rounding picks the side of a tie, so only the error is compared.
+  ColumnModel model = random_model(8, 4242);
+  model.z = 0.5;
+  for (std::size_t i = 0; i < 8; ++i) {
+    model.p_claim_true.push_back(model.p_claim_false[7 - i]);
+    model.p_claim_false.push_back(model.p_claim_true[7 - i]);
+  }
+  BoundResult fast = exact_bound(model);
+  EXPECT_NEAR(fast.error, brute_force_bound(model).error, 1e-12);
+  EXPECT_EQ(fast.false_positive + fast.false_negative, fast.error);
+}
+
 TEST(ExactBound, RefusesHugeN) {
-  ColumnModel model = random_model(31, 1);
+  ColumnModel model = random_model(kExactBoundMaxSources + 1, 1);
   EXPECT_THROW(exact_bound(model), std::invalid_argument);
+}
+
+TEST(ExactBound, FortySourcesAgreeWithGibbs) {
+  // The largest column exact_bound accepts: the most-exposed column of a
+  // paper-default instance, against the Gibbs approximation.
+  Rng rng(40);
+  SimInstance inst = generate_parametric(SimKnobs::paper_defaults(40, 30),
+                                         rng);
+  std::size_t column = 0;
+  for (std::size_t j = 1; j < 30; ++j) {
+    if (inst.dataset.dependency.exposed_sources(j).size() >
+        inst.dataset.dependency.exposed_sources(column).size()) {
+      column = j;
+    }
+  }
+  ColumnModel model = make_column_model(inst.true_params,
+                                        inst.dataset.dependency, column);
+  BoundResult exact = exact_bound(model);
+  GibbsBoundConfig config;
+  config.min_sweeps = 2000;
+  config.max_sweeps = 8000;
+  GibbsBoundResult approx = gibbs_bound(model, 40, config);
+  EXPECT_NEAR(approx.bound.error, exact.error, 0.02);
+  EXPECT_EQ(exact.false_positive + exact.false_negative, exact.error);
+}
+
+TEST(ExactBound, InvalidModelsThrow) {
+  // A short p_claim_false would be read past its end, and NaN fails
+  // every < and > test, so valid() has to be written to reject it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<ColumnModel> bad(4, random_model(6, 77));
+  bad[0].p_claim_false.pop_back();
+  bad[1].p_claim_true[3] = nan;
+  bad[2].p_claim_false[5] = 1.5;
+  bad[3].z = nan;
+  for (std::size_t k = 0; k < bad.size(); ++k) {
+    EXPECT_FALSE(bad[k].valid()) << k;
+    EXPECT_THROW(exact_bound(bad[k]), std::invalid_argument) << k;
+    EXPECT_THROW(convolution_bound(bad[k]), std::invalid_argument) << k;
+  }
 }
 
 class GibbsBoundTest : public ::testing::TestWithParam<int> {};

@@ -21,22 +21,31 @@ namespace {
 TEST(Integration, EstimatorsVsBoundOrdering) {
   // The fundamental contract of Section III: no estimator beats the
   // bound on average. Averaged over repetitions, every estimator's
-  // accuracy must stay below the optimal accuracy (1 - Err).
-  auto summary = run_repetitions(12, 2024, [](std::size_t, Rng& rng) {
-    SimKnobs knobs = SimKnobs::paper_defaults(20, 40);
-    SimInstance inst = generate_parametric(knobs, rng);
-    MetricRow row;
-    row["optimal"] =
-        exact_dataset_bound(inst.dataset, inst.true_params)
-            .bound.optimal_accuracy();
-    row["em_ext"] =
-        classify(inst.dataset, EmExtEstimator().run(inst.dataset, 1))
-            .accuracy();
-    return row;
-  });
-  EXPECT_GT(summary["optimal"].mean(), summary["em_ext"].mean() - 0.01);
-  // And the estimator should be meaningfully better than chance.
-  EXPECT_GT(summary["em_ext"].mean(), 0.6);
+  // accuracy must stay below the optimal accuracy (1 - Err), with the
+  // exact bound as the reference at both sizes.
+  const std::vector<std::string> names = estimator_names();
+  for (std::size_t n : {20u, 30u}) {
+    auto summary = run_repetitions(12, 2024, [&](std::size_t, Rng& rng) {
+      SimKnobs knobs = SimKnobs::paper_defaults(n, 40);
+      SimInstance inst = generate_parametric(knobs, rng);
+      MetricRow row;
+      row["optimal"] =
+          exact_dataset_bound(inst.dataset, inst.true_params)
+              .bound.optimal_accuracy();
+      for (const std::string& name : names) {
+        row[name] = classify(inst.dataset,
+                             make_estimator(name)->run(inst.dataset, 1))
+                        .accuracy();
+      }
+      return row;
+    });
+    for (const std::string& name : names) {
+      EXPECT_GT(summary["optimal"].mean(), summary[name].mean() - 0.01)
+          << name << ", n = " << n;
+    }
+    // And EM-Ext should be meaningfully better than chance.
+    EXPECT_GT(summary["EM-Ext"].mean(), 0.6) << "n = " << n;
+  }
 }
 
 TEST(Integration, TwitterPipelinePersistsAndReloads) {
