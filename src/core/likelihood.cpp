@@ -54,30 +54,9 @@ void LikelihoodTable::set_params(const ModelParams& params,
 
 void LikelihoodTable::prior_columns(std::size_t begin, std::size_t end,
                                     double* la, double* lb) const {
-  const kernels::LogPair base = logs_.base();
-  const kernels::LogPair* es = logs_.exposed_silent();
-  const kernels::LogPair* ci = logs_.claim_indep();
-  const kernels::LogPair* cd = logs_.claim_dep();
   const double log_z = logs_.log_z();
   const double log_1mz = logs_.log_1mz();
-  const SourceClaimMatrix& sc = dataset_->claims;
-  const DependencyIndicators& dep = dataset_->dependency;
-  std::size_t j = begin;
-  for (; j + 1 < end; j += 2) {
-    kernels::LogPair acc0 = base;
-    kernels::LogPair acc1 = base;
-    kernels::gather_add2(acc0, dep.exposed_sources(j), acc1,
-                         dep.exposed_sources(j + 1), es);
-    acc0 = kernels::gather_add_select(acc0, sc.claimants_of(j),
-                                      claimant_dependent(j), ci, cd);
-    acc1 = kernels::gather_add_select(acc1, sc.claimants_of(j + 1),
-                                      claimant_dependent(j + 1), ci, cd);
-    la[j] = acc0.t + log_z;
-    lb[j] = acc0.f + log_1mz;
-    la[j + 1] = acc1.t + log_z;
-    lb[j + 1] = acc1.f + log_1mz;
-  }
-  for (; j < end; ++j) {
+  for (std::size_t j = begin; j < end; ++j) {
     ColumnLogLikelihood c = column(j);
     la[j] = c.log_given_true + log_z;
     lb[j] = c.log_given_false + log_1mz;

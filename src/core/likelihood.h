@@ -27,8 +27,8 @@
 //
 // Users: StreamingEmExt, the posterior helpers (core/posterior.h) and
 // one-shot callers. EM-Ext runs the same per-column gathers over shard
-// slices instead (core/sharded_em.cpp); on the scalar backend the two
-// walks produce the same bits per column.
+// slices instead (core/sharded_em.cpp); the gathers are scalar on every
+// backend, so the two walks produce the same bits per column.
 #pragma once
 
 #include <cstddef>
@@ -104,10 +104,8 @@ class LikelihoodTable {
   // Prior-shifted columns for j in [begin, end):
   //   la[j] = log P(SC_j | C_j=1) + log z
   //   lb[j] = log P(SC_j | C_j=0) + log(1-z)
-  // Gathers two columns at a time (kernels::gather_add2) so the
-  // independent accumulator chains of adjacent columns interleave; each
-  // column's own add order is unchanged, so every slot is bit-identical
-  // to column(j) plus the prior. This is the E-step's gather pass.
+  // column(j) plus the prior, one column after another. This is the
+  // E-step's gather pass.
   void prior_columns(std::size_t begin, std::size_t end, double* la,
                      double* lb) const;
 

@@ -17,6 +17,9 @@
 namespace ss {
 namespace {
 
+// Inner EM iterations per batch, each warm-started from the last.
+constexpr std::size_t kItersPerBatch = 5;
+
 bool all_finite(const std::vector<double>& v) {
   for (double x : v) {
     if (!std::isfinite(x)) return false;
@@ -65,13 +68,14 @@ StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
   const std::size_t m = batch.assertion_count();
   ThreadPool* pool = config_.pool != nullptr ? config_.pool : &global_pool();
 
+  // The M-step constants are EM-Ext's defaults.
+  const EmExtConfig defaults;
+
   // Theta is staged like everything else the batch changes. On the very
   // first batch it is bootstrapped from the batch's vote prior
   // (independent support) exactly like the offline estimator.
   if (batches_ == 0) {
     EmExtConfig boot;
-    boot.shrinkage = config_.shrinkage;
-    boot.clamp_eps = config_.clamp_eps;
     boot.max_iters = 1;
     boot.pool = config_.pool;
     staged_ = EmExtEstimator(boot).run_detailed(batch, 1).params;
@@ -148,7 +152,7 @@ StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
   posterior.assign(m, 0.5);
   bool poisoned = false;
   em_detail::MStepOutcome outcome;
-  for (std::size_t inner = 0; inner < config_.iters_per_batch; ++inner) {
+  for (std::size_t inner = 0; inner < kItersPerBatch; ++inner) {
     // E-step on this batch under the staged theta.
     table.set_params(staged_, pool);
     all_posteriors(table, posterior);
@@ -194,8 +198,8 @@ StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
     // The engine's M-step on the blended statistics: every decayed
     // denominator derives from a row and the blended totals.
     em_detail::finalize_m_step_fused(blended_, blended_z, blended_m, staged_,
-                                     config_.clamp_eps, config_.shrinkage,
-                                     config_.z_floor, /*tie_fg=*/false,
+                                     defaults.clamp_eps, defaults.shrinkage,
+                                     defaults.z_floor, /*tie_fg=*/false,
                                      pool, outcome);
   }
 
@@ -209,7 +213,7 @@ StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
   // batch commits theta from its clean inner iterations, but not its
   // statistics.
   std::swap(params_, staged_);
-  if (!poisoned && config_.iters_per_batch > 0) {
+  if (!poisoned) {
     history_.swap(blended_);
     total_z_ = blended_z;
     total_m_ = blended_m;

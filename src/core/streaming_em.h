@@ -65,16 +65,12 @@ class BinReader;
 class BinWriter;
 class ThreadPool;
 
+// The stream's M-step clamps, shrinks and floors z exactly as EM-Ext
+// does at its defaults (EmExtConfig's clamp_eps, shrinkage and
+// z_floor), and each batch runs five warm-started inner iterations.
 struct StreamingEmConfig {
   // Exponential forgetting factor in (0, 1]; 1 = never forget.
   double forgetting = 0.9;
-  // Inner EM iterations per batch (warm-started).
-  std::size_t iters_per_batch = 5;
-  double clamp_eps = 1e-6;
-  // Hierarchical Beta shrinkage in pseudo-claims (see EmExtConfig).
-  double shrinkage = 8.0;
-  // Bounds on the learned prior z (see EmExtConfig::z_floor).
-  double z_floor = 0.05;
   // Pool for every pass of observe(): the first-batch bootstrap, the
   // per-source log-table build, the decay of the history, the batch
   // statistics of the active sources, the M-step tail (pooled tree and

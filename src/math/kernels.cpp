@@ -128,11 +128,6 @@ void build_sweep_weights(std::span<const double> p_claim_true,
   }
   std::size_t n = p_claim_true.size();
   if (out.size() != n) out.resize(n);
-  if (n >= 4 && simd::avx2_active()) {
-    simd::sweep_weights_avx2(n, p_claim_true.data(), p_claim_false.data(),
-                             out.data());
-    return;
-  }
   for (std::size_t i = 0; i < n; ++i) {
     double p1 = p_claim_true[i];
     double p0 = p_claim_false[i];

@@ -26,8 +26,9 @@
 //    transcendentals per source per sweep);
 //  * gather_sum / gather_mass — the M-step's posterior-mass gathers.
 //
-// Backends. Each entry point below resolves at runtime to one of two
-// implementations (docs/MODEL.md §12):
+// Backends. Four entry points resolve at runtime to one of two
+// implementations (docs/MODEL.md §12); every other kernel, the gathers
+// included, runs its scalar loop on both backends:
 //
 //  * scalar — the loops written inline here. Bit-identity contract:
 //    every scalar kernel performs exactly the additions of the
@@ -46,14 +47,17 @@
 //    a single difference; the reference comparison locks it in.
 //  * avx2 — vectorized implementations in simd/kernels_avx2.cpp
 //    (AVX2+FMA, selected by CPUID dispatch or SS_KERNEL_BACKEND; see
-//    math/simd/dispatch.h). These ARE allowed to break partial sums
-//    into independent lanes and to evaluate exp/log/log1p by
-//    polynomial, so their results differ from scalar at the ULP level.
-//    The contract is accuracy, not identity: tests/test_simd.cpp
-//    bounds the per-kernel ULP distance against the scalar reference
-//    (ctest label `simd`), and tests/test_perf_smoke.cpp checks the
-//    agreement on Twitter-scale inputs through a whole EM-Ext fit
-//    (label `perf-smoke`).
+//    math/simd/dispatch.h) of the four kernels whose scalar loop
+//    measurably slows a benchmark workload: the ExtLogTable row build,
+//    finalize_columns, SweepWeightsTable's packed refresh and
+//    finalize_params. finalize_params is exact. The other three
+//    evaluate exp/log/log1p by polynomial or split a sum into partial
+//    chains, so their results differ from scalar at the ULP level: the
+//    contract is accuracy, not identity. tests/test_simd.cpp bounds the
+//    per-kernel ULP distance against the scalar reference (ctest label
+//    `simd`), and tests/test_perf_smoke.cpp checks the agreement on
+//    Twitter-scale inputs through a whole EM-Ext fit (label
+//    `perf-smoke`).
 //
 // To add a new estimator on the kernel layer: hoist its per-source log
 // terms into a table rebuilt once per iteration (reuse the buffers —
@@ -61,7 +65,7 @@
 // inner loops as gathers over the incidence spans, and keep one
 // accumulator per term of the original loop so the addition order is
 // preserved. See docs/MODEL.md §10 and — before adding an AVX2
-// counterpart — §12.
+// counterpart, which needs a measured end-to-end win — §12.
 #pragma once
 
 #include <algorithm>
@@ -205,8 +209,7 @@ struct PairStats {
 // The Gibbs sampler's per-source log weights — constant over an entire
 // chain, recomputed four-transcendentals-per-source-per-sweep by the
 // pre-kernel sampler. One contiguous record per source keeps the sweep
-// loop a sequential walk (and hands the AVX2 refresh one full 32-byte
-// register per source).
+// loop a sequential walk.
 struct SweepWeights {
   double log_t1 = 0.0;   // log p(claim | C=1)
   double log_t1n = 0.0;  // log(1 - p(claim | C=1))
@@ -226,23 +229,6 @@ struct SweepWeights {
 // ---------------------------------------------------------------------
 namespace simd {
 
-kernels::LogPair gather_add_avx2(kernels::LogPair acc,
-                                 std::span<const std::uint32_t> idx,
-                                 const kernels::LogPair* terms);
-void gather_add2_avx2(kernels::LogPair& acc0,
-                      std::span<const std::uint32_t> idx0,
-                      kernels::LogPair& acc1,
-                      std::span<const std::uint32_t> idx1,
-                      const kernels::LogPair* terms);
-kernels::LogPair gather_add_select_avx2(kernels::LogPair acc,
-                                        std::span<const std::uint32_t> idx,
-                                        std::span<const char> flags,
-                                        const kernels::LogPair* indep,
-                                        const kernels::LogPair* dep);
-double gather_sum_avx2(std::span<const std::uint32_t> idx,
-                       const double* values);
-kernels::MassPair gather_mass_avx2(std::span<const std::uint32_t> idx,
-                                   const double* posterior);
 // Batch epilogues; aliasing contract documented on the kernels::
 // wrappers below.
 void finalize_columns_avx2(const double* la, const double* lb,
@@ -261,11 +247,6 @@ void ext_table_rows_avx2(std::size_t n, const double* rates, bool clamp,
                          kernels::LogPair* claim_indep,
                          kernels::LogPair* claim_dep,
                          kernels::LogPair* silent);
-void sweep_weights_avx2(std::size_t n, const double* p_claim_true,
-                        const double* p_claim_false,
-                        kernels::SweepWeights* out);
-kernels::LogPair sum_state_logs_avx2(std::span<const char> bits,
-                                     const kernels::SweepWeights* w);
 // Masked contiguous sums over the packed (SoA) sweep-weight layout:
 // returns { sum_{bits[i]} delta_t[i], sum_{bits[i]} delta_f[i] } — the
 // caller adds the all-silent base sums (see SweepWeightsTable).
@@ -292,8 +273,8 @@ namespace kernels {
 // bitwise-equal values (and for +0.0 vs -0.0, which are adjacent in
 // the ordering but equal as reals — callers that care about the sign
 // of zero should compare bits directly). NaN against anything is
-// "infinitely far". Used by tests/test_simd.cpp and the bench ULP
-// ablation; not a hot-path function.
+// "infinitely far". Used by tests/test_simd.cpp; not a hot-path
+// function.
 // ---------------------------------------------------------------------
 inline std::uint64_t ulp_distance(double a, double b) {
   if (std::isnan(a) || std::isnan(b)) {
@@ -315,15 +296,13 @@ inline std::uint64_t ulp_distance(double a, double b) {
 }
 
 // ---------------------------------------------------------------------
-// Gather kernels: pure adds over incidence spans.
+// Gather kernels: pure adds over incidence spans, in element order on
+// every backend.
 // ---------------------------------------------------------------------
 
 // acc += sum_{u in idx} terms[u], both hypotheses per element.
 inline LogPair gather_add(LogPair acc, std::span<const std::uint32_t> idx,
                           const LogPair* terms) {
-  if (idx.size() >= 4 && simd::avx2_active()) {
-    return simd::gather_add_avx2(acc, idx, terms);
-  }
   double at = acc.t;
   double af = acc.f;
   for (std::uint32_t u : idx) {
@@ -332,48 +311,6 @@ inline LogPair gather_add(LogPair acc, std::span<const std::uint32_t> idx,
     af += p.f;
   }
   return {at, af};
-}
-
-// Two gather_add chains advanced in lockstep: acc0 over idx0 and acc1
-// over idx1, same `terms` table. The chains belong to different
-// columns, so interleaving them doubles the FP-add ILP the column scan
-// exposes — each chain's own element order is untouched, so both
-// results are bit-identical to two gather_add calls. (This is the
-// allowed form of scalar "unrolling": more *independent* accumulator
-// chains, never extra partial accumulators within one chain.)
-inline void gather_add2(LogPair& acc0, std::span<const std::uint32_t> idx0,
-                        LogPair& acc1, std::span<const std::uint32_t> idx1,
-                        const LogPair* terms) {
-  if (idx0.size() + idx1.size() >= 8 && simd::avx2_active()) {
-    simd::gather_add2_avx2(acc0, idx0, acc1, idx1, terms);
-    return;
-  }
-  double a0t = acc0.t, a0f = acc0.f;
-  double a1t = acc1.t, a1f = acc1.f;
-  const std::size_t n0 = idx0.size();
-  const std::size_t n1 = idx1.size();
-  const std::size_t shared = n0 < n1 ? n0 : n1;
-  std::size_t k = 0;
-  for (; k < shared; ++k) {
-    const LogPair& p0 = terms[idx0[k]];
-    const LogPair& p1 = terms[idx1[k]];
-    a0t += p0.t;
-    a0f += p0.f;
-    a1t += p1.t;
-    a1f += p1.f;
-  }
-  for (; k < n0; ++k) {
-    const LogPair& p = terms[idx0[k]];
-    a0t += p.t;
-    a0f += p.f;
-  }
-  for (; k < n1; ++k) {
-    const LogPair& p = terms[idx1[k]];
-    a1t += p.t;
-    a1f += p.f;
-  }
-  acc0 = {a0t, a0f};
-  acc1 = {a1t, a1f};
 }
 
 // acc += sum_k table(flags[k])[idx[k]] where table(0) = indep and
@@ -387,9 +324,6 @@ inline LogPair gather_add_select(LogPair acc,
                                  std::span<const char> flags,
                                  const LogPair* indep,
                                  const LogPair* dep) {
-  if (idx.size() >= 4 && simd::avx2_active()) {
-    return simd::gather_add_select_avx2(acc, idx, flags, indep, dep);
-  }
   const LogPair* const sel[2] = {indep, dep};
   double at = acc.t;
   double af = acc.f;
@@ -405,9 +339,6 @@ inline LogPair gather_add_select(LogPair acc,
 // Average.Log's belief/trust sums, the M-step's exposed-mass sums).
 inline double gather_sum(std::span<const std::uint32_t> idx,
                          const double* values) {
-  if (idx.size() >= 8 && simd::avx2_active()) {
-    return simd::gather_sum_avx2(idx, values);
-  }
   double acc = 0.0;
   for (std::uint32_t j : idx) acc += values[j];
   return acc;
@@ -418,9 +349,6 @@ inline double gather_sum(std::span<const std::uint32_t> idx,
 // replaces.
 inline MassPair gather_mass(std::span<const std::uint32_t> idx,
                             const double* posterior) {
-  if (idx.size() >= 8 && simd::avx2_active()) {
-    return simd::gather_mass_avx2(idx, posterior);
-  }
   MassPair acc;
   for (std::uint32_t j : idx) {
     acc.z += posterior[j];
@@ -597,7 +525,8 @@ class ExtLogTable {
 // Gibbs sweep weights.
 // ---------------------------------------------------------------------
 
-// Fills `out` (resized to match) from the clamped claim probabilities.
+// Fills `out` (resized to match) from the clamped claim probabilities,
+// with libm's log/log1p on every backend.
 void build_sweep_weights(std::span<const double> p_claim_true,
                          std::span<const double> p_claim_false,
                          std::vector<SweepWeights>& out);
@@ -607,9 +536,6 @@ void build_sweep_weights(std::span<const double> p_claim_true,
 // sampler runs once per sweep).
 inline LogPair sum_state_logs(std::span<const char> bits,
                               const SweepWeights* w) {
-  if (bits.size() >= 8 && simd::avx2_active()) {
-    return simd::sum_state_logs_avx2(bits, w);
-  }
   double lt = 0.0;
   double lf = 0.0;
   for (std::size_t i = 0; i < bits.size(); ++i) {
@@ -621,8 +547,8 @@ inline LogPair sum_state_logs(std::span<const char> bits,
 
 // Chain-constant sweep weights with a backend-matched refresh layout.
 //
-// The AoS records are the scalar contract: sum_state_logs() over them
-// reproduces the pre-kernel sampler bit-for-bit, and the per-flip
+// The AoS records are exact on every backend: sum_state_logs() over
+// them reproduces the pre-kernel sampler bit-for-bit, and the per-flip
 // leave-one-out updates read them directly. When the AVX2 backend is
 // active at build() time the table additionally packs a delta/base
 // (SoA) companion — delta_t[i] = log_t1 - log_t1n, delta_f[i] =
@@ -648,8 +574,7 @@ class SweepWeightsTable {
   }
 
   // Full-state refresh: the packed AVX2 sum when the companion exists
-  // and the backend is active, the AoS kernel otherwise (scalar order
-  // on the scalar backend).
+  // and the backend is active, the scalar AoS walk otherwise.
   LogPair sum_state_logs(std::span<const char> bits) const {
     if (packed_ && bits.size() >= 8 && simd::avx2_active()) {
       LogPair d = simd::sum_packed_state_logs_avx2(

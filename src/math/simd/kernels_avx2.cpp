@@ -7,13 +7,14 @@
 // false, dispatch never selects the backend, and the entry points
 // abort if reached anyway.
 //
+// It holds four kernels, each kept because routing it to the scalar
+// loop slowed a benchmark workload (the audit is in docs/MODEL.md §12).
 // Numerical contract (vs the scalar backend, which is the bit-exact
-// reference): these implementations may split one accumulation chain
-// into independent partial sums (the whole point — the scalar chains
-// are FP-add-latency-bound) and may evaluate exp/log/log1p by
-// polynomial. Each kernel documents its summation order; the ULP
-// budget is enforced by tests/test_simd.cpp and checked end-to-end by
-// tests/test_perf_smoke.cpp.
+// reference): finalize_params_avx2 is exact; finalize_columns_avx2 and
+// ext_table_rows_avx2 evaluate exp/log/log1p by polynomial, and
+// sum_packed_state_logs_avx2 splits its sums into partial chains over
+// the packed deltas. The ULP budget is enforced by tests/test_simd.cpp
+// and checked end-to-end by tests/test_perf_smoke.cpp.
 
 #include "math/kernels.h"
 
@@ -26,212 +27,8 @@
 namespace ss::simd {
 
 using kernels::LogPair;
-using kernels::MassPair;
-using kernels::SweepWeights;
 
 bool avx2_compiled() { return true; }
-
-namespace {
-
-// [p.t, p.f] of one LogPair as a 128-bit lane pair.
-inline __m128d load_pair(const LogPair* terms, std::uint32_t u) {
-  return _mm_loadu_pd(reinterpret_cast<const double*>(terms + u));
-}
-
-// Two LogPairs side by side: [lo.t, lo.f, hi.t, hi.f].
-inline __m256d join_pairs(__m128d lo, __m128d hi) {
-  return _mm256_insertf128_pd(_mm256_castpd128_pd256(lo), hi, 1);
-}
-
-// True (all-ones lane mask) in lanes {0,2} for b0 and {1,3} for b1.
-inline __m256d byte_mask2(char b0, char b1) {
-  __m128i m = _mm_cmpgt_epi64(
-      _mm_set_epi64x(b1 != 0, b0 != 0), _mm_setzero_si128());
-  return _mm256_castsi256_pd(_mm256_set_m128i(m, m));
-}
-
-// values[idx[0..3]] by hardware gather. Written as the masked form with
-// a zero source and an all-ones mask — the same instruction and result
-// as _mm256_i32gather_pd, whose undefined source operand gcc 12 reports
-// as -Wmaybe-uninitialized once inlined into optimized builds.
-inline __m256d gather4(const double* values, __m128i idx) {
-  return _mm256_mask_i32gather_pd(
-      _mm256_setzero_pd(), values, idx,
-      _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
-}
-
-}  // namespace
-
-// Summation order: two 256-bit partial chains over elements
-// {k, k+1 | k ≡ 0 mod 4} and {k+2, k+3}, lane-reduced low-half +
-// high-half, then seed + tail in element order.
-LogPair gather_add_avx2(LogPair acc, std::span<const std::uint32_t> idx,
-                        const LogPair* terms) {
-  const std::size_t n = idx.size();
-  const std::uint32_t* ix = idx.data();
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    acc0 = _mm256_add_pd(
-        acc0, join_pairs(load_pair(terms, ix[k]),
-                         load_pair(terms, ix[k + 1])));
-    acc1 = _mm256_add_pd(
-        acc1, join_pairs(load_pair(terms, ix[k + 2]),
-                         load_pair(terms, ix[k + 3])));
-  }
-  __m256d s = _mm256_add_pd(acc0, acc1);
-  __m128d pair = _mm_add_pd(_mm256_castpd256_pd128(s),
-                            _mm256_extractf128_pd(s, 1));
-  double at = acc.t + _mm_cvtsd_f64(pair);
-  double af = acc.f + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
-  for (; k < n; ++k) {
-    const LogPair& p = terms[ix[k]];
-    at += p.t;
-    af += p.f;
-  }
-  return {at, af};
-}
-
-// Summation order: per column, two partial chains over even/odd shared
-// ks; the leftover of the longer column continues through
-// gather_add_avx2's order.
-void gather_add2_avx2(LogPair& acc0, std::span<const std::uint32_t> idx0,
-                      LogPair& acc1, std::span<const std::uint32_t> idx1,
-                      const LogPair* terms) {
-  const std::size_t n0 = idx0.size();
-  const std::size_t n1 = idx1.size();
-  const std::size_t shared = n0 < n1 ? n0 : n1;
-  const std::uint32_t* i0 = idx0.data();
-  const std::uint32_t* i1 = idx1.data();
-  __m256d accA = _mm256_setzero_pd();  // lanes [c0.t, c0.f, c1.t, c1.f]
-  __m256d accB = _mm256_setzero_pd();
-  std::size_t k = 0;
-  for (; k + 2 <= shared; k += 2) {
-    accA = _mm256_add_pd(
-        accA, join_pairs(load_pair(terms, i0[k]),
-                         load_pair(terms, i1[k])));
-    accB = _mm256_add_pd(
-        accB, join_pairs(load_pair(terms, i0[k + 1]),
-                         load_pair(terms, i1[k + 1])));
-  }
-  __m256d s = _mm256_add_pd(accA, accB);
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, s);
-  LogPair r0{acc0.t + lanes[0], acc0.f + lanes[1]};
-  LogPair r1{acc1.t + lanes[2], acc1.f + lanes[3]};
-  for (; k < shared; ++k) {
-    const LogPair& p0 = terms[i0[k]];
-    const LogPair& p1 = terms[i1[k]];
-    r0.t += p0.t;
-    r0.f += p0.f;
-    r1.t += p1.t;
-    r1.f += p1.f;
-  }
-  if (k < n0) r0 = gather_add_avx2(r0, idx0.subspan(k), terms);
-  if (k < n1) r1 = gather_add_avx2(r1, idx1.subspan(k), terms);
-  acc0 = r0;
-  acc1 = r1;
-}
-
-// The per-element table select stays a scalar conditional move on the
-// row pointer (exactly the scalar kernel's trick); only the
-// accumulation is vectorized, with the same partial-chain order as
-// gather_add_avx2.
-LogPair gather_add_select_avx2(LogPair acc,
-                               std::span<const std::uint32_t> idx,
-                               std::span<const char> flags,
-                               const LogPair* indep, const LogPair* dep) {
-  const std::size_t n = idx.size();
-  const std::uint32_t* ix = idx.data();
-  const char* fl = flags.data();
-  const LogPair* const sel[2] = {indep, dep};
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    acc0 = _mm256_add_pd(
-        acc0, join_pairs(load_pair(sel[fl[k] != 0], ix[k]),
-                         load_pair(sel[fl[k + 1] != 0], ix[k + 1])));
-    acc1 = _mm256_add_pd(
-        acc1, join_pairs(load_pair(sel[fl[k + 2] != 0], ix[k + 2]),
-                         load_pair(sel[fl[k + 3] != 0], ix[k + 3])));
-  }
-  __m256d s = _mm256_add_pd(acc0, acc1);
-  __m128d pair = _mm_add_pd(_mm256_castpd256_pd128(s),
-                            _mm256_extractf128_pd(s, 1));
-  double at = acc.t + _mm_cvtsd_f64(pair);
-  double af = acc.f + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
-  for (; k < n; ++k) {
-    const LogPair& p = sel[fl[k] != 0][ix[k]];
-    at += p.t;
-    af += p.f;
-  }
-  return {at, af};
-}
-
-// Summation order: two 4-lane hardware-gather chains (elements k mod 8
-// in {0..3} vs {4..7}), reduced (lo+hi per chain pair) then lane 0 +
-// lane 1, then the tail in element order.
-double gather_sum_avx2(std::span<const std::uint32_t> idx,
-                       const double* values) {
-  const std::size_t n = idx.size();
-  const std::uint32_t* ix = idx.data();
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  std::size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    __m128i v0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ix + k));
-    __m128i v1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ix + k + 4));
-    acc0 = _mm256_add_pd(acc0, gather4(values, v0));
-    acc1 = _mm256_add_pd(acc1, gather4(values, v1));
-  }
-  __m256d s = _mm256_add_pd(acc0, acc1);
-  __m128d r = _mm_add_pd(_mm256_castpd256_pd128(s),
-                         _mm256_extractf128_pd(s, 1));
-  double sum =
-      _mm_cvtsd_f64(r) + _mm_cvtsd_f64(_mm_unpackhi_pd(r, r));
-  for (; k < n; ++k) sum += values[ix[k]];
-  return sum;
-}
-
-// Same chain layout as gather_sum_avx2, for both the z and the 1-z
-// accumulators.
-MassPair gather_mass_avx2(std::span<const std::uint32_t> idx,
-                          const double* posterior) {
-  const std::size_t n = idx.size();
-  const std::uint32_t* ix = idx.data();
-  const __m256d one = _mm256_set1_pd(1.0);
-  __m256d z0 = _mm256_setzero_pd(), z1 = _mm256_setzero_pd();
-  __m256d y0 = _mm256_setzero_pd(), y1 = _mm256_setzero_pd();
-  std::size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    __m128i v0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ix + k));
-    __m128i v1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ix + k + 4));
-    __m256d p0 = gather4(posterior, v0);
-    __m256d p1 = gather4(posterior, v1);
-    z0 = _mm256_add_pd(z0, p0);
-    z1 = _mm256_add_pd(z1, p1);
-    y0 = _mm256_add_pd(y0, _mm256_sub_pd(one, p0));
-    y1 = _mm256_add_pd(y1, _mm256_sub_pd(one, p1));
-  }
-  __m256d zs = _mm256_add_pd(z0, z1);
-  __m256d ys = _mm256_add_pd(y0, y1);
-  __m128d zr = _mm_add_pd(_mm256_castpd256_pd128(zs),
-                          _mm256_extractf128_pd(zs, 1));
-  __m128d yr = _mm_add_pd(_mm256_castpd256_pd128(ys),
-                          _mm256_extractf128_pd(ys, 1));
-  MassPair acc;
-  acc.z = _mm_cvtsd_f64(zr) + _mm_cvtsd_f64(_mm_unpackhi_pd(zr, zr));
-  acc.y = _mm_cvtsd_f64(yr) + _mm_cvtsd_f64(_mm_unpackhi_pd(yr, yr));
-  for (; k < n; ++k) {
-    acc.z += posterior[ix[k]];
-    acc.y += 1.0 - posterior[ix[k]];
-  }
-  return acc;
-}
 
 // Four columns per iteration with polynomial exp/log1p; lanes holding
 // ±inf/NaN inputs delegate to the scalar finalize_column for exact
@@ -349,89 +146,6 @@ void ext_table_rows_avx2(std::size_t n, const double* rates, bool clamp,
     _mm_storeu_pd(&claim_indep[i].t, _mm256_castpd256_pd128(diff));
     _mm_storeu_pd(&claim_dep[i].t, _mm256_extractf128_pd(diff, 1));
   }
-}
-
-// Four sources per iteration: the four log vectors are built
-// lane-parallel, then 4×4-transposed into the AoS SweepWeights
-// records. Degenerate probabilities fall back to the scalar rows.
-void sweep_weights_avx2(std::size_t n, const double* p_claim_true,
-                        const double* p_claim_false, SweepWeights* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d p1 = _mm256_loadu_pd(p_claim_true + i);
-    __m256d p0 = _mm256_loadu_pd(p_claim_false + i);
-    if (any_degenerate_rate(p1) || any_degenerate_rate(p0)) {
-      for (std::size_t l = i; l < i + 4; ++l) {
-        out[l] = {std::log(p_claim_true[l]), std::log1p(-p_claim_true[l]),
-                  std::log(p_claim_false[l]),
-                  std::log1p(-p_claim_false[l])};
-      }
-      continue;
-    }
-    __m256d l1 = vec::log_pd(p1);
-    __m256d l1n = vec::log1p_pd(vec::negate_pd(p1));
-    __m256d l0 = vec::log_pd(p0);
-    __m256d l0n = vec::log1p_pd(vec::negate_pd(p0));
-    __m256d t0 = _mm256_unpacklo_pd(l1, l1n);  // [s0: t1,t1n | s2: t1,t1n]
-    __m256d t1 = _mm256_unpackhi_pd(l1, l1n);  // [s1 | s3]
-    __m256d t2 = _mm256_unpacklo_pd(l0, l0n);  // [s0: f1,f1n | s2: ...]
-    __m256d t3 = _mm256_unpackhi_pd(l0, l0n);
-    _mm256_storeu_pd(&out[i].log_t1, _mm256_permute2f128_pd(t0, t2, 0x20));
-    _mm256_storeu_pd(&out[i + 1].log_t1,
-                     _mm256_permute2f128_pd(t1, t3, 0x20));
-    _mm256_storeu_pd(&out[i + 2].log_t1,
-                     _mm256_permute2f128_pd(t0, t2, 0x31));
-    _mm256_storeu_pd(&out[i + 3].log_t1,
-                     _mm256_permute2f128_pd(t1, t3, 0x31));
-  }
-  for (; i < n; ++i) {
-    out[i] = {std::log(p_claim_true[i]), std::log1p(-p_claim_true[i]),
-              std::log(p_claim_false[i]), std::log1p(-p_claim_false[i])};
-  }
-}
-
-// Two sources per unpack step, four per iteration across two partial
-// chains; the selected weights themselves are exact table values (a
-// lane blend, not arithmetic), so the only divergence from scalar is
-// the partial-sum order. Reduction: (chainA + chainB) lanewise, then
-// per-hypothesis lane pairs low-to-high, then the tail in source
-// order.
-LogPair sum_state_logs_avx2(std::span<const char> bits,
-                            const SweepWeights* w) {
-  const std::size_t n = bits.size();
-  const char* bp = bits.data();
-  const double* base = &w[0].log_t1;
-  __m256d accA = _mm256_setzero_pd();
-  __m256d accB = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d w0 = _mm256_loadu_pd(base + 4 * i);
-    __m256d w1 = _mm256_loadu_pd(base + 4 * (i + 1));
-    __m256d w2 = _mm256_loadu_pd(base + 4 * (i + 2));
-    __m256d w3 = _mm256_loadu_pd(base + 4 * (i + 3));
-    // unpacklo = claim weights [t1_i, t1_i1, f1_i, f1_i1], unpackhi =
-    // the silent counterparts; blend picks per-source by its bit.
-    __m256d claim01 = _mm256_unpacklo_pd(w0, w1);
-    __m256d silent01 = _mm256_unpackhi_pd(w0, w1);
-    __m256d claim23 = _mm256_unpacklo_pd(w2, w3);
-    __m256d silent23 = _mm256_unpackhi_pd(w2, w3);
-    accA = _mm256_add_pd(
-        accA,
-        _mm256_blendv_pd(silent01, claim01, byte_mask2(bp[i], bp[i + 1])));
-    accB = _mm256_add_pd(
-        accB, _mm256_blendv_pd(silent23, claim23,
-                               byte_mask2(bp[i + 2], bp[i + 3])));
-  }
-  __m256d s = _mm256_add_pd(accA, accB);
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, s);
-  double lt = lanes[0] + lanes[1];
-  double lf = lanes[2] + lanes[3];
-  for (; i < n; ++i) {
-    lt += bp[i] ? w[i].log_t1 : w[i].log_t1n;
-    lf += bp[i] ? w[i].log_f1 : w[i].log_f1n;
-  }
-  return {lt, lf};
 }
 
 // Masked contiguous sums over the SoA delta layout: eight sources per
@@ -566,43 +280,15 @@ std::size_t finalize_params_avx2(std::size_t n, const double* stats6,
 namespace ss::simd {
 
 using kernels::LogPair;
-using kernels::MassPair;
-using kernels::SweepWeights;
 
 bool avx2_compiled() { return false; }
 
-LogPair gather_add_avx2(LogPair, std::span<const std::uint32_t>,
-                        const LogPair*) {
-  std::abort();
-}
-void gather_add2_avx2(LogPair&, std::span<const std::uint32_t>, LogPair&,
-                      std::span<const std::uint32_t>, const LogPair*) {
-  std::abort();
-}
-LogPair gather_add_select_avx2(LogPair, std::span<const std::uint32_t>,
-                               std::span<const char>, const LogPair*,
-                               const LogPair*) {
-  std::abort();
-}
-double gather_sum_avx2(std::span<const std::uint32_t>, const double*) {
-  std::abort();
-}
-MassPair gather_mass_avx2(std::span<const std::uint32_t>, const double*) {
-  std::abort();
-}
 void finalize_columns_avx2(const double*, const double*, std::size_t,
                            double*, double*, double*) {
   std::abort();
 }
 void ext_table_rows_avx2(std::size_t, const double*, bool, LogPair*,
                          LogPair*, LogPair*, LogPair*) {
-  std::abort();
-}
-void sweep_weights_avx2(std::size_t, const double*, const double*,
-                        SweepWeights*) {
-  std::abort();
-}
-LogPair sum_state_logs_avx2(std::span<const char>, const SweepWeights*) {
   std::abort();
 }
 LogPair sum_packed_state_logs_avx2(std::span<const char>, const double*,

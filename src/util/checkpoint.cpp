@@ -9,7 +9,6 @@
 namespace ss {
 namespace {
 
-constexpr std::uint64_t kMagic = 0x53534b50'54313000ULL;  // "SSKPT10\0"
 constexpr std::uint64_t kSnapshotMagic =
     0x53534e41'50313000ULL;  // "SSNAP10\0"
 // magic + kind + fingerprint + payload size.
@@ -224,46 +223,41 @@ CheckpointStore::CheckpointStore(std::string path, std::uint64_t kind,
   std::error_code ec;
   if (!std::filesystem::exists(path_, ec)) return;
   std::string why;
-  try {
-    if (!load_locked(&why)) {
-      recovered_corrupt_ = true;
-      payloads_.clear();
-    }
-  } catch (const std::exception& e) {
+  if (!load_locked(&why)) {
     recovered_corrupt_ = true;
-    why = e.what();
+    recovered_error_ = Error{ErrorCode::kCheckpointCorrupt, why};
     payloads_.clear();
-  }
-  if (recovered_corrupt_) {
-    recovered_error_ = Error{ErrorCode::kCheckpointCorrupt,
-                             path_ + ": " + why};
   }
 }
 
 bool CheckpointStore::load_locked(std::string* why) {
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) {
-    *why = "file exists but cannot be read";
+  Expected<std::string> sealed = read_snapshot(path_, kind_, fingerprint_);
+  if (!sealed.ok()) {
+    *why = sealed.error().message;
     return false;
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  const std::string& bytes = sealed.value();
   BinReader reader(bytes);
+  // Located in the file: the payload starts after the snapshot header.
   auto at = [&](const std::string& what) {
-    *why = what + " at byte " + std::to_string(reader.position());
+    *why = path_ + ": checkpoint corrupt at byte " +
+           std::to_string(kSnapshotHeaderBytes + reader.position()) + ": " +
+           what;
     return false;
   };
-  if (reader.u64() != kMagic) return at("bad magic");
-  if (reader.u64() != kind_) return at("kind mismatch");
-  if (reader.u64() != fingerprint_) return at("fingerprint mismatch");
-  if (reader.u64() != units_) return at("unit-count mismatch");
-  std::uint64_t records = reader.u64();
-  if (records > units_) return at("record count exceeds units");
-  for (std::uint64_t r = 0; r < records; ++r) {
-    std::uint64_t unit = reader.u64();
-    if (unit >= units_) return at("unit index out of range");
-    payloads_[unit] = reader.str();
+  try {
+    if (reader.u64() != units_) return at("unit-count mismatch");
+    std::uint64_t records = reader.u64();
+    if (records > units_) return at("record count exceeds units");
+    for (std::uint64_t r = 0; r < records; ++r) {
+      std::uint64_t unit = reader.u64();
+      if (unit >= units_) return at("unit index out of range");
+      payloads_[unit] = reader.str();
+    }
+  } catch (const std::exception& e) {
+    return at(e.what());
   }
+  if (!reader.done()) return at("trailing bytes");
   return true;
 }
 
@@ -281,9 +275,6 @@ void CheckpointStore::commit(std::uint64_t unit, std::string payload) {
   MutexLock lock(mu_);
   payloads_[unit] = std::move(payload);
   BinWriter writer;
-  writer.u64(kMagic);
-  writer.u64(kind_);
-  writer.u64(fingerprint_);
   writer.u64(units_);
   writer.u64(payloads_.size());
   for (const auto& [u, p] : payloads_) {
@@ -291,7 +282,7 @@ void CheckpointStore::commit(std::uint64_t unit, std::string payload) {
     writer.str(p);
   }
   try {
-    atomic_write_file(path_, writer.bytes());
+    write_snapshot(path_, kind_, fingerprint_, writer.bytes());
   } catch (const std::exception&) {
     // Durability lost for this commit; the run itself must continue.
   }

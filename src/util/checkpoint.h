@@ -10,10 +10,12 @@
 // deterministic, a resumed run reproduces the uninterrupted run
 // bit-for-bit (tests/test_faults.cpp locks this down).
 //
-// A store is bound to a (kind, fingerprint, unit count) triple; a file
-// whose header disagrees — or that fails any bounds check while being
-// read — is treated as absent, so a corrupt or stale checkpoint can
-// only cost recomputation, never poison a run.
+// A store's file is a sealed snapshot (write_snapshot below) whose
+// payload is `u64 units | u64 count | {u64 unit, str payload}*`, and
+// the store is bound to a (kind, fingerprint, unit count) triple. A file
+// whose checksum, kind, fingerprint or unit count disagrees — or whose
+// payload fails any bounds check — is treated as absent, so a corrupt
+// or stale checkpoint can only cost recomputation, never poison a run.
 #pragma once
 
 #include <cstdint>
@@ -85,7 +87,8 @@ std::uint64_t fnv1a64(const char* data, std::size_t size,
 // --- Single-payload snapshots ----------------------------------------
 //
 // The simulation process (src/sim/process.*) checkpoints one opaque
-// state blob per commit rather than a unit map. Layout:
+// state blob per commit, and CheckpointStore seals its unit map the
+// same way. Layout:
 //
 //   u64 magic | u64 kind | u64 fingerprint | u64 payload size
 //   payload bytes | u64 fnv1a64(everything before the digest)
@@ -118,9 +121,10 @@ std::string read_snapshot_or_throw(const std::string& path,
 class CheckpointStore {
  public:
   // Opens (or prepares to create) the store at `path`. An existing file
-  // is loaded only when kind, fingerprint and unit count all match;
-  // otherwise the store starts empty and `recovered_corrupt()` reports
-  // whether a file was present but unusable.
+  // is loaded only when its checksum, kind, fingerprint and unit count
+  // all match; otherwise the store starts empty and
+  // `recovered_corrupt()` reports whether a file was present but
+  // unusable.
   CheckpointStore(std::string path, std::uint64_t kind,
                   std::uint64_t fingerprint, std::uint64_t units);
 

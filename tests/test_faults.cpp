@@ -683,16 +683,26 @@ TEST(Checkpoint, StoreSurfacesLocatedRecoveredError) {
     store.commit(1, "beta");
     EXPECT_EQ(store.recovered_error().code, ErrorCode::kOk);
   }
-  std::string bytes = slurp(path);
-  spit(path, bytes.substr(0, bytes.size() - 3));  // torn tail
-  CheckpointStore hurt(path, 7, 42, 3);
-  ASSERT_TRUE(hurt.recovered_corrupt());
-  EXPECT_EQ(hurt.recovered_error().code, ErrorCode::kCheckpointCorrupt);
-  EXPECT_NE(hurt.recovered_error().message.find(path), std::string::npos)
-      << hurt.recovered_error().message;
-  EXPECT_NE(hurt.recovered_error().message.find("at byte"),
-            std::string::npos)
-      << hurt.recovered_error().message;
+  const std::string bytes = slurp(path);
+  // A torn tail, and one flipped bit inside the stored payload, which
+  // no bounds check can see: only the seal catches it.
+  std::string flipped = bytes;
+  const std::size_t at = bytes.find("beta");
+  ASSERT_NE(at, std::string::npos);
+  flipped[at] = static_cast<char>(flipped[at] ^ 0x10);
+  for (const std::string& damaged :
+       {bytes.substr(0, bytes.size() - 3), flipped}) {
+    spit(path, damaged);
+    CheckpointStore hurt(path, 7, 42, 3);
+    ASSERT_TRUE(hurt.recovered_corrupt());
+    EXPECT_EQ(hurt.completed(), 0u);
+    EXPECT_EQ(hurt.recovered_error().code, ErrorCode::kCheckpointCorrupt);
+    EXPECT_NE(hurt.recovered_error().message.find(path), std::string::npos)
+        << hurt.recovered_error().message;
+    EXPECT_NE(hurt.recovered_error().message.find("at byte"),
+              std::string::npos)
+        << hurt.recovered_error().message;
+  }
   std::filesystem::remove_all(dir);
 }
 
@@ -845,6 +855,64 @@ TEST(Checkpoint, CorruptCheckpointRecomputesInsteadOfPoisoning) {
   EmExtResult again = EmExtEstimator(ckpt).run_detailed(d, 9);
   EXPECT_EQ(again.estimate.belief, baseline.estimate.belief);
   EXPECT_EQ(again.log_likelihood, baseline.log_likelihood);
+  std::filesystem::remove_all(dir);
+}
+
+// Every byte of a kept checkpoint, flipped one at a time: the seal
+// rejects each damaged file, so the rerun replays nothing, recomputes
+// every unit and reproduces the uninterrupted run.
+TEST(Checkpoint, ByteFlipAtEveryPositionRecomputesBitIdentical) {
+  std::string dir = temp_dir("ckpt_flip");
+  Dataset d = tiny_dataset();
+  EmExtConfig em;
+  em.init_kind = EmInit::kRandom;
+  em.restarts = 2;
+  em.max_iters = 40;
+  EmExtResult em_baseline = EmExtEstimator(em).run_detailed(d, 9);
+  em.checkpoint_path = dir + "/em.ckpt";
+  em.keep_checkpoint = true;
+  EmExtEstimator(em).run_detailed(d, 9);
+  const std::string em_bytes = slurp(em.checkpoint_path);
+  ASSERT_FALSE(em_bytes.empty());
+  for (std::size_t at = 0; at < em_bytes.size(); ++at) {
+    SCOPED_TRACE("EM-Ext checkpoint, flip at byte " + std::to_string(at));
+    std::string damaged = em_bytes;
+    damaged[at] = static_cast<char>(damaged[at] ^ 0x10);
+    spit(em.checkpoint_path, damaged);
+    EmExtResult again = EmExtEstimator(em).run_detailed(d, 9);
+    ASSERT_EQ(again.health.resumed_attempts, 0u);
+    ASSERT_EQ(again.estimate.belief, em_baseline.estimate.belief);
+    ASSERT_EQ(again.log_likelihood, em_baseline.log_likelihood);
+  }
+
+  ColumnModel model;
+  model.p_claim_true = {0.8, 0.6, 0.7, 0.55, 0.65, 0.75};
+  model.p_claim_false = {0.2, 0.3, 0.25, 0.35, 0.3, 0.2};
+  model.z = 0.5;
+  GibbsBoundConfig gibbs;
+  gibbs.burn_in_sweeps = 20;
+  gibbs.min_sweeps = 30;
+  gibbs.max_sweeps = 60;
+  gibbs.chains = 2;
+  GibbsBoundResult gibbs_baseline = gibbs_bound(model, 11, gibbs);
+  gibbs.checkpoint_path = dir + "/gibbs.ckpt";
+  gibbs.keep_checkpoint = true;
+  gibbs_bound(model, 11, gibbs);
+  const std::string gibbs_bytes = slurp(gibbs.checkpoint_path);
+  ASSERT_FALSE(gibbs_bytes.empty());
+  for (std::size_t at = 0; at < gibbs_bytes.size(); ++at) {
+    SCOPED_TRACE("Gibbs checkpoint, flip at byte " + std::to_string(at));
+    std::string damaged = gibbs_bytes;
+    damaged[at] = static_cast<char>(damaged[at] ^ 0x10);
+    spit(gibbs.checkpoint_path, damaged);
+    GibbsBoundResult again = gibbs_bound(model, 11, gibbs);
+    ASSERT_EQ(again.resumed_chains, 0u);
+    ASSERT_EQ(again.bound.error, gibbs_baseline.bound.error);
+    ASSERT_EQ(again.bound.false_positive,
+              gibbs_baseline.bound.false_positive);
+    ASSERT_EQ(again.bound.false_negative,
+              gibbs_baseline.bound.false_negative);
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -12,8 +12,10 @@
 //
 // Both guarantees are contracts of the SCALAR backend (it is the
 // executable reference; docs/MODEL.md §12), so this whole binary pins
-// dispatch to kScalar. The AVX2 backend's ULP contract is covered by
-// tests/test_simd.cpp.
+// dispatch to kScalar. The gathers and the Gibbs sweep-weight records
+// have no vector arm, so their cases run under every backend the host
+// supports and must be bitwise on each. The AVX2 backend's ULP contract
+// is covered by tests/test_simd.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -93,78 +95,68 @@ struct GatherFixture {
 };
 
 TEST(KernelGathers, GatherAddMatchesReferenceBitwise) {
-  Rng rng(11);
-  for (int round = 0; round < 50; ++round) {
-    GatherFixture fx(rng, 64, 1 + round);
-    kernels::LogPair seed{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)};
-    kernels::LogPair opt =
-        kernels::gather_add(seed, fx.idx, fx.pairs_a.data());
-    double lt = seed.t;
-    double lf = seed.f;
-    kernels::gather_add_reference(lt, lf, fx.idx, fx.at.data(),
-                                  fx.af.data());
-    expect_same_bits(opt.t, lt, "gather_add.t");
-    expect_same_bits(opt.f, lf, "gather_add.f");
-  }
-}
-
-TEST(KernelGathers, GatherAdd2MatchesTwoIndependentChainsBitwise) {
-  Rng rng(17);
-  // Exercise every length relation: idx0 shorter, equal, longer than
-  // idx1 (including empty lists) — the lockstep prefix plus each tail.
-  for (int round = 0; round < 60; ++round) {
-    GatherFixture fx0(rng, 64, round % 7);
-    GatherFixture fx1(rng, 64, (round * 3) % 11);
-    kernels::LogPair seed0{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)};
-    kernels::LogPair seed1{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)};
-    kernels::LogPair p0 = seed0;
-    kernels::LogPair p1 = seed1;
-    kernels::gather_add2(p0, fx0.idx, p1, fx1.idx, fx0.pairs_a.data());
-    kernels::LogPair q0 =
-        kernels::gather_add(seed0, fx0.idx, fx0.pairs_a.data());
-    kernels::LogPair q1 =
-        kernels::gather_add(seed1, fx1.idx, fx0.pairs_a.data());
-    expect_same_bits(p0.t, q0.t, "gather_add2.chain0.t");
-    expect_same_bits(p0.f, q0.f, "gather_add2.chain0.f");
-    expect_same_bits(p1.t, q1.t, "gather_add2.chain1.t");
-    expect_same_bits(p1.f, q1.f, "gather_add2.chain1.f");
+  for (simd::Backend backend : test_support::available_backends()) {
+    test_support::ScopedBackend pin(backend);
+    SCOPED_TRACE(simd::backend_name(backend));
+    Rng rng(11);
+    for (int round = 0; round < 50; ++round) {
+      GatherFixture fx(rng, 64, 1 + round);
+      kernels::LogPair seed{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)};
+      kernels::LogPair opt =
+          kernels::gather_add(seed, fx.idx, fx.pairs_a.data());
+      double lt = seed.t;
+      double lf = seed.f;
+      kernels::gather_add_reference(lt, lf, fx.idx, fx.at.data(),
+                                    fx.af.data());
+      expect_same_bits(opt.t, lt, "gather_add.t");
+      expect_same_bits(opt.f, lf, "gather_add.f");
+    }
   }
 }
 
 TEST(KernelGathers, GatherAddSelectMatchesBranchyReferenceBitwise) {
-  Rng rng(13);
-  for (int round = 0; round < 50; ++round) {
-    GatherFixture fx(rng, 64, 1 + round);
-    kernels::LogPair seed{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)};
-    kernels::LogPair opt = kernels::gather_add_select(
-        seed, fx.idx, fx.flags, fx.pairs_a.data(), fx.pairs_b.data());
-    double lt = seed.t;
-    double lf = seed.f;
-    kernels::gather_add_select_reference(lt, lf, fx.idx, fx.flags,
-                                         fx.at.data(), fx.af.data(),
-                                         fx.bt.data(), fx.bf.data());
-    expect_same_bits(opt.t, lt, "gather_add_select.t");
-    expect_same_bits(opt.f, lf, "gather_add_select.f");
+  for (simd::Backend backend : test_support::available_backends()) {
+    test_support::ScopedBackend pin(backend);
+    SCOPED_TRACE(simd::backend_name(backend));
+    Rng rng(13);
+    for (int round = 0; round < 50; ++round) {
+      GatherFixture fx(rng, 64, 1 + round);
+      kernels::LogPair seed{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)};
+      kernels::LogPair opt = kernels::gather_add_select(
+          seed, fx.idx, fx.flags, fx.pairs_a.data(), fx.pairs_b.data());
+      double lt = seed.t;
+      double lf = seed.f;
+      kernels::gather_add_select_reference(lt, lf, fx.idx, fx.flags,
+                                           fx.at.data(), fx.af.data(),
+                                           fx.bt.data(), fx.bf.data());
+      expect_same_bits(opt.t, lt, "gather_add_select.t");
+      expect_same_bits(opt.f, lf, "gather_add_select.f");
+    }
   }
 }
 
 TEST(KernelGathers, GatherSumAndMassMatchNaiveBitwise) {
-  Rng rng(14);
-  for (int round = 0; round < 50; ++round) {
-    GatherFixture fx(rng, 32, 1 + round);
-    double opt = kernels::gather_sum(fx.idx, fx.values.data());
-    double naive = 0.0;
-    for (std::uint32_t j : fx.idx) naive += fx.values[j];
-    expect_same_bits(opt, naive, "gather_sum");
+  for (simd::Backend backend : test_support::available_backends()) {
+    test_support::ScopedBackend pin(backend);
+    SCOPED_TRACE(simd::backend_name(backend));
+    Rng rng(14);
+    for (int round = 0; round < 50; ++round) {
+      GatherFixture fx(rng, 32, 1 + round);
+      double opt = kernels::gather_sum(fx.idx, fx.values.data());
+      double naive = 0.0;
+      for (std::uint32_t j : fx.idx) naive += fx.values[j];
+      expect_same_bits(opt, naive, "gather_sum");
 
-    kernels::MassPair mass = kernels::gather_mass(fx.idx, fx.values.data());
-    double z = 0.0, y = 0.0;
-    for (std::uint32_t j : fx.idx) {
-      z += fx.values[j];
-      y += 1.0 - fx.values[j];
+      kernels::MassPair mass =
+          kernels::gather_mass(fx.idx, fx.values.data());
+      double z = 0.0, y = 0.0;
+      for (std::uint32_t j : fx.idx) {
+        z += fx.values[j];
+        y += 1.0 - fx.values[j];
+      }
+      expect_same_bits(mass.z, z, "gather_mass.z");
+      expect_same_bits(mass.y, y, "gather_mass.y");
     }
-    expect_same_bits(mass.z, z, "gather_mass.z");
-    expect_same_bits(mass.y, y, "gather_mass.y");
   }
 }
 
@@ -315,39 +307,43 @@ TEST(KernelTables, ExtLogTableBuildFromRowsMatchesClampedBuild) {
 }
 
 TEST(KernelTables, SweepWeightsMatchPerSweepLogsBitwise) {
-  Rng rng(18);
-  std::size_t n = 53;
-  std::vector<double> p1(n), p0(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    p1[i] = std::clamp(rng.uniform(0.0, 1.0), 1e-12, 1.0 - 1e-12);
-    p0[i] = std::clamp(rng.uniform(0.0, 1.0), 1e-12, 1.0 - 1e-12);
-  }
-  std::vector<kernels::SweepWeights> w;
-  kernels::build_sweep_weights(p1, p0, w);
-  ASSERT_EQ(w.size(), n);
-  std::vector<char> bits(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    expect_same_bits(w[i].log_t1, std::log(p1[i]), "log_t1");
-    expect_same_bits(w[i].log_t1n, std::log1p(-p1[i]), "log_t1n");
-    expect_same_bits(w[i].log_f1, std::log(p0[i]), "log_f1");
-    expect_same_bits(w[i].log_f1n, std::log1p(-p0[i]), "log_f1n");
-    bits[i] = rng.bernoulli(0.5) ? 1 : 0;
-  }
-  // Full-state refresh == the pre-kernel per-source loop.
-  kernels::LogPair sums = kernels::sum_state_logs(bits, w.data());
-  double lt = 0.0;
-  double lf = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    lt += bits[i] ? std::log(p1[i]) : std::log1p(-p1[i]);
-    lf += bits[i] ? std::log(p0[i]) : std::log1p(-p0[i]);
-  }
-  expect_same_bits(sums.t, lt, "sum_state_logs.t");
-  expect_same_bits(sums.f, lf, "sum_state_logs.f");
+  for (simd::Backend backend : test_support::available_backends()) {
+    test_support::ScopedBackend pin(backend);
+    SCOPED_TRACE(simd::backend_name(backend));
+    Rng rng(18);
+    std::size_t n = 53;
+    std::vector<double> p1(n), p0(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      p1[i] = std::clamp(rng.uniform(0.0, 1.0), 1e-12, 1.0 - 1e-12);
+      p0[i] = std::clamp(rng.uniform(0.0, 1.0), 1e-12, 1.0 - 1e-12);
+    }
+    std::vector<kernels::SweepWeights> w;
+    kernels::build_sweep_weights(p1, p0, w);
+    ASSERT_EQ(w.size(), n);
+    std::vector<char> bits(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      expect_same_bits(w[i].log_t1, std::log(p1[i]), "log_t1");
+      expect_same_bits(w[i].log_t1n, std::log1p(-p1[i]), "log_t1n");
+      expect_same_bits(w[i].log_f1, std::log(p0[i]), "log_f1");
+      expect_same_bits(w[i].log_f1n, std::log1p(-p0[i]), "log_f1n");
+      bits[i] = rng.bernoulli(0.5) ? 1 : 0;
+    }
+    // Full-state refresh == the pre-kernel per-source loop.
+    kernels::LogPair sums = kernels::sum_state_logs(bits, w.data());
+    double lt = 0.0;
+    double lf = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      lt += bits[i] ? std::log(p1[i]) : std::log1p(-p1[i]);
+      lf += bits[i] ? std::log(p0[i]) : std::log1p(-p0[i]);
+    }
+    expect_same_bits(sums.t, lt, "sum_state_logs.t");
+    expect_same_bits(sums.f, lf, "sum_state_logs.f");
 
-  EXPECT_THROW(
-      kernels::build_sweep_weights(
-          std::span<const double>(p1.data(), n - 1), p0, w),
-      std::invalid_argument);
+    EXPECT_THROW(
+        kernels::build_sweep_weights(
+            std::span<const double>(p1.data(), n - 1), p0, w),
+        std::invalid_argument);
+  }
 }
 
 // End-to-end column check: the kernel-backed LikelihoodTable equals a
@@ -415,9 +411,8 @@ TEST(KernelTables, LikelihoodColumnMatchesHoistedWalk) {
 }
 
 TEST(KernelTables, PriorColumnsMatchesPerColumnWalkBitwise) {
-  // golden_dataset(·, 40, 61): odd assertion count, so the paired
-  // gather's scalar tail column is exercised too. Also check ranges
-  // that start mid-array at both parities.
+  // golden_dataset(·, 40, 61), checked over the whole range and over
+  // ranges that start mid-array at both parities.
   Dataset d = golden::golden_dataset(33, 40, 61);
   ModelParams params;
   Rng rng(23);
