@@ -11,7 +11,6 @@ namespace ss {
 LiveApollo::LiveApollo(Digraph follows, LiveApolloConfig config)
     : config_(config),
       follows_(std::move(follows)),
-      clusterer_(config.clustering),
       em_(follows_.node_count(), config.em) {}
 
 std::uint32_t LiveApollo::ingest(const Tweet& tweet) {

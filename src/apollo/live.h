@@ -28,7 +28,6 @@
 namespace ss {
 
 struct LiveApolloConfig {
-  ClusteringConfig clustering;
   StreamingEmConfig em;
   // A tweet from a user id outside the follower graph has no dependency
   // information and previously blew up deep inside refresh() (matrix

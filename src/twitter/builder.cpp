@@ -7,10 +7,9 @@
 
 namespace ss {
 
-BuiltDataset build_dataset(const TwitterSimulation& sim,
-                           const ClusteringConfig& config) {
+BuiltDataset build_dataset(const TwitterSimulation& sim) {
   BuiltDataset out;
-  out.clustering = cluster_tweets(sim.tweets, config);
+  out.clustering = cluster_tweets(sim.tweets);
 
   // Active users -> dense source ids (Table III counts sources that
   // actually tweeted, not the full user universe).
@@ -60,15 +59,13 @@ BuiltDataset build_dataset(const TwitterSimulation& sim,
 }
 
 BuiltDataset make_twitter_dataset(const TwitterScenario& scenario,
-                                  std::uint64_t seed,
-                                  const ClusteringConfig& config) {
+                                  std::uint64_t seed) {
   TwitterSimulation sim = simulate_twitter(scenario, seed);
-  return build_dataset(sim, config);
+  return build_dataset(sim);
 }
 
 BuiltDataset build_dataset_from_stream(std::vector<Tweet> tweets,
-                                       std::size_t user_count,
-                                       const ClusteringConfig& config) {
+                                       std::size_t user_count) {
   // Deterministic (time, id) order so callers can reproduce the
   // tweet-index alignment of the returned clustering.
   std::sort(tweets.begin(), tweets.end(),
@@ -87,7 +84,7 @@ BuiltDataset build_dataset_from_stream(std::vector<Tweet> tweets,
   sim.scenario.users = user_count;
   sim.follows = infer_dependency_network(tweets, user_count);
   sim.tweets = std::move(tweets);
-  return build_dataset(sim, config);
+  return build_dataset(sim);
 }
 
 }  // namespace ss

@@ -24,13 +24,11 @@ struct BuiltDataset {
   ClusteringResult clustering;
 };
 
-BuiltDataset build_dataset(const TwitterSimulation& sim,
-                           const ClusteringConfig& config = {});
+BuiltDataset build_dataset(const TwitterSimulation& sim);
 
 // End-to-end convenience: simulate + cluster + build.
 BuiltDataset make_twitter_dataset(const TwitterScenario& scenario,
-                                  std::uint64_t seed,
-                                  const ClusteringConfig& config = {});
+                                  std::uint64_t seed);
 
 // Ingestion for *external* tweet streams (e.g. loaded from JSONL): no
 // parent pointers and no follower graph are assumed. Retweet parents
@@ -39,7 +37,6 @@ BuiltDataset make_twitter_dataset(const TwitterScenario& scenario,
 // empirical pipeline does. `user_count` bounds user ids (0 = derive
 // from the stream). Tweets are re-sorted by time.
 BuiltDataset build_dataset_from_stream(std::vector<Tweet> tweets,
-                                       std::size_t user_count = 0,
-                                       const ClusteringConfig& config = {});
+                                       std::size_t user_count = 0);
 
 }  // namespace ss

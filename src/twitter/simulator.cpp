@@ -5,9 +5,9 @@
 #include <deque>
 
 #include "math/discrete_sampler.h"
+#include "twitter/retweet_detect.h"
 #include "twitter/text.h"
 #include "util/log.h"
-#include "util/string_util.h"
 
 namespace ss {
 namespace {
@@ -148,8 +148,8 @@ TwitterSimulation simulate_twitter(const TwitterScenario& scenario,
         rt.id = next_id++;
         rt.user = static_cast<std::uint32_t>(follower);
         rt.time = cur.time + rng.uniform(0.02, 1.5);  // minutes to ~1.5h
-        rt.text = TweetTextGenerator::make_retweet(
-            cur.text, strprintf("user%u", cur.user));
+        rt.text =
+            TweetTextGenerator::make_retweet(cur.text, username_of(cur.user));
         rt.parent = cur.id;
         rt.hidden_assertion = cur.hidden_assertion;
         rt.hidden_label = cur.hidden_label;

@@ -1,7 +1,6 @@
 #include "twitter/text.h"
 
 #include <algorithm>
-#include <cctype>
 
 #include "util/string_util.h"
 
@@ -22,29 +21,6 @@ constexpr std::size_t kOpinionCount =
     sizeof(kOpinionWords) / sizeof(kOpinionWords[0]);
 
 }  // namespace
-
-std::vector<std::string> tokenize_tweet(const std::string& text) {
-  std::vector<std::string> tokens;
-  std::string current;
-  auto flush = [&] {
-    if (!current.empty()) {
-      if (current != "rt" && current[0] != '@') {
-        tokens.push_back(current);
-      }
-      current.clear();
-    }
-  };
-  for (char raw : text) {
-    unsigned char c = static_cast<unsigned char>(raw);
-    if (std::isalnum(c) || raw == '@' || raw == '#') {
-      current += static_cast<char>(std::tolower(c));
-    } else {
-      flush();
-    }
-  }
-  flush();
-  return tokens;
-}
 
 TweetTextGenerator::TweetTextGenerator(std::vector<std::string> topic_words,
                                        std::uint64_t seed)

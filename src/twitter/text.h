@@ -11,17 +11,42 @@
 // "RT @user:" prefix — the signal the dependency extractor keys on.
 #pragma once
 
+#include <cctype>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/rng.h"
 
 namespace ss {
 
-// Lowercases, strips punctuation, splits on whitespace, removes the
-// "rt" marker and @mentions. The clustering operates on these tokens.
-std::vector<std::string> tokenize_tweet(const std::string& text);
+// The one token rule of the pipeline. A token is a maximal run of
+// alphanumeric, '@' and '#' bytes, lowercased; the "rt" marker and
+// @mentions are dropped. Calls `emit(std::string_view)` once per token,
+// in text order. `scratch` holds the token being built, so a caller
+// scanning many texts reuses one buffer; each view is valid only during
+// its `emit` call.
+template <typename Emit>
+void scan_tokens(std::string_view text, std::string& scratch, Emit&& emit) {
+  scratch.clear();
+  auto flush = [&] {
+    if (scratch.empty()) return;
+    if (scratch != "rt" && scratch[0] != '@') {
+      emit(std::string_view(scratch));
+    }
+    scratch.clear();
+  };
+  for (char raw : text) {
+    unsigned char c = static_cast<unsigned char>(raw);
+    if (std::isalnum(c) || raw == '@' || raw == '#') {
+      scratch += static_cast<char>(std::tolower(c));
+    } else {
+      flush();
+    }
+  }
+  flush();
+}
 
 class TweetTextGenerator {
  public:

@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "temp_dir.h"
+
 namespace {
 
 namespace fs = std::filesystem;
@@ -157,14 +159,14 @@ TEST(AnalyzeLayering, CyclicDeclaredGraphIsRefused) {
 }
 
 TEST(AnalyzeLayering, GoldenDotSnapshot) {
-  std::string dot = testing::TempDir() + "/analyze_layertree.dot";
+  ss::test::TempDir dir("analyze_layertree");
+  std::string dot = dir.file("analyze_layertree.dot");
   AnalyzeRun run = run_analyze("--config " +
                                fixture("good/layertree/layers.conf") +
                                " --dot " + dot + " " +
                                fixture("good/layertree"));
   EXPECT_EQ(run.exit_code, 0) << run.output;
   EXPECT_EQ(slurp(dot), slurp(fixture("golden/layertree.dot")));
-  std::remove(dot.c_str());
 }
 
 TEST(AnalyzeGoodFixtures, WholeCorpusScansClean) {
@@ -189,8 +191,8 @@ TEST(AnalyzeSuppression, StrippingTheMarkerBringsDiagnosticsBack) {
   }
   ASSERT_EQ(hits, 1u) << "fixture should carry exactly one suppression";
 
-  std::string tmp =
-      testing::TempDir() + "/suppressed_stripped_analyze_fixture.cpp";
+  ss::test::TempDir dir("analyze_stripped");
+  std::string tmp = dir.file("suppressed_stripped_analyze_fixture.cpp");
   {
     std::ofstream out(tmp);
     ASSERT_TRUE(out.is_open());
@@ -200,7 +202,6 @@ TEST(AnalyzeSuppression, StrippingTheMarkerBringsDiagnosticsBack) {
   EXPECT_EQ(run.exit_code, 1) << run.output;
   EXPECT_EQ(count_occurrences(run.output, "[hot-loop-alloc]"), 1u)
       << run.output;
-  std::remove(tmp.c_str());
 }
 
 TEST(AnalyzeJson, OneEntryPerDiagnostic) {
@@ -242,8 +243,8 @@ TEST(AnalyzeTree, InjectedBadFixtureFailsTheGate) {
   // End-to-end acceptance: copy the real src/ tree, drop one bad
   // fixture into it, and the same invocation check.sh uses must flip
   // to a non-zero exit naming the seeded check.
-  fs::path tmp = fs::path(testing::TempDir()) / "analyze_injected_src";
-  fs::remove_all(tmp);
+  ss::test::TempDir dir("analyze_injected");
+  fs::path tmp = fs::path(dir.path()) / "src";
   fs::copy(SS_REPO_SRC_DIR, tmp, fs::copy_options::recursive);
   fs::copy_file(fixture("bad/hot_loop.cpp"),
                 tmp / "core" / "injected_hot_fixture.cpp");
@@ -255,7 +256,6 @@ TEST(AnalyzeTree, InjectedBadFixtureFailsTheGate) {
   EXPECT_NE(run.output.find("injected_hot_fixture.cpp:13:"),
             std::string::npos)
       << run.output;
-  fs::remove_all(tmp);
 }
 
 }  // namespace

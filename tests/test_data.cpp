@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -15,6 +14,7 @@
 #include "csr_check.h"
 #include "data/dataset.h"
 #include "data/io.h"
+#include "temp_dir.h"
 #include "util/rng.h"
 
 namespace ss {
@@ -425,8 +425,8 @@ TEST(DatasetIo, RoundtripPreservesEverything) {
   d.truth = {Label::kTrue, Label::kFalse, Label::kOpinion,
              Label::kUnknown};
 
-  std::string dir = "/tmp/ss_test_io_roundtrip";
-  std::filesystem::remove_all(dir);
+  test::TempDir tmp("data_io_roundtrip");
+  std::string dir = tmp.file("dataset");
   save_dataset(d, dir);
   Dataset r = load_dataset(dir);
 
@@ -441,7 +441,6 @@ TEST(DatasetIo, RoundtripPreservesEverything) {
   }
   EXPECT_DOUBLE_EQ(r.claims.claim_time(2, 3), 0.5);
   EXPECT_EQ(r.truth, d.truth);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(DatasetIo, LoadMissingDirectoryThrows) {
@@ -521,11 +520,10 @@ TEST(DatasetIngest, MissingDirectoryIsClassifiedIoError) {
 // A meta line declaring more sources or assertions than the uint32 id
 // space holds is rejected before anything is allocated.
 TEST(DatasetIngest, CsvMetaBeyondUint32IsIndexOutOfRange) {
-  const std::string dir = "/tmp/ss_test_io_huge_meta";
+  test::TempDir tmp("data_io_huge_meta");
+  const std::string dir = tmp.path();
   for (const char* dims : {"4294967306,3", "3,4294967306"}) {
     SCOPED_TRACE(dims);
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
     std::ofstream(dir + "/meta.csv")
         << "name,sources,assertions\nhuge," << dims << "\n";
     std::ofstream(dir + "/claims.csv") << "source,assertion,time\n";
@@ -541,11 +539,11 @@ TEST(DatasetIngest, CsvMetaBeyondUint32IsIndexOutOfRange) {
           << r.error().message;
     }
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(DatasetIngest, JsonlMetaBeyondUint32IsIndexOutOfRange) {
-  const std::string path = "/tmp/ss_test_io_huge_meta.jsonl";
+  test::TempDir tmp("data_io_huge_meta_jsonl");
+  const std::string path = tmp.file("huge_meta.jsonl");
   for (const char* dims : {"\"sources\":4294967306,\"assertions\":3",
                            "\"sources\":3,\"assertions\":4294967306"}) {
     SCOPED_TRACE(dims);
@@ -558,7 +556,6 @@ TEST(DatasetIngest, JsonlMetaBeyondUint32IsIndexOutOfRange) {
       EXPECT_EQ(e.code(), ErrorCode::kIndexOutOfRange) << e.what();
     }
   }
-  std::filesystem::remove(path);
 }
 
 TEST(DatasetIngest, ReportSummaryIsHumanReadable) {

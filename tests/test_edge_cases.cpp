@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 #include <fstream>
 
 #include "bounds/confidence.h"
@@ -16,6 +15,7 @@
 #include "eval/json.h"
 #include "eval/metrics.h"
 #include "simgen/parametric_gen.h"
+#include "temp_dir.h"
 
 namespace ss {
 namespace {
@@ -123,13 +123,13 @@ TEST(EdgeCases, JsonDeepNestingAndFileWrite) {
     (*cur)["child"] = JsonValue::object();
     cur = &(*cur)["child"];
   }
-  std::string path = "/tmp/ss_test_deep.json";
+  test::TempDir tmp("edge_deep_json");
+  std::string path = tmp.file("deep.json");
   root.write_file(path, 0);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
-  std::filesystem::remove(path);
   EXPECT_NE(content.find("\"level\":19"), std::string::npos);
 }
 
@@ -139,11 +139,10 @@ TEST(EdgeCases, DatasetIoEmptyDataset) {
   d.claims = SourceClaimMatrix(3, 2, {});
   d.dependency = DependencyIndicators::from_cells(3, 2, {});
   d.truth = {Label::kUnknown, Label::kUnknown};
-  std::string dir = "/tmp/ss_test_empty_dataset";
-  std::filesystem::remove_all(dir);
+  test::TempDir tmp("edge_empty_dataset");
+  std::string dir = tmp.file("dataset");
   save_dataset(d, dir);
   Dataset r = load_dataset(dir);
-  std::filesystem::remove_all(dir);
   EXPECT_EQ(r.claims.claim_count(), 0u);
   EXPECT_EQ(r.source_count(), 3u);
   EXPECT_EQ(r.assertion_count(), 2u);

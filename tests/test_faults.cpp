@@ -25,6 +25,7 @@
 #include "graph/digraph.h"
 #include "kernel_golden.h"
 #include "math/kernels.h"
+#include "temp_dir.h"
 #include "twitter/tweet_io.h"
 #include "util/checkpoint.h"
 #include "util/fault_inject.h"
@@ -34,13 +35,6 @@
 
 namespace ss {
 namespace {
-
-std::string temp_dir(const std::string& name) {
-  std::string dir = "/tmp/ss_faults_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -94,7 +88,8 @@ TEST(CorruptBytes, DeterministicAndLineLocal) {
 }
 
 TEST(CorruptBytes, PermissiveIngestSurvivesCorruptedDataset) {
-  std::string dir = temp_dir("corrupt_dataset");
+  test::TempDir tmp("faults_corrupt_dataset");
+  const std::string dir = tmp.path();
   save_dataset(tiny_dataset(), dir);
   // Mangle every data file (meta.csv stays intact: its dimensions gate
   // all validation and are fatal in every mode by design).
@@ -114,11 +109,11 @@ TEST(CorruptBytes, PermissiveIngestSurvivesCorruptedDataset) {
   EXPECT_GT(report.rows_total, 0u);
   EXPECT_EQ(report.rows_ok + report.rows_repaired + report.rows_skipped,
             report.rows_total);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(CorruptBytes, PermissiveIngestSurvivesCorruptedTweetStream) {
-  std::string dir = temp_dir("corrupt_tweets");
+  test::TempDir tmp("faults_corrupt_tweets");
+  const std::string dir = tmp.path();
   std::string path = dir + "/stream.jsonl";
   std::vector<Tweet> tweets;
   for (std::uint32_t i = 0; i < 50; ++i) {
@@ -142,7 +137,6 @@ TEST(CorruptBytes, PermissiveIngestSurvivesCorruptedTweetStream) {
   for (const Tweet& t : r.value()) {
     EXPECT_TRUE(std::isfinite(t.time));
   }
-  std::filesystem::remove_all(dir);
 }
 
 // --- NaN injection into E-steps --------------------------------------
@@ -477,7 +471,8 @@ TEST(Checkpoint, BinRoundtripIsBitExact) {
 }
 
 TEST(Checkpoint, StoreIgnoresMismatchedOrCorruptFiles) {
-  std::string dir = temp_dir("store");
+  test::TempDir tmp("faults_store");
+  const std::string dir = tmp.path();
   std::string path = dir + "/store.ckpt";
   {
     CheckpointStore store(path, 7, 42, 3);
@@ -508,7 +503,6 @@ TEST(Checkpoint, StoreIgnoresMismatchedOrCorruptFiles) {
     EXPECT_TRUE(hurt.recovered_corrupt());
     EXPECT_EQ(hurt.completed(), 0u);
   }
-  std::filesystem::remove_all(dir);
 }
 
 // --- sealed snapshots (src/sim crash/resume substrate) ----------------
@@ -521,7 +515,8 @@ std::string checkpoint_fixture(const std::string& name) {
 }
 
 TEST(Snapshot, WriteReadRoundTripsPayloadExactly) {
-  std::string dir = temp_dir("snapshot_roundtrip");
+  test::TempDir tmp("faults_snapshot_roundtrip");
+  const std::string dir = tmp.path();
   std::string path = dir + "/state.snap";
   std::string payload("blob with NUL \0 inside", 22);
   write_snapshot(path, 9, 77, payload);
@@ -533,7 +528,6 @@ TEST(Snapshot, WriteReadRoundTripsPayloadExactly) {
   ASSERT_FALSE(foreign.ok());
   EXPECT_EQ(foreign.error().code, ErrorCode::kCheckpointCorrupt);
   EXPECT_THROW(read_snapshot_or_throw(path, 9, 78), TaxonomyError);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Snapshot, GoldenFixturesClassifyEveryDefect) {
@@ -577,7 +571,8 @@ TEST(Snapshot, GoldenFixturesClassifyEveryDefect) {
 TEST(Snapshot, TruncationAtEveryByteIsAClassifiedError) {
   std::string golden = slurp(checkpoint_fixture("valid.snap"));
   ASSERT_EQ(golden.size(), 68u);
-  std::string dir = temp_dir("snapshot_truncate");
+  test::TempDir tmp("faults_snapshot_truncate");
+  const std::string dir = tmp.path();
   std::string path = dir + "/cut.snap";
   for (std::size_t cut = 0; cut < golden.size(); ++cut) {
     spit(path, golden.substr(0, cut));
@@ -588,12 +583,12 @@ TEST(Snapshot, TruncationAtEveryByteIsAClassifiedError) {
     EXPECT_NE(r.error().message.find("at byte"), std::string::npos)
         << r.error().message;
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Snapshot, ByteFlipAtEveryPositionIsAClassifiedError) {
   std::string golden = slurp(checkpoint_fixture("valid.snap"));
-  std::string dir = temp_dir("snapshot_flip");
+  test::TempDir tmp("faults_snapshot_flip");
+  const std::string dir = tmp.path();
   std::string path = dir + "/flipped.snap";
   for (std::size_t at = 0; at < golden.size(); ++at) {
     std::string damaged = golden;
@@ -605,7 +600,6 @@ TEST(Snapshot, ByteFlipAtEveryPositionIsAClassifiedError) {
     EXPECT_EQ(r.error().code, ErrorCode::kCheckpointCorrupt)
         << "flip at " << at;
   }
-  std::filesystem::remove_all(dir);
 }
 
 // The dataset loaders get the same torture: each byte of a small saved
@@ -613,7 +607,8 @@ TEST(Snapshot, ByteFlipAtEveryPositionIsAClassifiedError) {
 // classified error or as a Dataset that validates and has well-formed
 // CSR lists — in strict and in permissive mode.
 TEST(CorruptBytes, DatasetByteFlipAtEveryPositionIsClassifiedOrWellFormed) {
-  std::string dir = temp_dir("dataset_flip");
+  test::TempDir tmp("faults_dataset_flip");
+  const std::string dir = tmp.path();
   save_dataset(tiny_dataset(), dir);
   std::size_t loaded = 0;
   for (const char* file :
@@ -645,11 +640,11 @@ TEST(CorruptBytes, DatasetByteFlipAtEveryPositionIsClassifiedOrWellFormed) {
     spit(path, golden);
   }
   EXPECT_GT(loaded, 0u);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(CorruptBytes, JsonlByteFlipAtEveryPositionThrowsOnlyTaxonomyError) {
-  std::string dir = temp_dir("jsonl_flip");
+  test::TempDir tmp("faults_jsonl_flip");
+  const std::string dir = tmp.path();
   const std::string path = dir + "/dataset.jsonl";
   save_dataset_jsonl(tiny_dataset(), path);
   const std::string golden = slurp(path);
@@ -672,11 +667,11 @@ TEST(CorruptBytes, JsonlByteFlipAtEveryPositionThrowsOnlyTaxonomyError) {
     }
   }
   EXPECT_GT(loaded, 0u);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Checkpoint, StoreSurfacesLocatedRecoveredError) {
-  std::string dir = temp_dir("store_recovered_error");
+  test::TempDir tmp("faults_store_recovered_error");
+  const std::string dir = tmp.path();
   std::string path = dir + "/store.ckpt";
   {
     CheckpointStore store(path, 7, 42, 3);
@@ -703,12 +698,12 @@ TEST(Checkpoint, StoreSurfacesLocatedRecoveredError) {
               std::string::npos)
         << hurt.recovered_error().message;
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Checkpoint, EmExtKilledRunResumesBitIdentical) {
   Dataset d = tiny_dataset();
-  std::string dir = temp_dir("em_resume");
+  test::TempDir tmp("faults_em_resume");
+  const std::string dir = tmp.path();
   EmExtConfig config;
   config.init_kind = EmInit::kRandom;
   config.restarts = 4;
@@ -736,7 +731,6 @@ TEST(Checkpoint, EmExtKilledRunResumesBitIdentical) {
   EXPECT_EQ(resumed.params.z, baseline.params.z);
   // Successful run cleans up after itself.
   EXPECT_FALSE(std::filesystem::exists(ckpt.checkpoint_path));
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Checkpoint, GibbsKilledRunResumesBitIdentical) {
@@ -751,7 +745,8 @@ TEST(Checkpoint, GibbsKilledRunResumesBitIdentical) {
   config.chains = 3;
   GibbsBoundResult baseline = gibbs_bound(model, 11, config);
 
-  std::string dir = temp_dir("gibbs_resume");
+  test::TempDir tmp("faults_gibbs_resume");
+  const std::string dir = tmp.path();
   GibbsBoundConfig ckpt = config;
   ckpt.checkpoint_path = dir + "/gibbs.ckpt";
   {
@@ -774,7 +769,6 @@ TEST(Checkpoint, GibbsKilledRunResumesBitIdentical) {
             baseline.effective_sample_size);
   EXPECT_EQ(resumed.r_hat, baseline.r_hat);
   EXPECT_FALSE(std::filesystem::exists(ckpt.checkpoint_path));
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Checkpoint, GibbsDatasetBoundKilledRunResumesBitIdentical) {
@@ -793,7 +787,8 @@ TEST(Checkpoint, GibbsDatasetBoundKilledRunResumesBitIdentical) {
       gibbs_dataset_bound(d, params, 11, config, &pool);
   ASSERT_EQ(baseline.distinct_patterns, 3u);
 
-  std::string dir = temp_dir("gibbs_dataset_resume");
+  test::TempDir tmp("faults_gibbs_dataset_resume");
+  const std::string dir = tmp.path();
   GibbsBoundConfig ckpt = config;
   ckpt.checkpoint_path = dir + "/gibbs.ckpt";
   std::vector<std::string> files;
@@ -828,12 +823,12 @@ TEST(Checkpoint, GibbsDatasetBoundKilledRunResumesBitIdentical) {
   for (const std::string& file : files) {
     EXPECT_FALSE(std::filesystem::exists(file)) << file;
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Checkpoint, CorruptCheckpointRecomputesInsteadOfPoisoning) {
   Dataset d = tiny_dataset();
-  std::string dir = temp_dir("em_corrupt_ckpt");
+  test::TempDir tmp("faults_em_corrupt_ckpt");
+  const std::string dir = tmp.path();
   EmExtConfig config;
   config.init_kind = EmInit::kRandom;
   config.restarts = 2;
@@ -855,14 +850,14 @@ TEST(Checkpoint, CorruptCheckpointRecomputesInsteadOfPoisoning) {
   EmExtResult again = EmExtEstimator(ckpt).run_detailed(d, 9);
   EXPECT_EQ(again.estimate.belief, baseline.estimate.belief);
   EXPECT_EQ(again.log_likelihood, baseline.log_likelihood);
-  std::filesystem::remove_all(dir);
 }
 
 // Every byte of a kept checkpoint, flipped one at a time: the seal
 // rejects each damaged file, so the rerun replays nothing, recomputes
 // every unit and reproduces the uninterrupted run.
 TEST(Checkpoint, ByteFlipAtEveryPositionRecomputesBitIdentical) {
-  std::string dir = temp_dir("ckpt_flip");
+  test::TempDir tmp("faults_ckpt_flip");
+  const std::string dir = tmp.path();
   Dataset d = tiny_dataset();
   EmExtConfig em;
   em.init_kind = EmInit::kRandom;
@@ -913,7 +908,6 @@ TEST(Checkpoint, ByteFlipAtEveryPositionRecomputesBitIdentical) {
     ASSERT_EQ(again.bound.false_negative,
               gibbs_baseline.bound.false_negative);
   }
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 // examples exercise the library end to end.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "apollo/grading.h"
 #include "bounds/dataset_bound.h"
 #include "core/em_ext.h"
@@ -13,6 +11,7 @@
 #include "eval/runner.h"
 #include "simgen/parametric_gen.h"
 #include "simgen/procedural_gen.h"
+#include "temp_dir.h"
 #include "twitter/builder.h"
 
 namespace ss {
@@ -52,11 +51,10 @@ TEST(Integration, TwitterPipelinePersistsAndReloads) {
   TwitterScenario scenario = scenario_by_name("LA Marathon").scaled(0.05);
   BuiltDataset built = make_twitter_dataset(scenario, 3);
 
-  std::string dir = "/tmp/ss_test_integration_twitter";
-  std::filesystem::remove_all(dir);
+  test::TempDir tmp("integration_twitter");
+  std::string dir = tmp.file("dataset");
   save_dataset(built.dataset, dir);
   Dataset reloaded = load_dataset(dir);
-  std::filesystem::remove_all(dir);
 
   EstimateResult original = EmExtEstimator().run(built.dataset, 5);
   EstimateResult reran = EmExtEstimator().run(reloaded, 5);

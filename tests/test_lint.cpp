@@ -22,6 +22,8 @@
 #include <sstream>
 #include <string>
 
+#include "temp_dir.h"
+
 namespace {
 
 struct LintRun {
@@ -170,8 +172,8 @@ TEST(LintSuppression, StrippingTheMarkerBringsDiagnosticsBack) {
   }
   ASSERT_EQ(hits, 2u) << "fixture should carry exactly two suppressions";
 
-  std::string tmp =
-      testing::TempDir() + "/suppressed_stripped_lint_fixture.cpp";
+  ss::test::TempDir dir("lint_stripped");
+  std::string tmp = dir.file("suppressed_stripped_lint_fixture.cpp");
   {
     std::ofstream out(tmp);
     ASSERT_TRUE(out.is_open());
@@ -181,7 +183,6 @@ TEST(LintSuppression, StrippingTheMarkerBringsDiagnosticsBack) {
   EXPECT_EQ(run.exit_code, 1) << run.output;
   EXPECT_EQ(count_occurrences(run.output, "[raw-log-exp]"), 2u)
       << run.output;
-  std::remove(tmp.c_str());
 }
 
 TEST(LintSuppression, RawMmapAllowRequiresAReason) {
@@ -193,7 +194,8 @@ TEST(LintSuppression, RawMmapAllowRequiresAReason) {
       "  // ss-lint: allow(raw-mmap): fixture exercising the escape hatch\n"
       "  return mmap(nullptr, size, 3, 1, -1, 0);\n"
       "}\n";
-  std::string tmp = testing::TempDir() + "/r9_allow_lint_fixture.cpp";
+  ss::test::TempDir dir("lint_r9_allow");
+  std::string tmp = dir.file("r9_allow_lint_fixture.cpp");
   {
     std::ofstream out(tmp);
     ASSERT_TRUE(out.is_open());
@@ -215,7 +217,6 @@ TEST(LintSuppression, RawMmapAllowRequiresAReason) {
   EXPECT_NE(run.output.find("[bad-suppression]"), std::string::npos)
       << run.output;
   EXPECT_NE(run.output.find("[raw-mmap]"), std::string::npos) << run.output;
-  std::remove(tmp.c_str());
 }
 
 TEST(LintSuppression, MalformedAllowIsItselfADiagnostic) {

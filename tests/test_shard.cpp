@@ -30,6 +30,7 @@
 #include "data/ssd.h"
 #include "kernel_golden.h"
 #include "simgen/scale_gen.h"
+#include "temp_dir.h"
 #include "util/fault_inject.h"
 #include "util/thread_pool.h"
 
@@ -161,7 +162,8 @@ TEST(Shard, AllSingletonComponents) {
 
 TEST(Shard, BuildFromSsdViewMatchesBuildFromDataset) {
   Dataset d = golden_dataset(31, 80, 200);
-  std::string path = ::testing::TempDir() + "/shard_equiv.ssd";
+  test::TempDir tmp("shard_equiv");
+  std::string path = tmp.file("shard_equiv.ssd");
   write_ssd(d, path);
   SsdView view = SsdView::open_or_throw(path);
   ShardedDataset from_view = ShardedDataset::build(view, {16});
@@ -250,8 +252,8 @@ TEST(Shard, EmBitIdenticalUnderRandomRestarts) {
 TEST(Shard, CheckpointResumesAcrossEntryPoints) {
   Dataset d = golden_dataset(101, 120, 300);
   ShardedDataset cap8 = ShardedDataset::build(d, {8});
-  std::string dir = ::testing::TempDir() + "/shard_ckpt_interchange";
-  std::filesystem::create_directories(dir);
+  test::TempDir tmp("shard_ckpt_interchange");
+  std::string dir = tmp.path();
   for (simd::Backend backend : available_backends()) {
     ScopedBackend guard(backend);
     EmExtConfig config;
@@ -283,7 +285,6 @@ TEST(Shard, CheckpointResumesAcrossEntryPoints) {
     EXPECT_EQ(h.value(), want) << simd::backend_name(backend);
     EXPECT_FALSE(std::filesystem::exists(ckpt.checkpoint_path));
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Shard, PoolBuiltShardsMatchSerialBuild) {
@@ -340,7 +341,8 @@ TEST(Shard, EmBitIdenticalOnGeneratedScaleData) {
   knobs.assertions = 400;
   knobs.community_lo = 50;
   knobs.community_hi = 150;
-  std::string path = ::testing::TempDir() + "/shard_scale.ssd";
+  test::TempDir tmp("shard_scale");
+  std::string path = tmp.file("shard_scale.ssd");
   generate_scale_ssd(knobs, 77, path);
   SsdView view = SsdView::open_or_throw(path);
   Dataset d = view.materialize();

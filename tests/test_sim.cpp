@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <stdexcept>
@@ -20,6 +19,8 @@
 #include "sim/storm.h"
 #include "sim/stream.h"
 #include "sim/virtual_clock.h"
+#include "temp_dir.h"
+#include "twitter/clustering.h"
 #include "twitter/scenario.h"
 #include "twitter/simulator.h"
 #include "util/checkpoint.h"
@@ -31,12 +32,11 @@ namespace ss {
 namespace sim {
 namespace {
 
-std::string temp_dir(const std::string& tag) {
-  std::string dir = (std::filesystem::temp_directory_path() /
-                     ("ss_sim_" + tag))
-                        .string();
-  std::filesystem::create_directories(dir);
-  return dir;
+// Every storm of this process writes its snapshots into one directory,
+// removed when the process exits.
+std::string storm_workdir() {
+  static const test::TempDir dir("sim_storm");
+  return dir.path();
 }
 
 TEST(VirtualClock, AdvancesForwardOnly) {
@@ -177,7 +177,8 @@ TEST(SimProcess, BuffersAheadRejectsStale) {
   ASSERT_GE(stream.batch_count(), 3u);
 
   ProcessConfig config;
-  config.checkpoint_path = temp_dir("buffer") + "/p.snap";
+  test::TempDir dir("sim_buffer");
+  config.checkpoint_path = dir.file("p.snap");
   SimProcess process(&w.follows, config);
   EXPECT_EQ(process.deliver(1, stream.clean_batch(1)),
             SimProcess::DeliveryOutcome::kBuffered);
@@ -199,18 +200,16 @@ TEST(SimProcess, CrashResumeRestoresCommittedStateBitIdentically) {
   SimStream stream(w.tweets, stream_config, 4);
   ASSERT_GE(stream.batch_count(), 3u);
 
-  std::string dir = temp_dir("crash");
+  test::TempDir dir("sim_crash");
   ProcessConfig config;
-  config.checkpoint_path = dir + "/p.snap";
+  config.checkpoint_path = dir.file("p.snap");
   config.fingerprint = 77;
-  std::filesystem::remove(config.checkpoint_path);
 
   // Twin A runs uninterrupted; twin B crashes after the checkpoint and
   // is redelivered the tail. Both must land on identical bytes.
   SimProcess a(&w.follows, config);
   ProcessConfig config_b = config;
-  config_b.checkpoint_path = dir + "/pb.snap";
-  std::filesystem::remove(config_b.checkpoint_path);
+  config_b.checkpoint_path = dir.file("pb.snap");
   SimProcess b(&w.follows, config_b);
 
   std::size_t total = stream.batch_count();
@@ -237,15 +236,14 @@ TEST(SimProcess, CrashResumeRestoresCommittedStateBitIdentically) {
     b.deliver(s, stream.clean_batch(s));
   }
   EXPECT_EQ(a.serialized_state(), b.serialized_state());
-  std::filesystem::remove_all(dir);
 }
 
 TEST(SimProcess, ResumeRefusesCorruptSnapshot) {
   TwitterSimulation w = simulate_twitter(
       scenario_by_name("Kirkuk").scaled(0.02), 5);
-  std::string dir = temp_dir("refuse");
+  test::TempDir dir("sim_refuse");
   ProcessConfig config;
-  config.checkpoint_path = dir + "/p.snap";
+  config.checkpoint_path = dir.file("p.snap");
   SimProcess process(&w.follows, config);
   StreamConfig stream_config;
   stream_config.batch_size = 30;
@@ -267,15 +265,14 @@ TEST(SimProcess, ResumeRefusesCorruptSnapshot) {
   }
   EXPECT_THROW(process.resume(), TaxonomyError);
   EXPECT_FALSE(process.running());
-  std::filesystem::remove_all(dir);
 }
 
 TEST(SimProcess, ResumeRefusesSnapshotOfPreviousLayout) {
   TwitterSimulation w = simulate_twitter(
       scenario_by_name("Kirkuk").scaled(0.02), 5);
-  std::string dir = temp_dir("old_kind");
+  test::TempDir dir("sim_old_kind");
   ProcessConfig config;
-  config.checkpoint_path = dir + "/p.snap";
+  config.checkpoint_path = dir.file("p.snap");
   config.fingerprint = 9;
   SimProcess process(&w.follows, config);
   StreamConfig stream_config;
@@ -291,7 +288,6 @@ TEST(SimProcess, ResumeRefusesSnapshotOfPreviousLayout) {
   write_snapshot(config.checkpoint_path, kPreviousKind, config.fingerprint,
                  process.last_committed_state());
   EXPECT_THROW(process.resume(), TaxonomyError);
-  std::filesystem::remove_all(dir);
 }
 
 // Commits two batches and crashes, then seals make_bad(committed
@@ -303,11 +299,10 @@ void expect_resume_refuses(
     const std::function<std::string(const std::string&)>& make_bad) {
   TwitterSimulation w = simulate_twitter(
       scenario_by_name("Kirkuk").scaled(0.02), 6);
-  std::string dir = temp_dir(tag);
+  test::TempDir dir("sim_" + tag);
   ProcessConfig config;
-  config.checkpoint_path = dir + "/p.snap";
+  config.checkpoint_path = dir.file("p.snap");
   config.fingerprint = 11;
-  std::filesystem::remove(config.checkpoint_path);
   SimProcess process(&w.follows, config);
   StreamConfig stream_config;
   stream_config.batch_size = 30;
@@ -334,7 +329,6 @@ void expect_resume_refuses(
   ASSERT_TRUE(process.running());
   EXPECT_EQ(process.next_seq(), 2u);
   EXPECT_TRUE(process.serialized_state() == good);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(SimProcess, ResumeRefusesTruncatedPayload) {
@@ -364,6 +358,25 @@ TEST(SimProcess, ResumeRefusesTrailingBytes) {
   });
 }
 
+TEST(SimProcess, ResumeRefusesClustererMapsWithDifferentIds) {
+  // The clusterer's state ends with its tweet-id -> position map. Give
+  // that map's first id a value the tweet-id -> cluster map lacks: a
+  // state save_state cannot write, which resume must call corrupt.
+  expect_resume_refuses("mismatched_ids", [](const std::string& good) {
+    BinReader reader(good);
+    reader.u64();  // next_seq
+    reader.u64();  // stale counter
+    IncrementalClusterer clusterer;
+    clusterer.load_state(reader);
+    std::size_t first_id = reader.position() - 16 * clusterer.tweets_seen();
+    BinWriter id;
+    id.u64(0xfffffffeu);
+    std::string bad = good;
+    bad.replace(first_id, 8, id.bytes());
+    return bad;
+  });
+}
+
 // --- storm-level tests ----------------------------------------------
 
 StormConfig storm_config(std::uint64_t seed) {
@@ -381,7 +394,7 @@ StormConfig storm_config(std::uint64_t seed) {
   config.crashes = 2;
   config.checkpoint_interval_ticks = 120;
   config.query_interval_ticks = 170;
-  config.workdir = temp_dir("storm");
+  config.workdir = storm_workdir();
   return config;
 }
 

@@ -22,6 +22,7 @@
 #include "data/ssd.h"
 #include "simgen/parametric_gen.h"
 #include "simgen/scale_gen.h"
+#include "temp_dir.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -32,8 +33,11 @@ std::string fixture(const std::string& name) {
   return std::string(SS_FIXTURE_DIR) + "/corrupt/ssd/" + name;
 }
 
+// Every file goes into one directory of this process's own, removed
+// when the process exits.
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  static const test::TempDir dir("ssd");
+  return dir.file(name);
 }
 
 Dataset small_dataset(std::uint64_t seed = 11, std::size_t n = 30,

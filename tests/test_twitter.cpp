@@ -3,11 +3,17 @@
 // ingestion path into a fact-finding dataset.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
-#include <filesystem>
-
+#include "kernel_golden.h"
+#include "temp_dir.h"
 #include "twitter/builder.h"
 #include "twitter/clustering.h"
 #include "twitter/retweet_detect.h"
@@ -15,6 +21,8 @@
 #include "twitter/simulator.h"
 #include "twitter/text.h"
 #include "twitter/tweet_io.h"
+#include "util/checkpoint.h"
+#include "util/rng.h"
 
 namespace ss {
 namespace {
@@ -24,15 +32,24 @@ TwitterScenario small_scenario() {
   return s;
 }
 
+// The tokens scan_tokens emits for `text`, in order.
+std::vector<std::string> scanned(std::string_view text) {
+  std::vector<std::string> tokens;
+  std::string scratch;
+  scan_tokens(text, scratch,
+              [&](std::string_view token) { tokens.emplace_back(token); });
+  return tokens;
+}
+
 TEST(Text, TokenizerNormalizes) {
-  auto tokens = tokenize_tweet("RT @user12: Breaking! KIRKUK falls?");
+  auto tokens = scanned("RT @user12: Breaking! KIRKUK falls?");
   // "rt" and "@user12" are stripped; the rest lowercased, no punctuation.
   EXPECT_EQ(tokens,
             (std::vector<std::string>{"breaking", "kirkuk", "falls"}));
 }
 
 TEST(Text, TokenizerKeepsHashtags) {
-  auto tokens = tokenize_tweet("#BREAKING news");
+  auto tokens = scanned("#BREAKING news");
   EXPECT_EQ(tokens, (std::vector<std::string>{"#breaking", "news"}));
 }
 
@@ -60,7 +77,7 @@ TEST(Text, VariantPreservesEntities) {
 TEST(Text, RetweetFormat) {
   std::string rt = TweetTextGenerator::make_retweet("hello world", "bob");
   EXPECT_EQ(rt, "RT @bob: hello world");
-  auto tokens = tokenize_tweet(rt);
+  auto tokens = scanned(rt);
   EXPECT_EQ(tokens, (std::vector<std::string>{"hello", "world"}));
 }
 
@@ -229,10 +246,10 @@ TEST(Builder, RetweetClaimsAreDependent) {
 
 TEST(TweetIo, JsonlRoundtrip) {
   TwitterSimulation sim = simulate_twitter(small_scenario(), 31);
-  std::string path = "/tmp/ss_test_tweets.jsonl";
+  test::TempDir dir("twitter_jsonl");
+  std::string path = dir.file("tweets.jsonl");
   save_tweets(sim.tweets, path);
   auto loaded = load_tweets(path);
-  std::filesystem::remove(path);
   ASSERT_EQ(loaded.size(), sim.tweets.size());
   for (std::size_t t = 0; t < loaded.size(); ++t) {
     EXPECT_EQ(loaded[t].id, sim.tweets[t].id);
@@ -247,10 +264,10 @@ TEST(TweetIo, JsonlRoundtrip) {
 
 TEST(TweetIo, LabelSidecars) {
   TwitterSimulation sim = simulate_twitter(small_scenario(), 32);
-  std::string path = "/tmp/ss_test_tweet_labels.csv";
+  test::TempDir dir("twitter_labels");
+  std::string path = dir.file("tweet_labels.csv");
   save_tweet_labels(sim.tweets, path);
   auto labels = load_tweet_labels(path);
-  std::filesystem::remove(path);
   ASSERT_EQ(labels.size(), sim.tweets.size());
   for (const Tweet& t : sim.tweets) {
     EXPECT_EQ(labels.at(t.id), t.hidden_label);
@@ -310,13 +327,14 @@ TEST(TweetIo, RepairKeepsRecordsWithUnambiguousFixes) {
 }
 
 TEST(TweetIo, MissingFileThrows) {
-  EXPECT_THROW(load_tweets("/tmp/ss_no_such_tweets.jsonl"),
+  test::TempDir dir("twitter_missing");
+  EXPECT_THROW(load_tweets(dir.file("no_such_tweets.jsonl")),
                std::runtime_error);
 }
 
 TEST(RetweetDetect, ParsesRetweetForm) {
-  std::string name;
-  std::string body;
+  std::string_view name;
+  std::string_view body;
   EXPECT_TRUE(parse_retweet_text("RT @alice: hello world", name, body));
   EXPECT_EQ(name, "alice");
   EXPECT_EQ(body, "hello world");
@@ -383,6 +401,585 @@ TEST(BuilderFromStream, ExternalIngestionMatchesShapes) {
   // so it is a subset signal: nonzero but no larger than follow-graph
   // exposure.
   EXPECT_GT(external.dataset.dependency.exposed_cell_count(), 0u);
+}
+
+// --- References: the text passes before tokens were interned ----------
+//
+// The string-keyed clusterer (with its own copy of the tokenizer), the
+// concatenated-key retweet matcher and the per-cluster-map majority vote
+// exactly as they were before the clusterer moved to dense token ids.
+// The oracle tests below require the library to give the same cluster
+// ids, counters, labels, purity and save_state bytes on inputs built to
+// reach their edge cases.
+namespace reference {
+
+constexpr double kJaccardThreshold = 0.5;
+constexpr std::size_t kMaxCandidates = 8;
+constexpr std::size_t kMaxTokenFanout = 64;
+
+std::vector<std::string> tokenize(const std::string& text) {
+  std::vector<std::string> tokens;
+  std::string current;
+  auto flush = [&] {
+    if (!current.empty()) {
+      if (current != "rt" && current[0] != '@') {
+        tokens.push_back(current);
+      }
+      current.clear();
+    }
+  };
+  for (char raw : text) {
+    unsigned char c = static_cast<unsigned char>(raw);
+    if (std::isalnum(c) || raw == '@' || raw == '#') {
+      current += static_cast<char>(std::tolower(c));
+    } else {
+      flush();
+    }
+  }
+  flush();
+  return tokens;
+}
+
+double jaccard(const std::vector<std::string>& a,
+               const std::vector<std::string>& b) {
+  std::size_t inter = 0;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] == b[j]) {
+      ++inter;
+      ++i;
+      ++j;
+    } else if (a[i] < b[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  std::size_t uni = a.size() + b.size() - inter;
+  return uni == 0 ? 0.0 : static_cast<double>(inter) /
+                              static_cast<double>(uni);
+}
+
+class Clusterer {
+ public:
+  std::uint32_t add(const Tweet& tweet) {
+    std::uint32_t cluster;
+    auto parent_pos = tweet.is_retweet()
+                          ? cluster_of_id_.find(tweet.parent)
+                          : cluster_of_id_.end();
+    if (parent_pos != cluster_of_id_.end()) {
+      cluster = parent_pos->second;
+    } else {
+      cluster = assign_by_text(tweet);
+    }
+    position_of_.emplace(tweet.id, position_of_.size());
+    cluster_of_id_[tweet.id] = cluster;
+    return cluster;
+  }
+
+  std::size_t cluster_count() const { return cluster_tokens_.size(); }
+  std::size_t tweets_seen() const { return position_of_.size(); }
+
+  void save_state(BinWriter& writer) const {
+    writer.u64(cluster_tokens_.size());
+    for (const auto& tokens : cluster_tokens_) {
+      writer.u64(tokens.size());
+      for (const auto& tok : tokens) writer.str(tok);
+    }
+    save_map(writer, cluster_of_id_);
+    save_map(writer, position_of_);
+  }
+
+ private:
+  template <typename Map>
+  static void save_map(BinWriter& writer, const Map& map) {
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> entries;
+    for (const auto& [k, v] : map) {
+      entries.emplace_back(k, static_cast<std::uint64_t>(v));
+    }
+    std::sort(entries.begin(), entries.end());
+    writer.u64(entries.size());
+    for (const auto& [k, v] : entries) {
+      writer.u64(k);
+      writer.u64(v);
+    }
+  }
+
+  std::uint32_t assign_by_text(const Tweet& tweet) {
+    auto tokens = tokenize(tweet.text);
+    std::sort(tokens.begin(), tokens.end());
+    tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
+    std::unordered_map<std::uint32_t, std::size_t> overlap;
+    for (const auto& tok : tokens) {
+      auto it = index_.find(tok);
+      if (it == index_.end()) continue;
+      if (it->second.size() > kMaxTokenFanout) continue;
+      for (std::uint32_t c : it->second) ++overlap[c];
+    }
+    std::vector<std::pair<std::size_t, std::uint32_t>> ranked;
+    for (const auto& [c, count] : overlap) ranked.emplace_back(count, c);
+    std::sort(ranked.rbegin(), ranked.rend());
+    std::uint32_t best_cluster = 0;
+    double best_sim = 0.0;
+    std::size_t examined = 0;
+    for (const auto& [count, c] : ranked) {
+      if (examined++ >= kMaxCandidates) break;
+      double sim = jaccard(tokens, cluster_tokens_[c]);
+      if (sim > best_sim) {
+        best_sim = sim;
+        best_cluster = c;
+      }
+    }
+    if (best_sim >= kJaccardThreshold) return best_cluster;
+    auto c = static_cast<std::uint32_t>(cluster_tokens_.size());
+    for (const auto& tok : tokens) index_[tok].push_back(c);
+    cluster_tokens_.push_back(std::move(tokens));
+    return c;
+  }
+
+  std::vector<std::vector<std::string>> cluster_tokens_;
+  std::unordered_map<std::string, std::vector<std::uint32_t>> index_;
+  std::unordered_map<std::uint32_t, std::uint32_t> cluster_of_id_;
+  std::unordered_map<std::uint32_t, std::size_t> position_of_;
+};
+
+bool parse_retweet(const std::string& text, std::string& name,
+                   std::string& body) {
+  if (text.rfind("RT @", 0) != 0) return false;
+  auto colon = text.find(": ", 4);
+  if (colon == std::string::npos || colon == 4) return false;
+  name = text.substr(4, colon - 4);
+  body = text.substr(colon + 2);
+  return !name.empty();
+}
+
+RetweetDetectionResult detect_retweet_parents(std::vector<Tweet>& tweets) {
+  RetweetDetectionResult result;
+  std::unordered_map<std::string, std::uint32_t> earliest;
+  for (Tweet& t : tweets) {
+    std::string name;
+    std::string body;
+    if (parse_retweet(t.text, name, body)) {
+      ++result.retweets_seen;
+      auto it = earliest.find(name + "\x1f" + body);
+      if (it != earliest.end()) {
+        t.parent = it->second;
+        ++result.parents_resolved;
+      } else {
+        t.parent = Tweet::kNoParent;
+      }
+    } else {
+      t.parent = Tweet::kNoParent;
+    }
+    earliest.emplace("user" + std::to_string(t.user) + "\x1f" + t.text,
+                     t.id);
+  }
+  return result;
+}
+
+struct Votes {
+  std::vector<Label> labels;
+  double purity = 0.0;
+};
+
+Votes vote(const std::vector<Tweet>& tweets,
+           const std::vector<std::uint32_t>& cluster_of,
+           std::size_t cluster_count) {
+  Votes out;
+  std::vector<std::unordered_map<std::uint32_t, std::size_t>> votes(
+      cluster_count);
+  for (std::size_t t = 0; t < tweets.size(); ++t) {
+    ++votes[cluster_of[t]][tweets[t].hidden_assertion];
+  }
+  std::vector<std::uint32_t> majority(cluster_count, 0);
+  out.labels.assign(cluster_count, Label::kUnknown);
+  for (std::size_t c = 0; c < cluster_count; ++c) {
+    std::size_t best = 0;
+    for (const auto& [assertion, count] : votes[c]) {
+      if (count > best) {
+        best = count;
+        majority[c] = assertion;
+      }
+    }
+  }
+  std::size_t agree = 0;
+  for (std::size_t t = 0; t < tweets.size(); ++t) {
+    std::uint32_t c = cluster_of[t];
+    if (tweets[t].hidden_assertion == majority[c]) {
+      ++agree;
+      out.labels[c] = tweets[t].hidden_label;
+    }
+  }
+  out.purity = tweets.empty() ? 1.0
+                              : static_cast<double>(agree) /
+                                    static_cast<double>(tweets.size());
+  return out;
+}
+
+}  // namespace reference
+
+template <typename Clusterer>
+std::string state_bytes(const Clusterer& clusterer) {
+  BinWriter writer;
+  clusterer.save_state(writer);
+  return writer.take();
+}
+
+Tweet make_tweet(std::uint32_t id, std::uint32_t user, std::string text) {
+  Tweet t;
+  t.id = id;
+  t.user = user;
+  t.time = static_cast<double>(id);
+  t.text = std::move(text);
+  return t;
+}
+
+// A stream built to reach the clusterer's edge cases: a dozen-word
+// vocabulary (so overlap counts tie and postings lists pass the fan-out
+// cap), mixed case and punctuation, empty texts, texts of only "rt" and
+// @mentions, duplicate tweet ids, retweets of seen ids and orphan
+// retweets whose parent never arrives.
+std::vector<Tweet> edge_case_stream(std::uint64_t seed, std::size_t count) {
+  static const char* const kWords[] = {
+      "Alpha", "beta", "GAMMA", "delta", "Eps", "zeta",
+      "eta",   "THETA", "iota", "kappa", "#lam", "mu",
+  };
+  static const char* const kJoins[] = {" ", "  ", ", ", "! ",
+                                       "...", " - ", "?", "\t"};
+  Rng rng(seed);
+  std::vector<Tweet> tweets;
+  for (std::size_t k = 0; k < count; ++k) {
+    auto id = static_cast<std::uint32_t>(k);
+    if (k > 0 && rng.bernoulli(0.03)) {
+      id = tweets[rng.uniform_u32(static_cast<std::uint32_t>(k))].id;
+    }
+    Tweet t = make_tweet(id, rng.uniform_u32(20), "");
+    t.time = static_cast<double>(k);
+    t.hidden_assertion = rng.uniform_u32(4);
+    t.hidden_label = static_cast<Label>(t.hidden_assertion % 3);
+    std::uint32_t kind = rng.uniform_u32(12);
+    if (kind == 0) {
+      // empty text
+    } else if (kind == 1) {
+      t.text = rng.bernoulli(0.5) ? "RT @user3: rt" : "rt @Bob RT @x";
+    } else if (kind == 2 && k > 0) {
+      const Tweet& parent =
+          tweets[rng.uniform_u32(static_cast<std::uint32_t>(k))];
+      t.parent = parent.id;
+      t.text = "RT @user" + std::to_string(parent.user) + ": " + parent.text;
+    } else if (kind == 3) {
+      t.parent = 1'000'000 + static_cast<std::uint32_t>(k);  // never seen
+      t.text = "RT @user9: beta Gamma delta";
+    } else {
+      std::size_t words = 1 + rng.uniform_u32(6);
+      for (std::size_t w = 0; w < words; ++w) {
+        if (w > 0) t.text += kJoins[rng.uniform_u32(8)];
+        t.text += kWords[rng.uniform_u32(12)];
+      }
+      if (rng.bernoulli(0.2)) t.text += " w" + std::to_string(k);
+    }
+    tweets.push_back(std::move(t));
+  }
+  return tweets;
+}
+
+void expect_same_clustering(const std::vector<Tweet>& tweets) {
+  reference::Clusterer ref;
+  IncrementalClusterer inc;
+  for (std::size_t t = 0; t < tweets.size(); ++t) {
+    ASSERT_EQ(inc.add(tweets[t]), ref.add(tweets[t])) << "tweet " << t;
+    if (t == tweets.size() / 2) {
+      ASSERT_EQ(state_bytes(inc), state_bytes(ref)) << "mid-stream";
+    }
+  }
+  EXPECT_EQ(inc.cluster_count(), ref.cluster_count());
+  EXPECT_EQ(inc.tweets_seen(), ref.tweets_seen());
+  EXPECT_EQ(state_bytes(inc), state_bytes(ref));
+
+  ClusteringResult batch = cluster_tweets(tweets);
+  reference::Votes want =
+      reference::vote(tweets, batch.cluster_of, batch.cluster_count);
+  EXPECT_EQ(batch.cluster_count, ref.cluster_count());
+  EXPECT_EQ(batch.cluster_labels, want.labels);
+  EXPECT_EQ(batch.purity, want.purity);
+}
+
+TEST(ClusteringOracle, EdgeCaseStreamsMatchStringKeyedReference) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    expect_same_clustering(edge_case_stream(seed, 3000));
+  }
+}
+
+TEST(ClusteringOracle, PostingsListsOfSixtyFourAndSixtyFive) {
+  // Each "hub u<i>" tweet founds its own cluster (Jaccard 1/3 with every
+  // other). A "hub" query reaches them only through the hub's postings
+  // list and ties at Jaccard 1/2 with each: while the list holds 64
+  // clusters it is read and the query joins the highest-ranked one; at
+  // 65 it is skipped and the query founds a new cluster.
+  std::vector<Tweet> tweets;
+  auto add = [&](std::uint32_t user, std::string text) {
+    tweets.push_back(make_tweet(static_cast<std::uint32_t>(tweets.size()),
+                                user, std::move(text)));
+  };
+  for (std::uint32_t i = 0; i < 64; ++i) add(i, "hub u" + std::to_string(i));
+  add(99, "HUB");
+  add(64, "hub u64");
+  add(99, "Hub!");
+  add(65, "hub u65");
+  add(99, "#x hub");
+  ClusteringResult got = cluster_tweets(tweets);
+  EXPECT_EQ(got.cluster_of[64], 63u);  // ties go to the highest id
+  EXPECT_EQ(got.cluster_of[66], 65u);  // past the cap: a new cluster
+  expect_same_clustering(tweets);
+}
+
+TEST(ClusteringOracle, ForcedVoteTiesMatchPerClusterMapVote) {
+  // Each group shares one text, so it forms one cluster; its hidden
+  // assertions force ties of two and three, a cluster whose many
+  // assertions all tie, and one with a unique top among many.
+  std::vector<std::vector<std::uint32_t>> groups = {
+      {1, 2}, {3, 4, 4, 3}, {5, 6, 7}, {8, 8, 9}, {10}, {11, 12, 12, 11, 13},
+  };
+  std::vector<std::uint32_t> many_tied;
+  for (std::uint32_t a = 100; a < 140; ++a) many_tied.push_back(a);
+  groups.push_back(many_tied);
+  std::vector<std::uint32_t> many_top = {200, 200, 200};
+  for (std::uint32_t a = 201; a < 221; ++a) many_top.push_back(a);
+  groups.push_back(many_top);
+  Rng rng(77);
+  for (std::size_t g = 0; g < 300; ++g) {
+    std::vector<std::uint32_t> random_group;
+    std::size_t size = 2 + rng.uniform_u32(6);
+    for (std::size_t k = 0; k < size; ++k) {
+      random_group.push_back(300 + rng.uniform_u32(4));
+    }
+    groups.push_back(random_group);
+  }
+  struct Pending {
+    std::size_t group;
+    std::uint32_t assertion;
+  };
+  std::vector<Pending> order;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    for (std::uint32_t a : groups[g]) order.push_back({g, a});
+  }
+  rng.shuffle(order);
+  std::vector<Tweet> tweets;
+  for (const Pending& p : order) {
+    std::string g = "g" + std::to_string(p.group);
+    Tweet t = make_tweet(static_cast<std::uint32_t>(tweets.size()), 1,
+                         g + "x " + g + "y " + g + "z");
+    t.hidden_assertion = p.assertion;
+    t.hidden_label = static_cast<Label>(p.assertion % 3);
+    tweets.push_back(std::move(t));
+  }
+  ClusteringResult got = cluster_tweets(tweets);
+  ASSERT_EQ(got.cluster_count, groups.size());
+  reference::Votes want =
+      reference::vote(tweets, got.cluster_of, got.cluster_count);
+  EXPECT_EQ(got.cluster_labels, want.labels);
+  EXPECT_EQ(got.purity, want.purity);
+  expect_same_clustering(tweets);
+}
+
+void expect_same_parents(const std::vector<Tweet>& tweets) {
+  std::vector<Tweet> want = tweets;
+  std::vector<Tweet> got = tweets;
+  RetweetDetectionResult ref = reference::detect_retweet_parents(want);
+  RetweetDetectionResult res = detect_retweet_parents(got);
+  EXPECT_EQ(res.retweets_seen, ref.retweets_seen);
+  EXPECT_EQ(res.parents_resolved, ref.parents_resolved);
+  for (std::size_t t = 0; t < tweets.size(); ++t) {
+    EXPECT_EQ(got[t].parent, want[t].parent) << "tweet " << t;
+  }
+}
+
+TEST(RetweetOracle, CraftedNamesMatchConcatenatedKeyReference) {
+  std::vector<Tweet> tweets;
+  auto post = [&](std::uint32_t user, std::string text) {
+    tweets.push_back(make_tweet(static_cast<std::uint32_t>(tweets.size()),
+                                user, std::move(text)));
+  };
+  post(7, "bridge closed");
+  post(0, "zero speaks");
+  post(4294967295u, "max speaks");
+  post(3, "breaking: bridge closed");
+  post(7, "a\x1f" "b");
+  post(7, "bridge closed");            // repeated content
+  post(1, "RT @user7: bridge closed");  // resolves to tweet 0
+  post(2, "RT @user007: bridge closed");
+  post(2, "RT @user: bridge closed");
+  post(2, "RT @user0: zero speaks");
+  post(2, "RT @user00: zero speaks");
+  post(2, "RT @user4294967295: max speaks");
+  post(2, "RT @user4294967296: max speaks");
+  post(2, "RT @user+7: bridge closed");
+  post(2, "RT @user7 : bridge closed");
+  post(2, "RT @user7\x1f" "a: b");        // the key split at 0x1F
+  post(2, "RT @user7\x1f" "a: c");
+  post(2, "RT @user8\x1f" "a: b");
+  post(5, "RT @user3: breaking: bridge closed");
+  post(6, "RT @user5: RT @user3: breaking: bridge closed");  // chained
+  post(8, "RT @user6: RT @user5: RT @user3: breaking: bridge closed");
+  post(2, "RT @user3:x: breaking");
+  post(2, "RT @: no name");
+  post(2, "RT @user3:");
+  post(2, "RT @user9: posted later");   // the original comes after
+  post(9, "posted later");
+  post(2, "RT @user9: posted later");
+  post(2, "RT @user1: RT @user7: bridge closed");
+  expect_same_parents(tweets);
+}
+
+TEST(RetweetOracle, RandomStreamsMatchConcatenatedKeyReference) {
+  static const char* const kNames[] = {
+      "user0", "user1", "user2", "user3", "user01", "user",
+      "bob",   "user1\x1f" "x", "user4294967295", "user10",
+  };
+  static const char* const kBodies[] = {
+      "hello", "x\x1fhello", "hello: world", "", "RT @user1: hello",
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    std::vector<Tweet> tweets;
+    for (std::uint32_t k = 0; k < 2000; ++k) {
+      std::uint32_t user = rng.bernoulli(0.05) ? 4294967295u
+                                               : rng.uniform_u32(4);
+      std::string text = kBodies[rng.uniform_u32(5)];
+      std::size_t depth = rng.uniform_u32(3);
+      for (std::size_t d = 0; d < depth; ++d) {
+        text = std::string("RT @") + kNames[rng.uniform_u32(10)] + ": " +
+               text;
+      }
+      tweets.push_back(make_tweet(k, user, text));
+    }
+    SCOPED_TRACE(seed);
+    expect_same_parents(tweets);
+  }
+  // The simulator's own retweet texts, parents stripped.
+  TwitterSimulation sim = simulate_twitter(small_scenario(), 36);
+  for (Tweet& t : sim.tweets) t.parent = Tweet::kNoParent;
+  expect_same_parents(sim.tweets);
+}
+
+// --- Goldens recorded before the clusterer interned its tokens --------
+
+struct ClusterDigests {
+  std::uint64_t ids;
+  std::uint64_t state;
+  std::uint64_t votes;
+};
+
+ClusterDigests digest_scenario(std::size_t i) {
+  TwitterSimulation sim =
+      simulate_twitter(paper_scenarios()[i], 7 + i);
+  ClusterDigests out{};
+  IncrementalClusterer inc;
+  golden::Hash ids;
+  ids.u64(sim.tweets.size());
+  for (const Tweet& t : sim.tweets) ids.u64(inc.add(t));
+  ids.u64(inc.cluster_count());
+  out.ids = ids.value();
+  std::string bytes = state_bytes(inc);
+  golden::Hash state;
+  state.bytes(bytes.data(), bytes.size());
+  out.state = state.value();
+  ClusteringResult batch = cluster_tweets(sim.tweets);
+  golden::Hash votes;
+  for (Label label : batch.cluster_labels) {
+    votes.u64(static_cast<std::uint64_t>(label));
+  }
+  votes.f64(batch.purity);
+  out.votes = votes.value();
+  return out;
+}
+
+TEST(ClusteringGolden, PaperScenariosKeepIdsStateBytesAndVotes) {
+  // The five Table III scenarios at x1, seeds 7-11: {cluster ids,
+  // save_state bytes, cluster_tweets labels and purity}.
+  constexpr ClusterDigests kGolden[5] = {
+      {0x4840ba6587e5d810ull, 0xb415857f953d5f0eull, 0xa0e555bfeb9ff3cfull},
+      {0x71392eddffc5a2afull, 0x6c866231c6b47e78ull, 0xbaad1f16eb50d129ull},
+      {0xf82e7714c2e9ae69ull, 0x02a7582d62b9f8feull, 0x5da63f6b1f2cda57ull},
+      {0x21842459ac01058cull, 0x64c395469f23ae24ull, 0xeb18e559c65e4f65ull},
+      {0x3dd949a21bcb5ed6ull, 0x700910a4a2a30848ull, 0x028d7585cc8cebbdull},
+  };
+  for (std::size_t i = 0; i < 5; ++i) {
+    ClusterDigests got = digest_scenario(i);
+    EXPECT_EQ(got.ids, kGolden[i].ids) << paper_scenarios()[i].name;
+    EXPECT_EQ(got.state, kGolden[i].state) << paper_scenarios()[i].name;
+    EXPECT_EQ(got.votes, kGolden[i].votes) << paper_scenarios()[i].name;
+  }
+}
+
+TEST(ClusteringGolden, StateRoundTripAndMidStreamResumeAreExact) {
+  TwitterSimulation sim = simulate_twitter(paper_scenarios()[1], 8);
+  IncrementalClusterer whole;
+  std::vector<std::uint32_t> ids;
+  for (const Tweet& t : sim.tweets) ids.push_back(whole.add(t));
+  std::string bytes = state_bytes(whole);
+
+  IncrementalClusterer copy;
+  BinReader reader(bytes);
+  copy.load_state(reader);
+  EXPECT_TRUE(reader.done());
+  EXPECT_EQ(state_bytes(copy), bytes);
+
+  std::size_t half = sim.tweets.size() / 2;
+  IncrementalClusterer first;
+  for (std::size_t t = 0; t < half; ++t) first.add(sim.tweets[t]);
+  std::string mid = state_bytes(first);
+  IncrementalClusterer resumed;
+  BinReader mid_reader(mid);
+  resumed.load_state(mid_reader);
+  EXPECT_EQ(state_bytes(resumed), mid);
+  for (std::size_t t = half; t < sim.tweets.size(); ++t) {
+    ASSERT_EQ(resumed.add(sim.tweets[t]), ids[t]) << "tweet " << t;
+  }
+  EXPECT_EQ(resumed.cluster_count(), whole.cluster_count());
+  EXPECT_EQ(resumed.tweets_seen(), whole.tweets_seen());
+  EXPECT_EQ(state_bytes(resumed), bytes);
+}
+
+TEST(ClusteringState, LoadRejectsWhatSaveCannotWrite) {
+  using Entries = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  auto state = [](const std::vector<std::string>& tokens,
+                  const Entries& clusters, const Entries& positions) {
+    BinWriter w;
+    w.u64(1);
+    w.u64(tokens.size());
+    for (const std::string& token : tokens) w.str(token);
+    for (const Entries* map : {&clusters, &positions}) {
+      w.u64(map->size());
+      for (const auto& [k, v] : *map) {
+        w.u64(k);
+        w.u64(v);
+      }
+    }
+    return w.take();
+  };
+  auto loads = [](const std::string& bytes) {
+    IncrementalClusterer clusterer;
+    BinReader reader(bytes);
+    clusterer.load_state(reader);
+    return state_bytes(clusterer) == bytes;
+  };
+  EXPECT_TRUE(loads(state({"a", "b"}, {{5, 0}, {9, 0}}, {{5, 1}, {9, 0}})));
+  EXPECT_THROW(loads(state({"b", "a"}, {{5, 0}}, {{5, 0}})),
+               std::runtime_error);
+  EXPECT_THROW(loads(state({"a", "a"}, {{5, 0}}, {{5, 0}})),
+               std::runtime_error);
+  EXPECT_THROW(loads(state({"a"}, {{5, 1}}, {{5, 0}})), std::runtime_error);
+  EXPECT_THROW(loads(state({"a"}, {{5, 0}, {5, 0}}, {{5, 0}, {5, 1}})),
+               std::runtime_error);
+  EXPECT_THROW(loads(state({"a"}, {{5, 0}}, {{6, 0}})), std::runtime_error);
+  EXPECT_THROW(loads(state({"a"}, {{5, 0}}, {})), std::runtime_error);
+  EXPECT_THROW(loads(state({"a"}, {{5, 0}}, {{5, 1ull << 32}})),
+               std::runtime_error);
+  EXPECT_THROW(loads(state({"a"}, {{1ull << 32, 0}}, {{1ull << 32, 0}})),
+               std::runtime_error);
 }
 
 TEST(Scenario, FivePresetsMatchPaperOrder) {
