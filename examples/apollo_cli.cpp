@@ -4,9 +4,13 @@
 //   --mode simulate   simulate an event, write the raw stream + per-
 //                     tweet grading labels under --dir, then ingest and
 //                     analyze it from those files (proving the external
-//                     path end to end);
-//   --mode analyze    ingest an existing tweets.jsonl (optionally with
-//                     tweet_labels.csv for grading) and rank assertions.
+//                     path end to end); without --dir the files go to a
+//                     fresh directory named by the process id under the
+//                     system temp directory, so concurrent runs never
+//                     share one;
+//   --mode analyze    ingest an existing <dir>/tweets.jsonl (optionally
+//                     with tweet_labels.csv for grading) and rank
+//                     assertions; --dir is required.
 //
 // Ingestion never touches simulator internals: retweet parents are
 // detected from "RT @name: body" texts, the dependency network is
@@ -14,7 +18,9 @@
 // assertions by token similarity — the same path crawled data takes.
 //
 //   ./apollo_cli --mode simulate --scenario Kirkuk --scale 0.2
-//   ./apollo_cli --mode analyze --dir /tmp/apollo_event --top 20
+//   ./apollo_cli --mode analyze --dir <event directory> --top 20
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -71,8 +77,10 @@ int main(int argc, char** argv) {
   using namespace ss;
   Cli cli("apollo_cli", "Fact-finding pipeline over raw tweet streams");
   auto& mode = cli.add_string("mode", "simulate", "simulate | analyze");
-  auto& dir = cli.add_string("dir", "/tmp/apollo_event",
-                             "event directory (tweets.jsonl, ...)");
+  auto& dir = cli.add_string(
+      "dir", "",
+      "event directory (tweets.jsonl, ...); simulate defaults to a "
+      "fresh per-process temp directory");
   auto& scenario_name =
       cli.add_string("scenario", "Kirkuk", "scenario for --mode simulate");
   auto& scale = cli.add_double("scale", 0.2, "scenario scale factor");
@@ -85,6 +93,23 @@ int main(int argc, char** argv) {
   auto& report_flag =
       cli.add_flag("report", "also write <dir>/report.md");
   cli.parse(argc, argv);
+
+  if (mode != "simulate" && mode != "analyze") {
+    std::fprintf(stderr, "unknown --mode %s\n", mode.c_str());
+    return 2;
+  }
+  if (dir.empty()) {
+    if (mode == "analyze") {
+      std::fprintf(stderr,
+                   "apollo_cli: --mode analyze needs --dir <event "
+                   "directory>\n\n%s",
+                   cli.usage().c_str());
+      return 2;
+    }
+    dir = (std::filesystem::temp_directory_path() /
+           ("apollo_event." + std::to_string(::getpid())))
+              .string();
+  }
 
   std::string tweets_path = dir + "/tweets.jsonl";
   std::string labels_path = dir + "/tweet_labels.csv";
@@ -99,9 +124,6 @@ int main(int argc, char** argv) {
     save_tweet_labels(sim.tweets, labels_path);
     std::printf("wrote %zu tweets to %s (+ grading labels)\n",
                 sim.tweets.size(), tweets_path.c_str());
-  } else if (mode != "analyze") {
-    std::fprintf(stderr, "unknown --mode %s\n", mode.c_str());
-    return 2;
   }
 
   // Ingest from files only.

@@ -78,10 +78,6 @@ class LiveApollo {
   std::size_t refreshes() const { return em_.batches_seen(); }
   // Tweets dropped at ingest because their user was unknown.
   std::size_t dropped_tweets() const { return dropped_tweets_; }
-  // Sequence number the next refresh() batch will carry (delegates to
-  // the streaming estimator; see the batch-ordering contract in
-  // core/streaming_em.h).
-  std::uint64_t next_sequence() const { return em_.next_sequence(); }
 
   // Bit-exact serialization of the full pipeline state (clusterer,
   // estimator, claim history, window buffer, beliefs). The bytes are

@@ -36,8 +36,6 @@ class ApolloPipeline {
   // `estimator_name` must be one of estimator_names().
   explicit ApolloPipeline(std::string estimator_name);
 
-  const std::string& estimator_name() const { return estimator_name_; }
-
   // Runs the estimator on an ingested dataset.
   PipelineReport analyze(const Dataset& dataset,
                          std::uint64_t seed = 1) const;

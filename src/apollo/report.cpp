@@ -7,6 +7,14 @@
 namespace ss {
 namespace {
 
+constexpr std::size_t kTopCredible = 10;
+constexpr std::size_t kTopRumours = 10;
+constexpr std::size_t kTopSources = 10;
+// Minimum support for the suspected-rumour list (a belief of 0.1 on a
+// single-claim assertion is unremarkable; on a 30-claim cascade it is
+// the story).
+constexpr std::size_t kRumourMinSupport = 3;
+
 void append_assertion_row(std::string& out, const Dataset& dataset,
                           const RankedAssertion& ra, bool graded) {
   out += strprintf("| %u | %.4f | %zu |", ra.assertion, ra.belief,
@@ -22,8 +30,7 @@ void append_assertion_row(std::string& out, const Dataset& dataset,
 
 std::string render_markdown_report(const Dataset& dataset,
                                    const PipelineReport& report,
-                                   const EmExtResult& em_result,
-                                   const ReportOptions& options) {
+                                   const EmExtResult& em_result) {
   bool graded = dataset.truth.size() == dataset.assertion_count() &&
                 !dataset.truth.empty();
   DatasetSummary summary = dataset.summary();
@@ -40,7 +47,7 @@ std::string render_markdown_report(const Dataset& dataset,
   out += "## Most credible assertions\n\n";
   out += graded ? "| assertion | belief | support | grade |\n|---|---|---|---|\n"
                 : "| assertion | belief | support |\n|---|---|---|\n";
-  for (const RankedAssertion& ra : report.top(options.top_credible)) {
+  for (const RankedAssertion& ra : report.top(kTopCredible)) {
     append_assertion_row(out, dataset, ra, graded);
   }
 
@@ -50,9 +57,9 @@ std::string render_markdown_report(const Dataset& dataset,
   std::vector<RankedAssertion> rumours;
   for (auto it = report.ranked.rbegin(); it != report.ranked.rend();
        ++it) {
-    if (it->support >= options.rumour_min_support) {
+    if (it->support >= kRumourMinSupport) {
       rumours.push_back(*it);
-      if (rumours.size() >= options.top_rumours) break;
+      if (rumours.size() >= kTopRumours) break;
     }
   }
   for (const RankedAssertion& ra : rumours) {
@@ -76,7 +83,7 @@ std::string render_markdown_report(const Dataset& dataset,
                      return sx.a - sx.b > sy.a - sy.b;
                    });
   std::size_t shown =
-      std::min<std::size_t>(options.top_sources, order.size());
+      std::min<std::size_t>(kTopSources, order.size());
   for (std::size_t r = 0; r < shown; ++r) {
     const SourceParams& s = em_result.params.source[order[r]];
     out += strprintf("| %u | %.4f | %.4f | %zu |\n", order[r], s.a, s.b,

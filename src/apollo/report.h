@@ -14,23 +14,12 @@
 
 namespace ss {
 
-struct ReportOptions {
-  std::size_t top_credible = 10;
-  std::size_t top_rumours = 10;
-  std::size_t top_sources = 10;
-  // Minimum support for the suspected-rumour list (a belief of 0.1 on a
-  // single-claim assertion is unremarkable; on a 30-claim cascade it is
-  // the story).
-  std::size_t rumour_min_support = 3;
-};
-
-// Renders a markdown report. `em_result` supplies learned source
-// parameters (for the reliable-source section); `report` supplies the
-// ranking. Ground-truth labels, when present in the dataset, are shown
-// as a "grade" column.
+// Renders a markdown report of ten rows per section. `em_result`
+// supplies learned source parameters (for the reliable-source section);
+// `report` supplies the ranking. Ground-truth labels, when present in
+// the dataset, are shown as a "grade" column.
 std::string render_markdown_report(const Dataset& dataset,
                                    const PipelineReport& report,
-                                   const EmExtResult& em_result,
-                                   const ReportOptions& options = {});
+                                   const EmExtResult& em_result);
 
 }  // namespace ss

@@ -41,11 +41,28 @@ enum class EmInit {
   kRandom,     // Algorithm 2's literal random parameters
 };
 
+// Probability clamp keeping likelihoods finite (DESIGN.md §5); every EM
+// path's M-step clamps its rates and z to [eps, 1 - eps].
+inline constexpr double kEmClampEps = 1e-6;
+// Bounds on the learned prior z. With sparse evidence z is weakly
+// identified and plain MLE can spiral into z -> 0 (or 1): singleton
+// assertions inherit the prior, the prior is re-estimated from them,
+// and the collapsed fixed point swallows the informative one. Keeping
+// z inside [kEmZFloor, 1 - kEmZFloor] caps the spiral while leaving
+// evidence-bearing assertions free to override the prior.
+inline constexpr double kEmZFloor = 0.05;
+// Fault tolerance (docs/MODEL.md §9). An attempt whose E-step goes
+// non-finite (injected fault, pathological input) is re-seeded from a
+// fresh random initialization up to this many times; an attempt that
+// exhausts its retries falls back to the vote-prior posterior with
+// log-likelihood -inf, so it never poisons the winner selection (it
+// wins only if every attempt diverged — and even then the returned
+// beliefs are finite).
+inline constexpr std::size_t kEmMaxDivergenceRetries = 2;
+
 struct EmExtConfig {
   double tol = 1e-6;
   std::size_t max_iters = 200;
-  // Probability clamp keeping likelihoods finite (DESIGN.md §5).
-  double clamp_eps = 1e-6;
   // Hierarchical shrinkage: each per-source rate is MAP-estimated under
   // a Beta prior whose mean is the *pooled* (all-source) rate and whose
   // strength is `shrinkage` pseudo-claims (i.e. shrinkage/mu pseudo
@@ -61,13 +78,6 @@ struct EmExtConfig {
   // effect. The EM baselines run on this engine at these defaults, so
   // comparisons isolate the dependency model, not the regularizer.
   double shrinkage = 8.0;
-  // Bounds on the learned prior z. With sparse evidence z is weakly
-  // identified and plain MLE can spiral into z -> 0 (or 1): singleton
-  // assertions inherit the prior, the prior is re-estimated from them,
-  // and the collapsed fixed point swallows the informative one. Keeping
-  // z inside [z_floor, 1 - z_floor] caps the spiral while leaving
-  // evidence-bearing assertions free to override the prior. 0 disables.
-  double z_floor = 0.05;
   // Two-phase fit. Phase 1 runs EM with f_i = g_i tied — provably
   // equivalent to deleting every dependent cell (EM-Social's premise;
   // see tests/test_properties.cpp) — so assertion labels stabilize from
@@ -94,14 +104,6 @@ struct EmExtConfig {
   // floating-point reduction is a fixed-shape tree whose shape depends
   // only on the element count (math/kernels.h).
   ThreadPool* pool = nullptr;
-  // Fault tolerance (docs/MODEL.md §9). An attempt whose E-step goes
-  // non-finite (injected fault, pathological input) is re-seeded from a
-  // fresh random initialization up to this many times; an attempt that
-  // exhausts its retries falls back to the vote-prior posterior with
-  // log-likelihood -inf, so it never poisons the winner selection (it
-  // wins only if every attempt diverged — and even then the returned
-  // beliefs are finite).
-  std::size_t max_divergence_retries = 2;
   // Checkpoint/resume. Empty disables. The file stores one binary
   // record per completed restart attempt (util/checkpoint.h); a killed
   // run re-invoked with the same path replays completed attempts and

@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/em_ext.h"
 #include "core/params.h"
 #include "math/kernels.h"
 
@@ -86,8 +87,7 @@ struct MStepOutcome {
 // count.
 inline void finalize_m_step_fused(const std::vector<SourceMStatsPacked>& stats,
                                   double total_z, double m,
-                                  ModelParams& params, double clamp_eps,
-                                  double shrinkage, double z_floor,
+                                  ModelParams& params, double shrinkage,
                                   bool tie_fg, ThreadPool* pool,
                                   MStepOutcome& out) {
   const std::size_t n = stats.size();
@@ -147,8 +147,8 @@ inline void finalize_m_step_fused(const std::vector<SourceMStatsPacked>& stats,
     cmu[k] = cells[k] * mu[k];
   }
 
-  const double lo = clamp_eps;
-  const double hi = 1.0 - clamp_eps;
+  const double lo = kEmClampEps;
+  const double hi = 1.0 - kEmClampEps;
   // SourceMStatsPacked and SourceParams are plain structs of 6/4
   // contiguous doubles whose field order lane-aligns num/exposure with
   // {a, b, f, g}; finalize_params documents the layout contract.
@@ -186,8 +186,8 @@ inline void finalize_m_step_fused(const std::vector<SourceMStatsPacked>& stats,
   // keep-previous sanitize the source parameters get.
   double prev_z = params.z;
   double z = total_z / m;
-  if (z_floor > 0.0) z = std::clamp(z, z_floor, 1.0 - z_floor);
-  z = clamp_prob(z, clamp_eps);
+  z = std::clamp(z, kEmZFloor, 1.0 - kEmZFloor);
+  z = clamp_prob(z, kEmClampEps);
   if (!std::isfinite(z)) {
     z = prev_z;
     ++sanitized;

@@ -237,8 +237,7 @@ class ShardedEmEngine {
     run_units(source_units_, fill_unit);
     em_detail::finalize_m_step_fused(stats, total_z,
                                      static_cast<double>(m), params,
-                                     config_.clamp_eps, config_.shrinkage,
-                                     config_.z_floor, tie_fg, pool_, out);
+                                     config_.shrinkage, tie_fg, pool_, out);
   }
 
   // Support-based initial posterior (vote_prior_from_support): the
@@ -431,7 +430,7 @@ EmExtResult run_em(const ShardedEmEngine& engine, const EmExtConfig& config,
       engine.m_step(engine.vote_prior(/*independent_only=*/true), params,
                     /*tie_fg=*/false, scratch, ignored);
     }
-    clamp_params(params, config.clamp_eps);
+    clamp_params(params, kEmClampEps);
 
     EmExtResult result;
     // One guarded E-step: posterior + likelihood with the non-finite
@@ -495,14 +494,13 @@ EmExtResult run_em(const ShardedEmEngine& engine, const EmExtConfig& config,
   };
 
   // Retry wrapper: re-seed a diverged attempt up to
-  // max_divergence_retries times; after that, fall back to the
+  // kEmMaxDivergenceRetries times; after that, fall back to the
   // data-driven vote prior with -inf likelihood, which can win only
   // when every attempt diverged — and even then the returned beliefs
   // are finite.
   auto run_attempt = [&](std::size_t attempt) -> EmExtResult {
     EmHealth health;
-    for (std::size_t retry = 0; retry <= config.max_divergence_retries;
-         ++retry) {
+    for (std::size_t retry = 0; retry <= kEmMaxDivergenceRetries; ++retry) {
       if (retry > 0) ++health.reseeded_attempts;
       std::optional<EmExtResult> r =
           run_attempt_once(attempt, retry, health);
@@ -522,7 +520,7 @@ EmExtResult run_em(const ShardedEmEngine& engine, const EmExtConfig& config,
     r.estimate.probabilistic = true;
     r.estimate.converged = false;
     r.params.source.assign(n, SourceParams{});
-    clamp_params(r.params, config.clamp_eps);
+    clamp_params(r.params, kEmClampEps);
     r.log_likelihood = -std::numeric_limits<double>::infinity();
     r.health = health;
     return r;
@@ -540,15 +538,15 @@ EmExtResult run_em(const ShardedEmEngine& engine, const EmExtConfig& config,
     fp = fingerprint_combine(fp, config.tol);
     fp = fingerprint_combine(fp,
                              static_cast<std::uint64_t>(config.max_iters));
-    fp = fingerprint_combine(fp, config.clamp_eps);
+    fp = fingerprint_combine(fp, kEmClampEps);
     fp = fingerprint_combine(fp, config.shrinkage);
-    fp = fingerprint_combine(fp, config.z_floor);
+    fp = fingerprint_combine(fp, kEmZFloor);
     fp = fingerprint_combine(
         fp, static_cast<std::uint64_t>(config.warmup_iters));
     fp = fingerprint_combine(fp,
                              static_cast<std::uint64_t>(config.init_kind));
     fp = fingerprint_combine(
-        fp, static_cast<std::uint64_t>(config.max_divergence_retries));
+        fp, static_cast<std::uint64_t>(kEmMaxDivergenceRetries));
     fp = fingerprint_combine(
         fp, static_cast<std::uint64_t>(config.init.has_value()));
     ckpt = std::make_unique<CheckpointStore>(

@@ -37,27 +37,6 @@ StreamingEmExt::StreamingEmExt(std::size_t sources,
   history_.assign(sources, em_detail::SourceMStatsPacked{});
 }
 
-StreamingBatchResult StreamingEmExt::observe(const Dataset& batch,
-                                             std::uint64_t seq) {
-  if (seq < next_sequence_) {
-    // Stale duplicate from a retrying transport: already folded in, so
-    // touching any state would double-count it.
-    ++stale_batches_;
-    StreamingBatchResult rejected;
-    rejected.accepted = false;
-    rejected.stats_committed = false;
-    return rejected;
-  }
-  if (seq > next_sequence_) {
-    throw std::invalid_argument(
-        "StreamingEmExt::observe: batch sequence gap (got " +
-        std::to_string(seq) + ", expected " +
-        std::to_string(next_sequence_) +
-        "); the caller must buffer delayed batches");
-  }
-  return observe(batch);
-}
-
 StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
   batch.validate();
   const std::size_t n = source_count();
@@ -198,8 +177,7 @@ StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
     // The engine's M-step on the blended statistics: every decayed
     // denominator derives from a row and the blended totals.
     em_detail::finalize_m_step_fused(blended_, blended_z, blended_m, staged_,
-                                     defaults.clamp_eps, defaults.shrinkage,
-                                     defaults.z_floor, /*tie_fg=*/false,
+                                     defaults.shrinkage, /*tie_fg=*/false,
                                      pool, outcome);
   }
 
@@ -220,7 +198,6 @@ StreamingBatchResult StreamingEmExt::observe(const Dataset& batch) {
   }
   if (poisoned) ++skipped_batches_;
   ++batches_;
-  ++next_sequence_;
 
   StreamingBatchResult result;
   result.stats_committed = !poisoned;
@@ -245,8 +222,6 @@ void StreamingEmExt::save_state(BinWriter& writer) const {
   writer.u64(source_count());
   writer.u64(batches_);
   writer.u64(skipped_batches_);
-  writer.u64(stale_batches_);
-  writer.u64(next_sequence_);
   writer.f64(params_.z);
   for (const SourceParams& s : params_.source) {
     writer.f64(s.a);
@@ -278,8 +253,6 @@ void StreamingEmExt::load_state(BinReader& reader) {
   }
   batches_ = reader.u64();
   skipped_batches_ = reader.u64();
-  stale_batches_ = reader.u64();
-  next_sequence_ = reader.u64();
   params_.z = reader.f64();
   params_.source.assign(n, SourceParams{});
   for (SourceParams& s : params_.source) {

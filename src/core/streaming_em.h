@@ -26,28 +26,11 @@
 // every piece of state (and the save_state() bytes) exactly as it
 // was, so the caller can retry it.
 //
-// Batch-ordering contract. The estimator is a *recursive* filter: the
-// decayed statistics after batch k are a function of the batches in the
-// exact order they were folded in, so feeding batches out of order
-// silently computes a different model. Callers on an unreliable
-// transport (the src/sim/ storm harness, a network ingest) therefore
-// tag each batch with the sequence number assigned at *emission* time
-// and use the checked overload observe(batch, seq):
-//
-//   - seq == next_sequence(): the batch is folded in, and next_sequence()
-//     advances when observe() returns, result.accepted = true.
-//   - seq <  next_sequence(): a stale duplicate (retry of a batch that
-//     already arrived). Rejected without touching any state:
-//     result.accepted = false, stale_batches() counts it, and the
-//     returned beliefs are empty.
-//   - seq >  next_sequence(): a gap — the caller failed to buffer a
-//     delayed batch. That is a caller bug, not a transport condition,
-//     and throws std::invalid_argument.
-//
-// next_sequence() advances only when observe() returns: a batch that
-// throws does not use up its sequence number. The unchecked
-// observe(batch) is shorthand for observe(batch, next_sequence()) and
-// never rejects.
+// The estimator is a *recursive* filter: the decayed statistics after
+// batch k depend on the order the batches were folded in. Delivery
+// order is the caller's job; over an unreliable transport, the
+// simulated process (sim/process.h) buffers early batches, drops stale
+// ones and feeds the rest in sequence.
 #pragma once
 
 #include <cstdint>
@@ -66,8 +49,8 @@ class BinWriter;
 class ThreadPool;
 
 // The stream's M-step clamps, shrinks and floors z exactly as EM-Ext
-// does at its defaults (EmExtConfig's clamp_eps, shrinkage and
-// z_floor), and each batch runs five warm-started inner iterations.
+// does (kEmClampEps, kEmZFloor and EmExtConfig's default shrinkage),
+// and each batch runs five warm-started inner iterations.
 struct StreamingEmConfig {
   // Exponential forgetting factor in (0, 1]; 1 = never forget.
   double forgetting = 0.9;
@@ -82,9 +65,6 @@ struct StreamingEmConfig {
 };
 
 struct StreamingBatchResult {
-  // False only for a stale duplicate rejected by the checked
-  // observe(batch, seq) overload; the other fields are then empty.
-  bool accepted = true;
   // Posterior truth probability per assertion of the batch.
   std::vector<double> belief;
   std::vector<double> log_odds;
@@ -110,15 +90,6 @@ class StreamingEmExt {
   // shape mismatch; a batch that throws changes no state.
   StreamingBatchResult observe(const Dataset& batch);
 
-  // Sequence-checked variant for unreliable transports; see the
-  // batch-ordering contract at the top of this header.
-  StreamingBatchResult observe(const Dataset& batch, std::uint64_t seq);
-
-  // Sequence number the next accepted batch must carry.
-  std::uint64_t next_sequence() const { return next_sequence_; }
-  // Stale duplicates rejected by the checked overload.
-  std::size_t stale_batches() const { return stale_batches_; }
-
   // Serializes / restores the full mutable state (params, counters,
   // decayed history and totals) bit-exactly via the checkpoint binary
   // codec. load_state throws std::runtime_error when the serialized
@@ -140,8 +111,6 @@ class StreamingEmExt {
   ModelParams params_;
   std::size_t batches_ = 0;
   std::size_t skipped_batches_ = 0;
-  std::size_t stale_batches_ = 0;
-  std::uint64_t next_sequence_ = 0;
   // Decayed sufficient statistics: one packed row per source (the
   // lambda-decayed sums of its four claim masses, its exposed posterior
   // mass and its exposed-cell count) and the decayed posterior mass

@@ -72,7 +72,7 @@ struct FileImage {
   static Expected<FileImage> load(const std::string& path) {
     FileImage img;
 #if SS_SSD_HAVE_MMAP
-    int fd = ::open(path.c_str(), O_RDONLY);  // ss-lint: allow(raw-mmap): this is the one sanctioned mapping site (data/ssd)
+    int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) return io_error(path, "cannot open");
     struct stat st {};
     if (::fstat(fd, &st) != 0) {
@@ -110,7 +110,7 @@ struct FileImage {
     if (base == nullptr) return;
 #if SS_SSD_HAVE_MMAP
     if (mapped) {
-      ::munmap(const_cast<char*>(base), size);  // ss-lint: allow(raw-mmap): paired unmap of the sanctioned mapping
+      ::munmap(const_cast<char*>(base), size);
     }
 #else
     delete[] base;
@@ -538,7 +538,7 @@ struct OutImage {
     out.path = path;
     out.size = size;
 #if SS_SSD_HAVE_MMAP
-    int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);  // ss-lint: allow(raw-mmap): sanctioned output mapping (data/ssd)
+    int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
     if (fd < 0) throw std::runtime_error("SsdWriter: cannot create " + path);
     if (::ftruncate(fd, static_cast<off_t>(size)) != 0) {
       ::close(fd);
@@ -564,7 +564,7 @@ struct OutImage {
   void commit() {
 #if SS_SSD_HAVE_MMAP
     ::msync(base, size, MS_SYNC);
-    ::munmap(base, size);  // ss-lint: allow(raw-mmap): paired unmap of the sanctioned output mapping
+    ::munmap(base, size);
 #else
     std::ofstream outf(path, std::ios::binary | std::ios::trunc);
     outf.write(base, static_cast<std::streamsize>(size));
@@ -577,7 +577,7 @@ struct OutImage {
   void abandon() {
     if (base == nullptr) return;
 #if SS_SSD_HAVE_MMAP
-    ::munmap(base, size);  // ss-lint: allow(raw-mmap): paired unmap of the sanctioned output mapping
+    ::munmap(base, size);
 #else
     delete[] base;
 #endif
@@ -785,10 +785,6 @@ SsdStats write_ssd(const Dataset& dataset, const std::string& path) {
     }
   }
   return writer.finish();
-}
-
-Dataset load_ssd(const std::string& path) {
-  return SsdView::open_or_throw(path).materialize();
 }
 
 }  // namespace ss

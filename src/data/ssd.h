@@ -125,7 +125,6 @@ class SsdView {
   Label truth(std::size_t j) const {
     return static_cast<Label>(truth_[j]);
   }
-  std::span<const std::uint8_t> truth_raw() const { return truth_; }
 
   // Recomputes the payload digest over every section (full-file scan)
   // and checks it against the sealed header value. `why` receives the
@@ -200,9 +199,7 @@ class SsdWriter {
   Impl* impl_;
 };
 
-// Convenience one-shots.
+// Convenience one-shot.
 SsdStats write_ssd(const Dataset& dataset, const std::string& path);
-// open + materialize, throwing form.
-Dataset load_ssd(const std::string& path);
 
 }  // namespace ss

@@ -6,9 +6,11 @@
 #include "math/matrix.h"
 
 namespace ss {
+namespace {
 
-AverageLogEstimator::AverageLogEstimator(AverageLogConfig config)
-    : config_(config) {}
+constexpr std::size_t kIterations = 20;
+
+}  // namespace
 
 EstimateResult AverageLogEstimator::run(const Dataset& dataset,
                                         std::uint64_t /*seed*/) const {
@@ -23,11 +25,11 @@ EstimateResult AverageLogEstimator::run(const Dataset& dataset,
   std::vector<double> log_deg(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     std::size_t deg = dataset.claims.claims_of(i).size();
-    // ss-lint: allow(raw-log-exp): log of a claim *count* (AverageLog's degree weight), not a probability
+    // ss-analyze: allow(raw-log-exp): log of a claim *count* (AverageLog's degree weight), not a probability
     if (deg > 0) log_deg[i] = std::log(static_cast<double>(deg));
   }
 
-  for (std::size_t it = 0; it < config_.iterations; ++it) {
+  for (std::size_t it = 0; it < kIterations; ++it) {
     for (std::size_t j = 0; j < m; ++j) {
       belief[j] = kernels::gather_sum(dataset.claims.claimants_of(j),
                                       trust.data());
@@ -57,7 +59,7 @@ EstimateResult AverageLogEstimator::run(const Dataset& dataset,
   EstimateResult result;
   result.belief = std::move(belief);
   result.probabilistic = false;
-  result.iterations = config_.iterations;
+  result.iterations = kIterations;
   return result;
 }
 

@@ -3,6 +3,7 @@
 // A Sums variant that trusts prolific sources more:
 //   T(s) = log(|C_s|) * average belief of s's claims
 //   B(c) = sum of T(s) over claimants
+// for a fixed 20 rounds, as in Sums.
 // Sources with a single claim get log(1) = 0 trust — faithful to the
 // original formulation and one reason this heuristic is high-variance on
 // sparse social data (paper Section V-C).
@@ -12,20 +13,11 @@
 
 namespace ss {
 
-struct AverageLogConfig {
-  std::size_t iterations = 20;
-};
-
 class AverageLogEstimator : public Estimator {
  public:
-  explicit AverageLogEstimator(AverageLogConfig config = {});
-
   std::string name() const override { return "Average.Log"; }
   EstimateResult run(const Dataset& dataset,
                      std::uint64_t seed) const override;
-
- private:
-  AverageLogConfig config_;
 };
 
 }  // namespace ss

@@ -9,7 +9,7 @@
 //
 // A data view on the EM-Ext engine: EmExtEstimator, without its f=g
 // warm-up, runs on the D_ij = 0 claims only, with D kept. Every f and g
-// numerator is then 0, so both fit to exactly clamp_eps; each exposed
+// numerator is then 0, so both fit to exactly kEmClampEps; each exposed
 // cell's factor is the same under both hypotheses and cancels from the
 // posterior, and the a, b denominators already exclude exposed cells.
 // That cancellation is the deletion (docs/MODEL.md §1). Init,

@@ -3,8 +3,11 @@
 #include "math/matrix.h"
 
 namespace ss {
+namespace {
 
-SumsEstimator::SumsEstimator(SumsConfig config) : config_(config) {}
+constexpr std::size_t kIterations = 20;
+
+}  // namespace
 
 EstimateResult SumsEstimator::run(const Dataset& dataset,
                                   std::uint64_t /*seed*/) const {
@@ -14,7 +17,7 @@ EstimateResult SumsEstimator::run(const Dataset& dataset,
   std::vector<double> trust(n, 1.0);
   std::vector<double> belief(m, 0.0);
 
-  for (std::size_t it = 0; it < config_.iterations; ++it) {
+  for (std::size_t it = 0; it < kIterations; ++it) {
     for (std::size_t j = 0; j < m; ++j) {
       double acc = 0.0;
       for (std::uint32_t v : dataset.claims.claimants_of(j)) {
@@ -36,7 +39,7 @@ EstimateResult SumsEstimator::run(const Dataset& dataset,
   EstimateResult result;
   result.belief = std::move(belief);
   result.probabilistic = false;
-  result.iterations = config_.iterations;
+  result.iterations = kIterations;
   return result;
 }
 

@@ -4,27 +4,19 @@
 // Iterates
 //   B(c) = sum of T(s) over sources claiming c
 //   T(s) = sum of B(c) over assertions claimed by s
-// with max-normalization each round to prevent blow-up.
+// with max-normalization each round to prevent blow-up, for a fixed 20
+// rounds.
 #pragma once
 
 #include "core/estimator.h"
 
 namespace ss {
 
-struct SumsConfig {
-  std::size_t iterations = 20;
-};
-
 class SumsEstimator : public Estimator {
  public:
-  explicit SumsEstimator(SumsConfig config = {});
-
   std::string name() const override { return "Sums"; }
   EstimateResult run(const Dataset& dataset,
                      std::uint64_t seed) const override;
-
- private:
-  SumsConfig config_;
 };
 
 }  // namespace ss

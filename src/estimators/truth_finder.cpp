@@ -8,16 +8,22 @@
 #include "math/matrix.h"
 
 namespace ss {
+namespace {
 
-TruthFinderEstimator::TruthFinderEstimator(TruthFinderConfig config)
-    : config_(config) {}
+constexpr double kInitialTrust = 0.9;
+constexpr double kGamma = 0.3;  // dampening factor from the original paper
+constexpr double kTol = 1e-6;   // on 1 - cosine(trust, previous trust)
+constexpr std::size_t kMaxIters = 100;
+constexpr double kMaxTrust = 1.0 - 1e-9;  // keeps tau finite
+
+}  // namespace
 
 EstimateResult TruthFinderEstimator::run(const Dataset& dataset,
                                          std::uint64_t /*seed*/) const {
   dataset.validate();
   std::size_t n = dataset.source_count();
   std::size_t m = dataset.assertion_count();
-  std::vector<double> trust(n, config_.initial_trust);
+  std::vector<double> trust(n, kInitialTrust);
   std::vector<double> confidence(m, 0.0);
 
   std::size_t iters = 0;
@@ -27,16 +33,16 @@ EstimateResult TruthFinderEstimator::run(const Dataset& dataset,
   // iteration; hoisted here so the confidence loop is a pure gather
   // (the per-incidence form paid one log1p per claim cell).
   std::vector<double> weight(n, 0.0);
-  while (iters < config_.max_iters && !converged) {
+  while (iters < kMaxIters && !converged) {
     ++iters;
     for (std::size_t i = 0; i < n; ++i) {
-      double t = std::min(trust[i], config_.max_trust);
+      double t = std::min(trust[i], kMaxTrust);
       weight[i] = -safe_log1m(t);
     }
     for (std::size_t j = 0; j < m; ++j) {
       double sigma = kernels::gather_sum(dataset.claims.claimants_of(j),
                                          weight.data());
-      confidence[j] = sigmoid(config_.gamma * sigma);
+      confidence[j] = sigmoid(kGamma * sigma);
     }
     for (std::size_t i = 0; i < n; ++i) {
       const auto& claims = dataset.claims.claims_of(i);
@@ -45,7 +51,7 @@ EstimateResult TruthFinderEstimator::run(const Dataset& dataset,
       trust[i] = acc / static_cast<double>(claims.size());
     }
     double cos = cosine_similarity(prev, trust);
-    converged = (1.0 - cos) <= config_.tol;
+    converged = (1.0 - cos) <= kTol;
     prev = trust;
   }
 

@@ -15,24 +15,11 @@
 
 namespace ss {
 
-struct TruthFinderConfig {
-  double initial_trust = 0.9;
-  double gamma = 0.3;       // dampening factor from the original paper
-  double tol = 1e-6;        // on 1 - cosine(trust, previous trust)
-  std::size_t max_iters = 100;
-  double max_trust = 1.0 - 1e-9;  // keeps tau finite
-};
-
 class TruthFinderEstimator : public Estimator {
  public:
-  explicit TruthFinderEstimator(TruthFinderConfig config = {});
-
   std::string name() const override { return "Truth-Finder"; }
   EstimateResult run(const Dataset& dataset,
                      std::uint64_t seed) const override;
-
- private:
-  TruthFinderConfig config_;
 };
 
 }  // namespace ss

@@ -49,9 +49,6 @@ class UnionFind {
     return find(a) == find(b);
   }
 
-  // Size of the set holding x.
-  std::size_t set_size(std::uint32_t x) { return size_[find(x)]; }
-
  private:
   std::vector<std::uint32_t> parent_;
   std::vector<std::uint32_t> size_;

@@ -32,7 +32,7 @@ namespace math {
 // helper so the intent is visible and the linter can tell the sanctioned
 // cases from accidents.
 inline bool exactly_zero(double x) {
-  // ss-lint: allow(float-equality): this helper IS the sanctioned exact-zero compare
+  // ss-analyze: allow(float-equality): this helper IS the sanctioned exact-zero compare
   return x == 0.0;
 }
 

@@ -40,11 +40,11 @@ struct ProcessConfig {
 
 class SimProcess {
  public:
-  // Snapshot kind tag ("SIMPROC2"). Bumped whenever the payload layout
+  // Snapshot kind tag ("SIMPROC3"). Bumped whenever the payload layout
   // changes (LiveApollo::save_state, which includes the streaming
   // estimator's state), so a snapshot of an older layout is refused,
   // never misread.
-  static constexpr std::uint64_t kSnapshotKind = 0x53494d50'524f4332ULL;
+  static constexpr std::uint64_t kSnapshotKind = 0x53494d50'524f4333ULL;
 
   enum class DeliveryOutcome : std::uint8_t {
     kApplied = 0,  // folded in (plus any drained buffered successors)

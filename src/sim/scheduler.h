@@ -51,7 +51,6 @@ class SimScheduler {
 
   bool empty() const { return queue_.empty(); }
   std::size_t pending() const { return queue_.size(); }
-  std::uint64_t scheduled_total() const { return next_id_; }
 
   // Removes and returns the next event, advancing the clock to its
   // tick. Requires !empty().

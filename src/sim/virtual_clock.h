@@ -1,12 +1,13 @@
 // Virtual time for deterministic simulation.
 //
-// Nothing in the simulation harness reads a wall clock (ss_lint rule R8
-// confines raw clock calls to src/util/); time is an integer tick
-// counter advanced only by the scheduler when it dispatches the next
-// event. Ticks are abstract — the storm configuration decides how many
-// ticks separate batch emissions, checkpoint timers and queries — so a
-// simulated three-day event replays in milliseconds and every run of
-// the same seed sees the exact same clock readings.
+// Nothing in the simulation harness reads a wall clock (ss_analyze's
+// raw-clock rule confines raw clock calls to src/util/); time is an
+// integer tick counter advanced only by the scheduler when it
+// dispatches the next event. Ticks are abstract — the storm
+// configuration decides how many ticks separate batch emissions,
+// checkpoint timers and queries — so a simulated three-day event
+// replays in milliseconds and every run of the same seed sees the
+// exact same clock readings.
 #pragma once
 
 #include <cstdint>

@@ -217,19 +217,6 @@ Expected<std::vector<Tweet>> parse_tweets_jsonl(
   return tweets;
 }
 
-void save_assertion_labels(const std::vector<Label>& labels,
-                           const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("save_assertion_labels: cannot write " +
-                             path);
-  }
-  out << "assertion,label\n";
-  for (std::size_t k = 0; k < labels.size(); ++k) {
-    out << k << ',' << label_name(labels[k]) << '\n';
-  }
-}
-
 void save_tweet_labels(const std::vector<Tweet>& tweets,
                        const std::string& path) {
   std::ofstream out(path);
@@ -262,31 +249,6 @@ std::unordered_map<std::uint32_t, Label> load_tweet_labels(
     else if (fields[1] == "False") label = Label::kFalse;
     else if (fields[1] == "Opinion") label = Label::kOpinion;
     labels[static_cast<std::uint32_t>(std::stoul(fields[0]))] = label;
-  }
-  return labels;
-}
-
-std::vector<Label> load_assertion_labels(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("load_assertion_labels: cannot read " +
-                             path);
-  }
-  std::vector<Label> labels;
-  std::string line;
-  std::getline(in, line);  // header
-  while (std::getline(in, line)) {
-    if (trim(line).empty()) continue;
-    auto fields = csv_parse_line(line);
-    if (fields.size() != 2) {
-      throw std::runtime_error("load_assertion_labels: bad row " + line);
-    }
-    std::size_t k = std::stoull(fields[0]);
-    if (labels.size() <= k) labels.resize(k + 1, Label::kUnknown);
-    if (fields[1] == "True") labels[k] = Label::kTrue;
-    else if (fields[1] == "False") labels[k] = Label::kFalse;
-    else if (fields[1] == "Opinion") labels[k] = Label::kOpinion;
-    else labels[k] = Label::kUnknown;
   }
   return labels;
 }

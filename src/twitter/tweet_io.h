@@ -53,11 +53,6 @@ std::vector<Tweet> load_tweets(const std::string& path,
     const std::string& path, const IngestOptions& options = {},
     IngestReport* report = nullptr);
 
-// Sidecar grading labels: "assertion_id,label" CSV.
-void save_assertion_labels(const std::vector<Label>& labels,
-                           const std::string& path);
-std::vector<Label> load_assertion_labels(const std::string& path);
-
 // Per-tweet grading labels ("tweet_id,label" CSV) — the shape human
 // grading takes in the paper's protocol. Keyed by tweet id so the file
 // survives any reordering of the stream.

@@ -101,7 +101,7 @@ double Rng::normal() {
   double u2 = uniform();
   // Guard against log(0).
   if (u1 < 1e-300) u1 = 1e-300;
-  // ss-lint: allow(raw-log-exp): Box-Muller transform of a uniform variate, not a probability
+  // ss-analyze: allow(raw-log-exp): Box-Muller transform of a uniform variate, not a probability
   return std::sqrt(-2.0 * std::log(u1)) *
          std::cos(2.0 * std::numbers::pi * u2);
 }
@@ -128,19 +128,10 @@ std::size_t Rng::categorical(const std::vector<double>& weights) {
   return weights.size() - 1;
 }
 
-std::uint32_t Rng::geometric(double p) {
-  assert(p > 0.0 && p <= 1.0);
-  if (p >= 1.0) return 0;
-  double u = uniform();
-  if (u < 1e-300) u = 1e-300;
-  // ss-lint: allow(raw-log-exp): geometric inversion on a uniform variate, not a probability
-  return static_cast<std::uint32_t>(std::log(u) / std::log1p(-p));
-}
-
 double Rng::exponential(double mean) {
   assert(mean > 0.0);
   // Inverse CDF; uniform() < 1 keeps the log argument > 0.
-  // ss-lint: allow(raw-log-exp): exponential inversion on a uniform variate, not a probability
+  // ss-analyze: allow(raw-log-exp): exponential inversion on a uniform variate, not a probability
   return -mean * std::log(1.0 - uniform());
 }
 

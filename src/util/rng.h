@@ -72,9 +72,6 @@ class Rng {
   // strictly positive). Returns weights.size()-1 on accumulated-roundoff
   // overflow of the final bin.
   std::size_t categorical(const std::vector<double>& weights);
-  // Geometric-like count: number of failures before first success with
-  // success probability p in (0,1].
-  std::uint32_t geometric(double p);
   // Exponential waiting time with the given mean (> 0), via inverse CDF.
   double exponential(double mean);
   // Zipf-distributed integer in [0, n) with exponent s >= 0, via inverse

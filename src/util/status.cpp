@@ -20,15 +20,6 @@ const char* error_code_name(ErrorCode code) {
   return "unknown";
 }
 
-const char* ingest_mode_name(IngestMode mode) {
-  switch (mode) {
-    case IngestMode::kStrict: return "strict";
-    case IngestMode::kPermissive: return "permissive";
-    case IngestMode::kRepair: return "repair";
-  }
-  return "unknown";
-}
-
 std::string RecordError::to_string() const {
   return strprintf("%s:%zu: %s: %s", file.c_str(), line,
                    error_code_name(code), detail.c_str());

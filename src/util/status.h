@@ -106,8 +106,6 @@ enum class IngestMode : std::uint8_t {
   kRepair,
 };
 
-const char* ingest_mode_name(IngestMode mode);
-
 struct IngestOptions {
   IngestMode mode = IngestMode::kStrict;
   // Per-record error details kept in IngestReport::errors; counts stay

@@ -8,12 +8,12 @@
 namespace demo {
 
 inline double f(double p) {
-  // ss-lint: allow(raw-log-exp)
+  // ss-analyze: allow(raw-log-exp)
   return std::log(p);
 }
 
 inline double g(double p) {
-  // ss-lint: allow(no-such-rule): the reason is present but the rule is bogus
+  // ss-analyze: allow(no-such-rule): the reason is present but the rule is bogus
   return std::log1p(p);
 }
 

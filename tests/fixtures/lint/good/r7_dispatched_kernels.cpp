@@ -8,7 +8,7 @@ inline const char* describe() {
   return "__m256d lanes via _mm256_fmadd_pd";  // string mention
 }
 
-// ss-lint: allow(raw-intrinsics): fixture for the mandatory-reason escape hatch
+// ss-analyze: allow(raw-intrinsics): fixture for the mandatory-reason escape hatch
 using vec_t = __m256d;
 
 }  // namespace demo

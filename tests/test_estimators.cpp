@@ -120,9 +120,7 @@ TEST(TruthFinder, MoreSupportHigherConfidence) {
 
 TEST(TruthFinder, ConvergesQuickly) {
   Dataset d = support_dataset();
-  TruthFinderConfig config;
-  config.max_iters = 50;
-  EstimateResult r = TruthFinderEstimator(config).run(d, 0);
+  EstimateResult r = TruthFinderEstimator().run(d, 0);
   EXPECT_TRUE(r.converged);
   EXPECT_LT(r.iterations, 50u);
 }

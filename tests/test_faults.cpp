@@ -439,7 +439,7 @@ TEST(TaskDrop, StreamingBatchThatThrowsLeavesStreamUntouched) {
       ++thrown;
       // Compared as a bool: a failing diff of the raw bytes is unreadable.
       EXPECT_TRUE(state(em) == before) << "seed " << seed;
-      EXPECT_EQ(em.next_sequence(), 1u) << "seed " << seed;
+      EXPECT_EQ(em.batches_seen(), 1u) << "seed " << seed;
       belief = em.observe(batches[1]).belief;
     }
     EXPECT_EQ(belief, want[1]) << "seed " << seed;

@@ -180,7 +180,7 @@ TEST(ModelDegeneracy, DeletedDependentClaimsFitTiedRatesAtClampEps) {
   // The invariant EM-Social's view on the EM-Ext engine relies on
   // (estimators/em_social.h): without the warm-up, on a dataset whose
   // dependent claims are deleted, every f and g numerator is 0, so both
-  // rates of every exposed source fit to exactly clamp_eps, with and
+  // rates of every exposed source fit to exactly kEmClampEps, with and
   // without shrinkage. With f == g the previous test's cancellation
   // applies, which is the deletion.
   Rng rng(41);
@@ -200,10 +200,10 @@ TEST(ModelDegeneracy, DeletedDependentClaimsFitTiedRatesAtClampEps) {
       ++exposed;
       const SourceParams& s = r.params.source[i];
       EXPECT_EQ(std::bit_cast<std::uint64_t>(s.f),
-                std::bit_cast<std::uint64_t>(config.clamp_eps))
+                std::bit_cast<std::uint64_t>(kEmClampEps))
           << "shrinkage " << shrinkage << " source " << i;
       EXPECT_EQ(std::bit_cast<std::uint64_t>(s.g),
-                std::bit_cast<std::uint64_t>(config.clamp_eps))
+                std::bit_cast<std::uint64_t>(kEmClampEps))
           << "shrinkage " << shrinkage << " source " << i;
     }
     EXPECT_GT(exposed, 0u);

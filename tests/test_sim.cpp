@@ -281,9 +281,9 @@ TEST(SimProcess, ResumeRefusesSnapshotOfPreviousLayout) {
   process.deliver(0, stream.clean_batch(0));
   process.checkpoint();
   process.crash();
-  // A well-sealed snapshot under the previous kind tag ("SIMPROC1"),
+  // A well-sealed snapshot under the previous kind tag ("SIMPROC2"),
   // whose payload layout differs, must be refused rather than decoded.
-  constexpr std::uint64_t kPreviousKind = 0x53494d50'524f4331ULL;
+  constexpr std::uint64_t kPreviousKind = 0x53494d50'524f4332ULL;
   static_assert(kPreviousKind != SimProcess::kSnapshotKind);
   write_snapshot(config.checkpoint_path, kPreviousKind, config.fingerprint,
                  process.last_committed_state());
@@ -491,40 +491,7 @@ TEST(Storm, SeedSweepHoldsInvariants) {
   }
 }
 
-// --- streaming estimator sequence contract ---------------------------
-
-TEST(StreamingSequence, StaleRejectedGapThrows) {
-  TwitterSimulation w = simulate_twitter(
-      scenario_by_name("Kirkuk").scaled(0.02), 6);
-  LiveApolloConfig live_config;
-  LiveApollo live(w.follows, live_config);
-  StreamConfig stream_config;
-  stream_config.batch_size = 40;
-  SimStream stream(w.tweets, stream_config, 6);
-  ASSERT_GE(stream.batch_count(), 2u);
-  // Drive the estimator directly through the checked overload.
-  StreamingEmExt em(w.follows.node_count());
-  Dataset batch;
-  batch.name = "seq-test";
-  std::vector<Claim> claims;
-  for (const Tweet& t : stream.clean_batch(0)) {
-    claims.push_back({t.user, 0, t.time});
-  }
-  batch.claims = SourceClaimMatrix(w.follows.node_count(), 1, claims);
-  batch.dependency =
-      DependencyIndicators::from_graph(batch.claims, w.follows);
-
-  EXPECT_EQ(em.next_sequence(), 0u);
-  EXPECT_THROW(em.observe(batch, 1), std::invalid_argument);
-  StreamingBatchResult r0 = em.observe(batch, 0);
-  EXPECT_TRUE(r0.accepted);
-  EXPECT_EQ(em.next_sequence(), 1u);
-  StreamingBatchResult dup = em.observe(batch, 0);
-  EXPECT_FALSE(dup.accepted);
-  EXPECT_TRUE(dup.belief.empty());
-  EXPECT_EQ(em.stale_batches(), 1u);
-  EXPECT_EQ(em.batches_seen(), 1u);  // the duplicate was not folded in
-}
+// --- live pipeline state codec ----------------------------------------
 
 TEST(StreamingSequence, SaveLoadRoundTripsBitExactly) {
   TwitterSimulation w = simulate_twitter(

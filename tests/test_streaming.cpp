@@ -58,17 +58,14 @@ TEST(StreamingEm, RejectsSourceMismatch) {
   SimKnobs knobs = SimKnobs::paper_defaults(12, 10);
   SimInstance inst = generate_parametric(knobs, rng);
   EXPECT_THROW(streaming.observe(inst.dataset), std::invalid_argument);
-  // The rejected batch used up nothing: its sequence number is still
-  // free, so a retry with a well-shaped batch is accepted, not dropped
-  // as a stale duplicate.
-  EXPECT_EQ(streaming.next_sequence(), 0u);
+  // The rejected batch changed nothing, so a retry with a well-shaped
+  // batch is folded in as the stream's first.
   EXPECT_EQ(streaming.batches_seen(), 0u);
   SimInstance good = generate_parametric(SimKnobs::paper_defaults(10, 10),
                                          rng);
-  StreamingBatchResult r = streaming.observe(good.dataset, 0);
-  EXPECT_TRUE(r.accepted);
+  StreamingBatchResult r = streaming.observe(good.dataset);
   EXPECT_EQ(r.belief.size(), good.dataset.assertion_count());
-  EXPECT_EQ(streaming.next_sequence(), 1u);
+  EXPECT_EQ(streaming.batches_seen(), 1u);
 }
 
 TEST(StreamingEm, ParameterEstimatesSharpenOverBatches) {

@@ -1,4 +1,4 @@
-// Shared types for the ss_analyze checkers (docs/MODEL.md §15).
+// Shared types for the ss_analyze checkers (docs/MODEL.md §11, §15).
 //
 // The driver (tools/ss_analyze.cpp) loads every file once — raw lines
 // plus comment/string-scrubbed code lines — and hands the same

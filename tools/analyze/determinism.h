@@ -28,10 +28,11 @@
 // rest of the file commits to, so the same data reduced both ways can
 // disagree bit-for-bit.
 //
-// Like ss_lint's R5, the tracking is lexical: the brace extent that
-// follows a dispatch call is the worker body. Float-ness of an lvalue
-// is resolved against the declarations visible in the same file; an
-// accumulator declared *inside* the region is thread-private and fine.
+// Like the throw-in-parallel line rule, the tracking is lexical: the
+// brace extent that follows a dispatch call is the worker body.
+// Float-ness of an lvalue is resolved against the declarations visible
+// in the same file; an accumulator declared *inside* the region is
+// thread-private and fine.
 #pragma once
 
 #include <vector>

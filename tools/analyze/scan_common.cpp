@@ -133,25 +133,6 @@ bool comment_only_line(const std::string& raw) {
   return raw.compare(i, 2, "//") == 0;
 }
 
-void SuppressionTracker::step(const std::string& raw, std::size_t lineno,
-                              const std::string& path,
-                              std::vector<Diagnostic>& sink) {
-  Suppression sup;
-  if (parse_suppression(raw, marker_, known_, sup)) {
-    if (!sup.valid) {
-      sink.push_back({path, lineno, "bad-suppression", sup.error});
-    } else if (comment_only_line(raw)) {
-      pending_ = sup.rules;
-      pending_line_ = lineno + 1;
-    } else {
-      pending_ = sup.rules;
-      pending_line_ = lineno;
-    }
-  } else if (pending_line_ < lineno) {
-    pending_.clear();
-  }
-}
-
 std::string normalize(std::string path) {
   std::replace(path.begin(), path.end(), '\\', '/');
   return path;
@@ -174,30 +155,6 @@ bool file_is(const std::string& path, const char* stem) {
 bool lintable(const std::filesystem::path& p) {
   std::string ext = p.extension().string();
   return ext == ".h" || ext == ".hpp" || ext == ".cpp" || ext == ".cc";
-}
-
-bool collect_files(const std::vector<std::string>& inputs,
-                   std::vector<std::string>* files, std::string* missing) {
-  for (const std::string& input : inputs) {
-    std::error_code ec;
-    if (std::filesystem::is_directory(input, ec)) {
-      for (auto it = std::filesystem::recursive_directory_iterator(
-               input, ec);
-           !ec && it != std::filesystem::recursive_directory_iterator();
-           ++it) {
-        if (it->is_regular_file() && lintable(it->path())) {
-          files->push_back(it->path().string());
-        }
-      }
-    } else if (std::filesystem::is_regular_file(input, ec)) {
-      files->push_back(input);
-    } else {
-      if (missing != nullptr) *missing = input;
-      return false;
-    }
-  }
-  std::sort(files->begin(), files->end());
-  return true;
 }
 
 std::string json_escape(const std::string& s) {

@@ -1,16 +1,9 @@
-// Shared substrate for the project's token-level static analyzers
-// (tools/ss_lint and tools/ss_analyze — docs/MODEL.md §11, §15).
+// Scanner substrate of tools/ss_analyze (docs/MODEL.md §11, §15):
+// line scrubbing, the suppression grammar, path scoping and file:line
+// diagnostics in text or JSON. The checks themselves live in their own
+// files under tools/analyze/.
 //
-// Both tools walk source files line by line, scrub comments and
-// string/char literals so rule patterns only ever see code tokens,
-// honour mandatory-reason inline suppressions, and emit file:line
-// diagnostics in text or JSON. That machinery lives here exactly once
-// so the two scanners cannot drift apart; the rule logic itself stays
-// in each tool.
-//
-// Built as C++17 on purpose (like ss_lint): the analysis gate must
-// stay buildable by older toolchains in CI images that predate the
-// library's C++20 requirement.
+// C++17 on purpose, like the rest of the analysis gate.
 #pragma once
 
 #include <cstddef>
@@ -49,8 +42,7 @@ std::string scrub_line(const std::string& line, ScrubState& state);
 // the offending line, or alone on the line above. The reason is
 // mandatory — an allow without one is itself a diagnostic, which is
 // how "every suppression carries a written reason" is enforced rather
-// than hoped for. `marker` is the tool tag (ss-lint / ss-analyze,
-// colon included).
+// than hoped for. `marker` is the tool tag (colon included).
 
 struct Suppression {
   std::set<std::string> rules;
@@ -69,28 +61,6 @@ bool parse_suppression(const std::string& raw, const std::string& marker,
 // suppression targets the *next* line).
 bool comment_only_line(const std::string& raw);
 
-// Per-file suppression bookkeeping: feed every raw line in order via
-// step() (bad suppressions land in `sink`), then ask suppressed()
-// before emitting a diagnostic for that line.
-class SuppressionTracker {
- public:
-  SuppressionTracker(std::string marker,
-                     std::function<bool(const std::string&)> known)
-      : marker_(std::move(marker)), known_(std::move(known)) {}
-
-  void step(const std::string& raw, std::size_t lineno,
-            const std::string& path, std::vector<Diagnostic>& sink);
-  bool suppressed(const std::string& rule, std::size_t line) const {
-    return pending_line_ == line && pending_.count(rule) > 0;
-  }
-
- private:
-  std::string marker_;
-  std::function<bool(const std::string&)> known_;
-  std::set<std::string> pending_;
-  std::size_t pending_line_ = 0;
-};
-
 // ---------------------------------------------------------------------
 // Path scoping.
 
@@ -102,16 +72,8 @@ bool in_dir(const std::string& path, const char* dir);
 // Matches "<...>/<stem>.<ext>" for any extension.
 bool file_is(const std::string& path, const char* stem);
 
-// ---------------------------------------------------------------------
-// Input collection.
-
+// True for the C++ source and header extensions a scan walks.
 bool lintable(const std::filesystem::path& p);
-
-// Expands files and directories (recursively) into a sorted list of
-// lintable files. Returns false and sets *missing when an input does
-// not exist.
-bool collect_files(const std::vector<std::string>& inputs,
-                   std::vector<std::string>* files, std::string* missing);
 
 // ---------------------------------------------------------------------
 // Emission.

@@ -1,20 +1,19 @@
 #!/usr/bin/env bash
-# Static-analysis gate: one entry point for all four legs
+# Static-analysis gate: one entry point for all three legs
 # (docs/MODEL.md §11, §15).
 #
-#   leg 1  ss_lint       project-rule linter over src/
+#   leg 1  ss_analyze       the source analyzer over src/ — the ten
+#                           line rules plus the layer DAG
+#                           (tools/analyze/layers.conf), must-use error
+#                           contracts, determinism audit, hot-loop allocs
 #   leg 2  -Wthread-safety  clang lock-discipline build (SS_THREAD_SAFETY)
-#   leg 3  clang-tidy    curated .clang-tidy over compile_commands.json
-#   leg 4  ss_analyze    semantic checks over src/ — layer DAG
-#                        (tools/analyze/layers.conf), must-use error
-#                        contracts, determinism audit, hot-loop allocs
+#   leg 3  clang-tidy       curated .clang-tidy over compile_commands.json
 #
 # Usage: tools/check.sh [--json] [build-dir]     (default: ./build)
 #
-# With --json, the two project scanners run in JSON mode and their
-# output is aggregated into one {"ss_lint":{...},"ss_analyze":{...}}
-# object on stdout (legs 2 and 3 still run; their pass/fail folds into
-# the exit code, notes go to stderr).
+# With --json, ss_analyze prints one JSON object ({"files_scanned":N,
+# "diagnostics":[...]}) on stdout and the notes go to stderr; legs 2
+# and 3 still run, and their pass/fail folds into the exit code.
 #
 # Exit 0 only when every *runnable* leg passes. Legs that need tools the
 # host lacks (clang, clang-tidy) are reported as SKIP — the CI analysis
@@ -37,32 +36,28 @@ else
   note() { printf '== %s\n' "$*"; }
 fi
 
-# --- leg 1: ss_lint ---------------------------------------------------
+# --- leg 1: ss_analyze -----------------------------------------------
 if [ ! -f "$BUILD/CMakeCache.txt" ]; then
   note "configuring $BUILD"
   cmake -S "$ROOT" -B "$BUILD" >/dev/null || exit 2
 fi
-note "building ss_lint + ss_analyze"
-cmake --build "$BUILD" --target ss_lint ss_analyze -j >/dev/null || exit 2
+note "building ss_analyze"
+cmake --build "$BUILD" --target ss_analyze -j >/dev/null || exit 2
 
-LINT_JSON=""
-note "leg 1/4: ss_lint over src/"
+ANALYZE_ARGS=(--config "$ROOT/tools/analyze/layers.conf" "$ROOT/src")
 if [ "$JSON" -eq 1 ]; then
-  LINT_JSON="$("$BUILD/tools/ss_lint" --json "$ROOT/src")"
-  LINT_RC=$?
-else
-  "$BUILD/tools/ss_lint" "$ROOT/src"
-  LINT_RC=$?
+  ANALYZE_ARGS=(--json "${ANALYZE_ARGS[@]}")
 fi
-if [ "$LINT_RC" -eq 0 ]; then
-  note "ss_lint: PASS"
+note "leg 1/3: ss_analyze over src/ (line rules, layer DAG, semantic checks)"
+if "$BUILD/tools/ss_analyze" "${ANALYZE_ARGS[@]}"; then
+  note "ss_analyze: PASS"
 else
-  note "ss_lint: FAIL"
+  note "ss_analyze: FAIL"
   FAIL=1
 fi
 
 # --- leg 2: clang thread-safety analysis ------------------------------
-note "leg 2/4: clang -Wthread-safety (SS_THREAD_SAFETY=ON)"
+note "leg 2/3: clang -Wthread-safety (SS_THREAD_SAFETY=ON)"
 CLANGXX="$(command -v clang++ || true)"
 if [ -n "$CLANGXX" ]; then
   TSA_BUILD="$BUILD-threadsafety"
@@ -80,7 +75,7 @@ else
 fi
 
 # --- leg 3: clang-tidy ------------------------------------------------
-note "leg 3/4: clang-tidy (.clang-tidy over compile_commands.json)"
+note "leg 3/3: clang-tidy (.clang-tidy over compile_commands.json)"
 if command -v clang-tidy >/dev/null; then
   if [ ! -f "$BUILD/compile_commands.json" ]; then
     note "clang-tidy: FAIL (no compile_commands.json in $BUILD)"
@@ -99,30 +94,6 @@ if command -v clang-tidy >/dev/null; then
   fi
 else
   note "clang-tidy: SKIP (not installed; CI runs this leg)"
-fi
-
-# --- leg 4: ss_analyze ------------------------------------------------
-ANALYZE_JSON=""
-note "leg 4/4: ss_analyze over src/ (layers.conf DAG + semantic checks)"
-if [ "$JSON" -eq 1 ]; then
-  ANALYZE_JSON="$("$BUILD/tools/ss_analyze" --json \
-      --config "$ROOT/tools/analyze/layers.conf" "$ROOT/src")"
-  ANALYZE_RC=$?
-else
-  "$BUILD/tools/ss_analyze" \
-      --config "$ROOT/tools/analyze/layers.conf" "$ROOT/src"
-  ANALYZE_RC=$?
-fi
-if [ "$ANALYZE_RC" -eq 0 ]; then
-  note "ss_analyze: PASS"
-else
-  note "ss_analyze: FAIL"
-  FAIL=1
-fi
-
-if [ "$JSON" -eq 1 ]; then
-  printf '{"ss_lint":%s,"ss_analyze":%s}\n' \
-      "${LINT_JSON:-null}" "${ANALYZE_JSON:-null}"
 fi
 
 if [ "$FAIL" -eq 0 ]; then

@@ -1,34 +1,38 @@
-// ss_analyze — semantic static analysis for the social-sensing library
-// (docs/MODEL.md §15).
+// ss_analyze — the project's source analyzer (docs/MODEL.md §11, §15).
 //
-// Where ss_lint (§11) enforces line-local token rules, ss_analyze
-// checks properties that need the whole tree:
+// One pass loads every file once — raw lines plus comment/string-
+// scrubbed code lines — and runs two families of checks over it:
 //
-//   layering             architecture include-graph conformance
-//                        against tools/analyze/layers.conf
-//   must-use             discarded / never-read Expected, Error,
-//                        IngestReport and try_* results
-//   unordered-reduction  scheduling-dependent float accumulation
-//                        inside parallel worker bodies
-//   hot-loop-alloc       heap allocation inside loops in the kernel
-//                        layer and E/M-step bodies
+//   the line rules (§11; tools/analyze/line_rules.h)
+//     raw-log-exp, rng-engine, direct-io, float-equality,
+//     throw-in-parallel, banned-include, todo-owner, raw-intrinsics,
+//     raw-clock, raw-mmap — token patterns judged one line at a time,
+//     each scoped by the file's path;
+//   the whole-tree checks (§15)
+//     layering             architecture include-graph conformance
+//                          against tools/analyze/layers.conf
+//     must-use             discarded / never-read Expected, Error,
+//                          IngestReport and try_* results
+//     unordered-reduction  scheduling-dependent float accumulation
+//                          inside parallel worker bodies
+//     hot-loop-alloc       heap allocation inside loops in the kernel
+//                          layer and E/M-step bodies
 //
 // Usage:
-//   ss_analyze [--json] [--config <layers.conf>] [--dot <path>]
-//              [--report <path>] [-p <build-dir>] [dir|file ...]
+//   ss_analyze [--json] [--list-checks] [--config <layers.conf>]
+//              [--dot <path>] [--report <path>] <dir|file>...
 //
 // Directories are scan roots, walked recursively (directories named
 // build, fixtures, or starting with '.' are skipped); a file's path
 // relative to its root — with a leading "src/" stripped — decides its
-// module for layering. With `-p <build-dir>` and no inputs, the scan
-// roots are derived from compile_commands.json. Suppress a finding
-// with a reasoned inline comment on (or alone above) the line: the
-// tool marker (ss-analyze plus a colon) followed by
-// `allow(<check>[,<check>...]): <reason>`.
+// module for layering. Suppress a finding with a reasoned inline
+// comment on (or alone above) the line: the marker (ss-analyze plus a
+// colon) followed by `allow(<check>[,<check>...]): <reason>`. A
+// reasonless or unknown-check allow is itself a diagnostic
+// (bad-suppression).
 //
-// A reasonless or unknown-check allow is itself a diagnostic
-// (bad-suppression). Exit codes: 0 clean, 1 diagnostics, 2 usage or
-// I/O error — same contract as ss_lint, shared with tools/check.sh.
+// Exit codes: 0 clean, 1 diagnostics, 2 usage or I/O error
+// (tools/check.sh relies on them).
 //
 // C++17 on purpose, like the rest of the analysis gate.
 
@@ -36,8 +40,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <regex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -45,6 +47,7 @@
 #include "analyze/determinism.h"
 #include "analyze/hot_loops.h"
 #include "analyze/include_graph.h"
+#include "analyze/line_rules.h"
 #include "analyze/must_use.h"
 #include "analyze/scan_common.h"
 
@@ -57,7 +60,30 @@ struct CheckInfo {
   const char* summary;
 };
 
+// The one catalogue: every id an allow() may name, in --list-checks
+// order. bad-suppression is listed but cannot itself be allowed.
 const CheckInfo kChecks[] = {
+    {"raw-log-exp",
+     "raw std::log/exp family outside src/math/; use math/logprob.h"},
+    {"rng-engine",
+     "std RNG engine or rand() outside src/util/rng.*; use ss::Rng"},
+    {"direct-io",
+     "direct stdout/stderr write in library code; use util/log.h sinks"},
+    {"float-equality",
+     "==/!= against a float literal; use math::exactly_zero()"},
+    {"throw-in-parallel",
+     "throw inside a parallel worker lambda; use captured-status"},
+    {"banned-include",
+     "banned header (<iostream>, <strstream>, C-compat <*.h>)"},
+    {"todo-owner",
+     "TODO/FIXME/XXX without an owner: write TODO(name): ..."},
+    {"raw-intrinsics",
+     "intrinsics header or __m*/_mm* token outside src/math/simd/"},
+    {"raw-clock",
+     "wall-clock read outside src/util/; take time from the caller"},
+    {"raw-mmap",
+     "raw mmap/fd syscall outside src/data/ + src/util/; go through "
+     "data/ssd.h or <fstream>"},
     {"layering",
      "include edge violates the declared layer DAG (layers.conf)"},
     {"must-use",
@@ -66,6 +92,8 @@ const CheckInfo kChecks[] = {
      "scheduling-dependent float accumulation in a parallel body"},
     {"hot-loop-alloc",
      "heap allocation inside a loop in a hot (kernel/E-M) body"},
+    {"bad-suppression",
+     "malformed suppression comment (unknown check or missing reason)"},
 };
 
 bool known_check(const std::string& id) {
@@ -79,8 +107,8 @@ void usage(std::FILE* to) {
   std::fprintf(
       to,
       "usage: ss_analyze [--json] [--list-checks] [--config <layers.conf>]\n"
-      "                  [--dot <path>] [--report <path>] [-p <build-dir>]\n"
-      "                  [dir|file ...]\n");
+      "                  [--dot <path>] [--report <path>] <dir|file>...\n"
+      "exit codes: 0 clean, 1 diagnostics, 2 usage/IO error\n");
 }
 
 // Walks a scan root collecting lintable files, skipping build output,
@@ -138,52 +166,6 @@ bool load_source(const std::string& path, const std::string& rel,
   return true;
 }
 
-// Derives scan roots from a compile database: the nearest common
-// ancestor of every listed source becomes the project root, and the
-// top-level directories that actually hold listed sources become the
-// roots to walk (headers ride along with their translation units).
-bool roots_from_compile_db(const std::string& build_dir,
-                           std::vector<fs::path>* roots) {
-  std::ifstream in(build_dir + "/compile_commands.json");
-  if (!in) {
-    std::fprintf(stderr, "ss_analyze: cannot read %s/compile_commands.json\n",
-                 build_dir.c_str());
-    return false;
-  }
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  static const std::regex file_re("\"file\"\\s*:\\s*\"([^\"]+)\"");
-  std::vector<fs::path> files;
-  for (auto it = std::sregex_iterator(text.begin(), text.end(), file_re);
-       it != std::sregex_iterator(); ++it) {
-    std::string f = (*it)[1].str();
-    if (f.find("/CMakeFiles/") != std::string::npos) continue;
-    files.emplace_back(f);
-  }
-  if (files.empty()) {
-    std::fprintf(stderr, "ss_analyze: compile_commands.json lists no files\n");
-    return false;
-  }
-  fs::path common = files.front().parent_path();
-  for (const fs::path& f : files) {
-    while (!common.empty() &&
-           f.generic_string().rfind(common.generic_string() + "/", 0) != 0) {
-      common = common.parent_path();
-    }
-  }
-  std::set<std::string> tops;
-  for (const fs::path& f : files) {
-    std::string rest = f.generic_string().substr(
-        common.generic_string().size() + 1);
-    std::size_t slash = rest.find('/');
-    if (slash != std::string::npos) tops.insert(rest.substr(0, slash));
-  }
-  for (const std::string& top : tops) {
-    roots->push_back(common / top);
-  }
-  return !roots->empty();
-}
-
 bool write_text(const std::string& path, const std::string& text) {
   std::ofstream out(path);
   if (!out) {
@@ -201,7 +183,6 @@ int main(int argc, char** argv) {
   std::string config_path;
   std::string dot_path;
   std::string report_path;
-  std::string build_dir;
   std::vector<std::string> inputs;
 
   for (int i = 1; i < argc; ++i) {
@@ -232,10 +213,6 @@ int main(int argc, char** argv) {
       const char* v = next("--report");
       if (v == nullptr) return 2;
       report_path = v;
-    } else if (arg == "-p") {
-      const char* v = next("-p");
-      if (v == nullptr) return 2;
-      build_dir = v;
     } else if (arg == "--help" || arg == "-h") {
       usage(stdout);
       return 0;
@@ -248,44 +225,32 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Resolve inputs into (root, files) pairs.
+  if (inputs.empty()) {
+    usage(stderr);
+    return 2;
+  }
+
+  // Resolve inputs into (path, root-relative path) pairs.
   struct RootedFile {
     std::string path;
     std::string rel;
   };
   std::vector<RootedFile> rooted;
   std::error_code ec;
-  if (inputs.empty() && !build_dir.empty()) {
-    std::vector<fs::path> roots;
-    if (!roots_from_compile_db(build_dir, &roots)) return 2;
-    for (const fs::path& root : roots) {
+  for (const std::string& input : inputs) {
+    if (fs::is_directory(input, ec)) {
       std::vector<fs::path> files;
-      walk_root(root, &files);
-      // Module namespace spans the roots' common parent, so rel is
-      // taken against it: "<top>/<...>" (minus any leading src/).
+      walk_root(input, &files);
       for (const fs::path& f : files) {
-        rooted.push_back({f.string(), rel_under(root.parent_path(), f)});
+        rooted.push_back({f.string(), rel_under(input, f)});
       }
+    } else if (fs::exists(input, ec)) {
+      rooted.push_back({input, std::string()});
+    } else {
+      std::fprintf(stderr, "ss_analyze: no such file or directory: %s\n",
+                   input.c_str());
+      return 2;
     }
-  } else if (!inputs.empty()) {
-    for (const std::string& input : inputs) {
-      if (fs::is_directory(input, ec)) {
-        std::vector<fs::path> files;
-        walk_root(input, &files);
-        for (const fs::path& f : files) {
-          rooted.push_back({f.string(), rel_under(input, f)});
-        }
-      } else if (fs::exists(input, ec)) {
-        rooted.push_back({input, std::string()});
-      } else {
-        std::fprintf(stderr, "ss_analyze: no such file or directory: %s\n",
-                     input.c_str());
-        return 2;
-      }
-    }
-  } else {
-    usage(stderr);
-    return 2;
   }
 
   std::vector<scan::Diagnostic> diags;
@@ -307,8 +272,8 @@ int main(int argc, char** argv) {
     files.push_back(std::move(sf));
   }
 
-  // Suppression index from the raw lines (comment-only allow lines
-  // target the next line, same grammar as ss_lint).
+  // Suppression index from the raw lines (a comment-only allow line
+  // targets the next line, a trailing one its own line).
   analyze::SuppressionIndex suppressions;
   for (const analyze::SourceFile& sf : files) {
     analyze::FileSuppressions& fsup = suppressions[sf.path];
@@ -334,6 +299,7 @@ int main(int argc, char** argv) {
   analyze::MustUseChecker must_use;
   analyze::DeterminismChecker determinism;
   analyze::HotLoopChecker hot_loops;
+  analyze::LineRuleChecker line_rules;
 
   for (const analyze::SourceFile& sf : files) {
     must_use.build_registry(sf);
@@ -343,6 +309,7 @@ int main(int argc, char** argv) {
     must_use.scan_file(sf, &diags);
     determinism.scan_file(sf, &diags);
     hot_loops.scan_file(sf, &diags);
+    line_rules.scan_file(sf, &diags);
   }
   graph.finalize(&diags);
 
@@ -372,7 +339,7 @@ int main(int argc, char** argv) {
              kept.end());
 
   if (json) {
-    std::printf("%s\n", scan::diagnostics_json(kept, files.size()).c_str());
+    std::fputs(scan::diagnostics_json(kept, files.size()).c_str(), stdout);
   } else {
     scan::print_diagnostics(kept, files.size(), "ss_analyze");
   }
