@@ -65,9 +65,11 @@ std::string scrub_line(const std::string& line, ScrubState& state) {
   return out;
 }
 
-bool parse_suppression(const std::string& raw, const std::string& marker,
+bool parse_suppression(const std::string& raw,
                        const std::function<bool(const std::string&)>& known,
                        Suppression& out) {
+  // Split literal so the analyzer's own source stays marker-free.
+  static const std::string marker = "ss-" "analyze:";
   std::size_t at = raw.find(marker);
   if (at == std::string::npos) return false;
   std::size_t p = at + marker.size();
@@ -157,6 +159,8 @@ bool lintable(const std::filesystem::path& p) {
   return ext == ".h" || ext == ".hpp" || ext == ".cpp" || ext == ".cc";
 }
 
+namespace {
+
 std::string json_escape(const std::string& s) {
   std::string out;
   for (char c : s) {
@@ -178,6 +182,8 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+}  // namespace
+
 std::string diagnostics_json(const std::vector<Diagnostic>& diags,
                              std::size_t files_scanned) {
   std::string out = "{\"files_scanned\":" +
@@ -196,13 +202,13 @@ std::string diagnostics_json(const std::vector<Diagnostic>& diags,
 }
 
 void print_diagnostics(const std::vector<Diagnostic>& diags,
-                       std::size_t files_scanned, const char* tool) {
+                       std::size_t files_scanned) {
   for (const Diagnostic& d : diags) {
     std::printf("%s:%zu: [%s] %s\n", d.file.c_str(), d.line,
                 d.rule.c_str(), d.message.c_str());
   }
   if (!diags.empty()) {
-    std::printf("%s: %zu diagnostic%s in %zu file%s scanned\n", tool,
+    std::printf("ss_analyze: %zu diagnostic%s in %zu file%s scanned\n",
                 diags.size(), diags.size() == 1 ? "" : "s",
                 files_scanned, files_scanned == 1 ? "" : "s");
   }

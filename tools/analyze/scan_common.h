@@ -38,11 +38,11 @@ struct ScrubState {
 std::string scrub_line(const std::string& line, ScrubState& state);
 
 // ---------------------------------------------------------------------
-// Suppressions: `// <marker> allow(<rule>[,<rule>...]): <reason>` on
-// the offending line, or alone on the line above. The reason is
-// mandatory — an allow without one is itself a diagnostic, which is
-// how "every suppression carries a written reason" is enforced rather
-// than hoped for. `marker` is the tool tag (colon included).
+// Suppressions: the marker (ss-analyze plus a colon) followed by
+// `allow(<rule>[,<rule>...]): <reason>`, in a comment on the offending
+// line or alone on the line above. The reason is mandatory — an allow
+// without one is itself a diagnostic, which is how "every suppression
+// carries a written reason" is enforced rather than hoped for.
 
 struct Suppression {
   std::set<std::string> rules;
@@ -53,7 +53,7 @@ struct Suppression {
 // Parses the marker out of a raw line, if present. Returns true when
 // the marker exists (even malformed — the caller reports malformed
 // markers as bad-suppression diagnostics). `known` validates rule ids.
-bool parse_suppression(const std::string& raw, const std::string& marker,
+bool parse_suppression(const std::string& raw,
                        const std::function<bool(const std::string&)>& known,
                        Suppression& out);
 
@@ -78,15 +78,13 @@ bool lintable(const std::filesystem::path& p);
 // ---------------------------------------------------------------------
 // Emission.
 
-std::string json_escape(const std::string& s);
-
 // {"files_scanned":N,"diagnostics":[{file,line,rule,message}...]}
 std::string diagnostics_json(const std::vector<Diagnostic>& diags,
                              std::size_t files_scanned);
 
 // "<file>:<line>: [<rule>] <message>" lines plus a trailing
-// "<tool>: N diagnostics in M files scanned" summary when non-empty.
+// "ss_analyze: N diagnostics in M files scanned" summary when non-empty.
 void print_diagnostics(const std::vector<Diagnostic>& diags,
-                       std::size_t files_scanned, const char* tool);
+                       std::size_t files_scanned);
 
 }  // namespace scan

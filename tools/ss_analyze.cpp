@@ -279,11 +279,7 @@ int main(int argc, char** argv) {
     analyze::FileSuppressions& fsup = suppressions[sf.path];
     for (std::size_t li = 0; li < sf.raw.size(); ++li) {
       scan::Suppression sup;
-      // Split literal so the analyzer's own source stays marker-free.
-      if (!scan::parse_suppression(sf.raw[li], "ss-" "analyze:",
-                                   known_check, sup)) {
-        continue;
-      }
+      if (!scan::parse_suppression(sf.raw[li], known_check, sup)) continue;
       if (!sup.valid) {
         diags.push_back({sf.path, li + 1, "bad-suppression", sup.error});
         continue;
@@ -341,7 +337,7 @@ int main(int argc, char** argv) {
   if (json) {
     std::fputs(scan::diagnostics_json(kept, files.size()).c_str(), stdout);
   } else {
-    scan::print_diagnostics(kept, files.size(), "ss_analyze");
+    scan::print_diagnostics(kept, files.size());
   }
   return kept.empty() ? 0 : 1;
 }
