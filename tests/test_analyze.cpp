@@ -11,7 +11,8 @@
 //    stripping the marker brings it back, and a malformed allow is
 //    itself a diagnostic;
 //  - the real src/ tree is clean against tools/analyze/layers.conf
-//    (the invariant tools/check.sh gates CI on), and injecting a bad
+//    (the invariant tools/check.sh gates CI on) and without a config,
+//    a missing input is a usage error, and injecting a bad
 //    fixture into a copy of that tree makes the gate fail — the
 //    end-to-end property the gate exists for.
 //
@@ -452,6 +453,25 @@ TEST(LintCli, ListRulesNamesEveryRule) {
         "raw-intrinsics", "raw-clock", "raw-mmap", "bad-suppression"}) {
     EXPECT_NE(run.output.find(rule), std::string::npos) << rule;
   }
+}
+
+TEST(LintCli, MissingInputIsAUsageError) {
+  // A missing input next to a corpus with findings is still a usage
+  // error: exit 2, not 1, and no diagnostics from the inputs that exist.
+  AnalyzeRun run = run_analyze(lint_fixture("bad") + " " +
+                               lint_fixture("does_not_exist"));
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  EXPECT_EQ(run.output.find("[raw-log-exp]"), std::string::npos)
+      << run.output;
+}
+
+TEST(LintTree, RealSourceTreeIsClean) {
+  // Without --config the analyzer runs the line rules and the
+  // config-free checks only: the shipped src/ must be clean under them
+  // too, and every allow() in it has a reason (a reasonless one would
+  // surface here as bad-suppression).
+  AnalyzeRun run = run_analyze(std::string(SS_REPO_SRC_DIR));
+  EXPECT_EQ(run.exit_code, 0) << run.output;
 }
 
 }  // namespace
