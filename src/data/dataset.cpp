@@ -14,6 +14,17 @@ const char* label_name(Label label) {
   return "?";
 }
 
+bool try_parse_label(std::string_view name, Label* out) {
+  for (Label label : {Label::kFalse, Label::kTrue, Label::kOpinion,
+                      Label::kUnknown}) {
+    if (name == label_name(label)) {
+      *out = label;
+      return true;
+    }
+  }
+  return false;
+}
+
 DatasetSummary Dataset::summary() const {
   DatasetSummary s;
   s.assertions = claims.assertion_count();

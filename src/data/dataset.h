@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/dependency.h"
@@ -24,6 +25,8 @@ enum class Label : std::uint8_t {
 };
 
 const char* label_name(Label label);
+// The inverse of label_name: false for any other spelling.
+[[nodiscard]] bool try_parse_label(std::string_view name, Label* out);
 
 struct DatasetSummary {
   std::size_t assertions = 0;

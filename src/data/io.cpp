@@ -23,15 +23,6 @@ bool ids_fit_u32(std::uint64_t sources, std::uint64_t assertions) {
   return sources <= UINT32_MAX && assertions <= UINT32_MAX;
 }
 
-bool parse_label(const std::string& s, Label* out) {
-  if (s == "True") *out = Label::kTrue;
-  else if (s == "False") *out = Label::kFalse;
-  else if (s == "Opinion") *out = Label::kOpinion;
-  else if (s == "Unknown") *out = Label::kUnknown;
-  else return false;
-  return true;
-}
-
 // Shared state of one load: options, the report sink (caller's or a
 // local one so counting never branches on null), and the first error
 // for strict mode.
@@ -249,7 +240,7 @@ Expected<Dataset> load_dataset_impl(const std::string& directory,
             return;
           }
           Label label = Label::kUnknown;
-          if (!parse_label(f[1], &label)) {
+          if (!try_parse_label(f[1], &label)) {
             if (!ctx.defect(ErrorCode::kBadLabel, path, line_no,
                             "bad label: " + f[1],
                             /*repairable=*/true)) {
@@ -532,7 +523,7 @@ Dataset load_dataset_jsonl(const std::string& path) {
       std::string text;
       Label label = Label::kUnknown;
       if (f.size() != 2 || !unquote(f[1], text) ||
-          !parse_label(text, &label)) {
+          !try_parse_label(text, &label)) {
         jsonl_defect(ErrorCode::kBadLabel, path, lineno,
                      "malformed truth record");
       }

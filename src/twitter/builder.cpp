@@ -1,7 +1,8 @@
 #include "twitter/builder.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <stdexcept>
+#include <string>
 
 #include "twitter/retweet_detect.h"
 
@@ -9,21 +10,29 @@ namespace ss {
 
 BuiltDataset build_dataset(const TwitterSimulation& sim) {
   BuiltDataset out;
-  out.clustering = cluster_tweets(sim.tweets);
-
-  // Active users -> dense source ids (Table III counts sources that
-  // actually tweeted, not the full user universe).
-  std::unordered_map<std::uint32_t, std::uint32_t> source_of_user;
+  // Active users -> dense source ids in ascending user order (Table III
+  // counts sources that actually tweeted, not the full user universe),
+  // through one slot per user of the follower graph.
+  constexpr std::uint32_t kSilent = 0xffffffffu;
+  std::vector<std::uint32_t> source_of_user(sim.follows.node_count(),
+                                            kSilent);
   for (const Tweet& t : sim.tweets) {
-    if (source_of_user.emplace(t.user, 0).second) {
-      out.user_of_source.push_back(t.user);
+    if (t.user >= source_of_user.size()) {
+      throw std::invalid_argument(
+          "build_dataset: tweet " + std::to_string(t.id) + " names user " +
+          std::to_string(t.user) + " outside the follower graph's " +
+          std::to_string(source_of_user.size()) + " users");
     }
+    source_of_user[t.user] = 0;
   }
-  std::sort(out.user_of_source.begin(), out.user_of_source.end());
-  for (std::size_t s = 0; s < out.user_of_source.size(); ++s) {
-    source_of_user[out.user_of_source[s]] = static_cast<std::uint32_t>(s);
+  for (std::size_t user = 0; user < source_of_user.size(); ++user) {
+    if (source_of_user[user] == kSilent) continue;
+    source_of_user[user] =
+        static_cast<std::uint32_t>(out.user_of_source.size());
+    out.user_of_source.push_back(static_cast<std::uint32_t>(user));
   }
 
+  out.clustering = cluster_tweets(sim.tweets);
   std::size_t n = out.user_of_source.size();
   std::size_t m = out.clustering.cluster_count;
 
@@ -33,7 +42,7 @@ BuiltDataset build_dataset(const TwitterSimulation& sim) {
   claims.reserve(sim.tweets.size());
   for (std::size_t t = 0; t < sim.tweets.size(); ++t) {
     const Tweet& tweet = sim.tweets[t];
-    claims.push_back({source_of_user.at(tweet.user),
+    claims.push_back({source_of_user[tweet.user],
                       out.clustering.cluster_of[t], tweet.time});
   }
 
@@ -42,9 +51,8 @@ BuiltDataset build_dataset(const TwitterSimulation& sim) {
   for (std::size_t s = 0; s < n; ++s) {
     std::uint32_t user = out.user_of_source[s];
     for (std::size_t followee : sim.follows.following(user)) {
-      auto it = source_of_user.find(static_cast<std::uint32_t>(followee));
-      if (it != source_of_user.end()) {
-        out.follows.add_edge(s, it->second);
+      if (source_of_user[followee] != kSilent) {
+        out.follows.add_edge(s, source_of_user[followee]);
       }
     }
   }

@@ -24,6 +24,8 @@ struct BuiltDataset {
   ClusteringResult clustering;
 };
 
+// Every tweet's user must be a node of `sim.follows`; a user outside
+// the graph is a std::invalid_argument.
 BuiltDataset build_dataset(const TwitterSimulation& sim);
 
 // End-to-end convenience: simulate + cluster + build.

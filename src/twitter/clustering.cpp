@@ -5,6 +5,7 @@
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "twitter/text.h"
 #include "util/checkpoint.h"
@@ -45,13 +46,21 @@ double jaccard(std::span<const std::uint32_t> a,
 
 }  // namespace
 
+std::uint32_t TokenDictionary::intern(std::string_view bytes) {
+  auto next = static_cast<std::uint32_t>(size());
+  std::uint32_t id = index_.find_or_insert(
+      text_hash(bytes), next,
+      [&](std::uint32_t known) { return token(known) == bytes; });
+  if (id == next) {
+    arena_.append(bytes);
+    offsets_.push_back(arena_.size());
+  }
+  return id;
+}
+
 std::uint32_t IncrementalClusterer::intern(std::string_view token) {
-  auto it = id_of_token_.find(token);
-  if (it != id_of_token_.end()) return it->second;
-  auto id = static_cast<std::uint32_t>(token_of_id_.size());
-  it = id_of_token_.emplace(std::string(token), id).first;
-  token_of_id_.push_back(&it->first);
-  postings_.emplace_back();
+  std::uint32_t id = dictionary_.intern(token);
+  if (id == postings_.size()) postings_.emplace_back();
   return id;
 }
 
@@ -120,52 +129,62 @@ std::uint32_t IncrementalClusterer::assign_by_text(const Tweet& tweet) {
   return found_cluster(tweet_tokens_);
 }
 
+std::uint32_t IncrementalClusterer::find_tweet(std::uint32_t id) const {
+  return tweet_index_.find(
+      id_hash(id), [&](std::uint32_t at) { return tweets_[at].id == id; });
+}
+
+std::uint32_t IncrementalClusterer::insert_tweet(std::uint32_t id,
+                                                 std::uint32_t cluster) {
+  auto next = static_cast<std::uint32_t>(tweets_.size());
+  std::uint32_t at = tweet_index_.find_or_insert(
+      id_hash(id), next,
+      [&](std::uint32_t known) { return tweets_[known].id == id; });
+  if (at == next) tweets_.push_back(TweetEntry{id, cluster, next});
+  return at;
+}
+
 std::uint32_t IncrementalClusterer::add(const Tweet& tweet) {
-  std::uint32_t cluster;
-  auto parent = tweet.is_retweet() ? tweets_.find(tweet.parent)
-                                   : tweets_.end();
-  if (parent != tweets_.end()) {
-    cluster = parent->second.cluster;
-  } else {
-    // Original, or orphaned retweet: fall back to the text path.
-    cluster = assign_by_text(tweet);
-  }
-  auto position = static_cast<std::uint32_t>(tweets_.size());
-  auto [it, inserted] =
-      tweets_.try_emplace(tweet.id, TweetEntry{cluster, position});
-  if (!inserted) it->second.cluster = cluster;
+  std::uint32_t parent =
+      tweet.is_retweet() ? find_tweet(tweet.parent) : FlatIndex::kMissing;
+  // An original, or an orphaned retweet, takes the text path.
+  std::uint32_t cluster = parent != FlatIndex::kMissing
+                              ? tweets_[parent].cluster
+                              : assign_by_text(tweet);
+  tweets_[insert_tweet(tweet.id, cluster)].cluster = cluster;
   return cluster;
 }
 
 void IncrementalClusterer::reserve(std::size_t tweets) {
   tweets_.reserve(tweets_.size() + tweets);
+  tweet_index_.reserve(tweets_.size() + tweets);
 }
 
 void IncrementalClusterer::save_state(BinWriter& writer) const {
   writer.u64(cluster_count());
-  std::vector<const std::string*> tokens;
+  std::vector<std::string_view> tokens;
   for (std::size_t c = 0; c < cluster_count(); ++c) {
     tokens.clear();
-    for (std::uint32_t id : tokens_of(c)) tokens.push_back(token_of_id_[id]);
-    std::sort(tokens.begin(), tokens.end(),
-              [](const std::string* a, const std::string* b) {
-                return *a < *b;
-              });
+    for (std::uint32_t id : tokens_of(c)) {
+      tokens.push_back(dictionary_.token(id));
+    }
+    std::sort(tokens.begin(), tokens.end());
     writer.u64(tokens.size());
-    for (const std::string* token : tokens) writer.str(*token);
+    for (std::string_view token : tokens) writer.str(token);
   }
-  std::vector<std::pair<std::uint32_t, TweetEntry>> entries(tweets_.begin(),
-                                                            tweets_.end());
+  std::vector<TweetEntry> entries = tweets_;
   std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+            [](const TweetEntry& a, const TweetEntry& b) {
+              return a.id < b.id;
+            });
   writer.u64(entries.size());
-  for (const auto& [id, entry] : entries) {
-    writer.u64(id);
+  for (const TweetEntry& entry : entries) {
+    writer.u64(entry.id);
     writer.u64(entry.cluster);
   }
   writer.u64(entries.size());
-  for (const auto& [id, entry] : entries) {
-    writer.u64(id);
+  for (const TweetEntry& entry : entries) {
+    writer.u64(entry.id);
     writer.u64(entry.position);
   }
 }
@@ -192,7 +211,7 @@ void IncrementalClusterer::load_state(BinReader& reader) {
     tweet_tokens_.clear();
     for (std::size_t t = 0; t < count; ++t) {
       std::string token = reader.str();
-      if (t > 0 && !(*token_of_id_[tweet_tokens_.back()] < token)) {
+      if (t > 0 && !(dictionary_.token(tweet_tokens_.back()) < token)) {
         throw std::runtime_error("clusterer state: cluster " +
                                  std::to_string(c) +
                                  " tokens are not strictly ascending");
@@ -204,33 +223,32 @@ void IncrementalClusterer::load_state(BinReader& reader) {
   }
 
   std::size_t n = reader.count(16);  // u64 key + u64 value
-  std::vector<std::uint32_t> ids(n);
-  tweets_.reserve(n);
+  reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    ids[i] = read_u32(reader, "tweet id");
+    std::uint32_t id = read_u32(reader, "tweet id");
     std::uint32_t cluster = read_u32(reader, "cluster id");
     if (cluster >= clusters) {
       throw std::runtime_error("clusterer state: tweet " +
-                               std::to_string(ids[i]) + " names cluster " +
+                               std::to_string(id) + " names cluster " +
                                std::to_string(cluster) + " of " +
                                std::to_string(clusters));
     }
-    if (!tweets_.try_emplace(ids[i], TweetEntry{cluster, 0}).second) {
+    if (insert_tweet(id, cluster) != i) {
       throw std::runtime_error("clusterer state: tweet " +
-                               std::to_string(ids[i]) + " listed twice");
+                               std::to_string(id) + " listed twice");
     }
   }
   if (reader.count(16) != n) {
     throw std::runtime_error(
         "clusterer state: the cluster and position maps differ in size");
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (read_u32(reader, "tweet id") != ids[i]) {
+  for (TweetEntry& entry : tweets_) {
+    if (read_u32(reader, "tweet id") != entry.id) {
       throw std::runtime_error(
           "clusterer state: the cluster and position maps list different "
           "tweet ids");
     }
-    tweets_[ids[i]].position = read_u32(reader, "position");
+    entry.position = read_u32(reader, "position");
   }
 }
 

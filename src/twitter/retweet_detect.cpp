@@ -1,10 +1,9 @@
 #include "twitter/retweet_detect.h"
 
 #include <charconv>
-#include <functional>
 #include <stdexcept>
-#include <unordered_map>
 
+#include "twitter/flat_index.h"
 #include "util/string_util.h"
 
 namespace ss {
@@ -37,84 +36,78 @@ std::optional<std::uint32_t> parse_username(std::string_view name) {
   return user;
 }
 
-namespace {
-
-// A tweet's content key: its author and its exact text.
-struct AuthoredText {
-  std::uint32_t user;
-  std::string_view text;
-  bool operator==(const AuthoredText&) const = default;
-};
-
-struct AuthoredTextHash {
-  std::size_t operator()(const AuthoredText& key) const {
-    return std::hash<std::string_view>{}(key.text) ^
-           (std::size_t{key.user} * 0x9e3779b97f4a7c15ull);
-  }
-};
-
-using EarliestMap =
-    std::unordered_map<AuthoredText, std::uint32_t, AuthoredTextHash>;
-
-// The earliest tweet that "RT @name: body" repeats (see the header).
-EarliestMap::const_iterator find_original(const EarliestMap& earliest,
-                                          std::string_view name,
-                                          std::string_view body) {
-  std::size_t split = name.find('\x1f');
-  std::optional<std::uint32_t> user = parse_username(name.substr(0, split));
-  if (!user) return earliest.end();
-  if (split == std::string_view::npos) return earliest.find({*user, body});
-  std::string text(name.substr(split + 1));
-  text += '\x1f';
-  text.append(body);
-  return earliest.find({*user, text});
-}
-
-}  // namespace
-
 RetweetDetectionResult detect_retweet_parents(
     std::vector<Tweet>& tweets) {
   RetweetDetectionResult result;
-  // (author, exact text) -> id of the earliest tweet with that content.
-  // Keys are registered as tweets arrive, so only earlier tweets are
-  // candidates — timestamps enforce causality for free.
-  EarliestMap earliest;
-  earliest.reserve(tweets.size());
-  for (Tweet& t : tweets) {
+  // (author, exact text) -> position of the earliest tweet with that
+  // content. Keys are registered as tweets arrive, so only earlier
+  // tweets are candidates — timestamps enforce causality for free.
+  FlatIndex earliest(tweets.size());
+  auto hash = [](std::uint32_t user, std::string_view text) {
+    return text_hash(text) ^ id_hash(user);
+  };
+  auto same = [&tweets](std::uint32_t user, std::string_view text) {
+    return [&tweets, user, text](std::uint32_t at) {
+      return tweets[at].user == user && tweets[at].text == text;
+    };
+  };
+  std::string joined;  // the 0x1F slow path's text
+  for (std::size_t position = 0; position < tweets.size(); ++position) {
+    Tweet& t = tweets[position];
     t.parent = Tweet::kNoParent;
     std::string_view name;
     std::string_view body;
     if (parse_retweet_text(t.text, name, body)) {
       ++result.retweets_seen;
-      auto it = find_original(earliest, name, body);
-      if (it != earliest.end()) {
-        t.parent = it->second;
+      // The earliest tweet "RT @name: body" repeats (see the header).
+      std::size_t split = name.find('\x1f');
+      std::optional<std::uint32_t> user =
+          parse_username(name.substr(0, split));
+      if (user && split != std::string_view::npos) {
+        joined.assign(name.substr(split + 1));
+        joined += '\x1f';
+        joined.append(body);
+        body = joined;
+      }
+      std::uint32_t original =
+          user ? earliest.find(hash(*user, body), same(*user, body))
+               : FlatIndex::kMissing;
+      if (original != FlatIndex::kMissing) {
+        t.parent = tweets[original].id;
         ++result.parents_resolved;
       }
     }
     // Register this tweet's own content (retweets too: a retweet can be
     // re-retweeted with the RT prefix chained by this tweet's author).
-    earliest.try_emplace(AuthoredText{t.user, t.text}, t.id);
+    earliest.find_or_insert(hash(t.user, t.text),
+                            static_cast<std::uint32_t>(position),
+                            same(t.user, t.text));
   }
   return result;
 }
 
 Digraph infer_dependency_network(const std::vector<Tweet>& tweets,
                                  std::size_t user_count) {
-  std::unordered_map<std::uint32_t, std::uint32_t> author_of;
-  for (const Tweet& t : tweets) {
+  // Tweet id -> position of its first tweet, whose user is the author.
+  FlatIndex first(tweets.size());
+  for (std::size_t position = 0; position < tweets.size(); ++position) {
+    const Tweet& t = tweets[position];
     if (t.user >= user_count) {
       throw std::invalid_argument(
           "infer_dependency_network: user id out of range");
     }
-    author_of.emplace(t.id, t.user);
+    first.find_or_insert(
+        id_hash(t.id), static_cast<std::uint32_t>(position),
+        [&](std::uint32_t at) { return tweets[at].id == t.id; });
   }
   Digraph follows(user_count);
   for (const Tweet& t : tweets) {
     if (!t.is_retweet()) continue;
-    auto it = author_of.find(t.parent);
-    if (it == author_of.end()) continue;
-    follows.add_edge(t.user, it->second);
+    std::uint32_t parent = first.find(
+        id_hash(t.parent),
+        [&](std::uint32_t at) { return tweets[at].id == t.parent; });
+    if (parent == FlatIndex::kMissing) continue;
+    follows.add_edge(t.user, tweets[parent].user);
   }
   return follows;
 }

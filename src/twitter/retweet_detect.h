@@ -45,9 +45,10 @@ struct RetweetDetectionResult {
 // parent pointers are overwritten; unresolved retweets keep kNoParent.
 // Tweets must be time-sorted.
 //
-// Every tweet is registered under the key (author id, view of its
-// text); the views point into the tweets' own texts, which this
-// function never edits or reallocates. A retweet looks up
+// Every tweet is registered by its position, in a flat table
+// (twitter/flat_index.h) keyed by (author id, text); the first tweet
+// with a key keeps it. Keys are compared in the tweets' own texts,
+// which this function never edits or reallocates. A retweet looks up
 // (parse_username(name), body), so a name that is not a username
 // matches nothing, with one exception: a name holding 0x1F splits at
 // its first 0x1F, the part before it must be a username, and the part

@@ -11,7 +11,7 @@
 // "RT @user:" prefix — the signal the dependency extractor keys on.
 #pragma once
 
-#include <cctype>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -21,31 +21,42 @@
 
 namespace ss {
 
+// The token byte of each input byte: ASCII letters lowercased, ASCII
+// digits, '@' and '#' as themselves, and 0 for every separator. These
+// are the "C" locale's isalnum/tolower, whatever the process locale.
+inline constexpr std::array<char, 256> kTokenBytes = [] {
+  std::array<char, 256> table{};
+  for (int c = '0'; c <= '9'; ++c) table[c] = static_cast<char>(c);
+  for (int c = 'a'; c <= 'z'; ++c) {
+    table[c] = static_cast<char>(c);
+    table[c - 'a' + 'A'] = static_cast<char>(c);
+  }
+  table['@'] = '@';
+  table['#'] = '#';
+  return table;
+}();
+
 // The one token rule of the pipeline. A token is a maximal run of
-// alphanumeric, '@' and '#' bytes, lowercased; the "rt" marker and
-// @mentions are dropped. Calls `emit(std::string_view)` once per token,
-// in text order. `scratch` holds the token being built, so a caller
-// scanning many texts reuses one buffer; each view is valid only during
-// its `emit` call.
+// token bytes (kTokenBytes), lowercased; the "rt" marker and @mentions
+// are dropped. Calls `emit(std::string_view)` once per token, in text
+// order. `scratch` holds the token being built, so a caller scanning
+// many texts reuses one buffer; each view is valid only during its
+// `emit` call.
 template <typename Emit>
 void scan_tokens(std::string_view text, std::string& scratch, Emit&& emit) {
-  scratch.clear();
-  auto flush = [&] {
-    if (scratch.empty()) return;
-    if (scratch != "rt" && scratch[0] != '@') {
+  std::size_t i = 0;
+  while (i < text.size()) {
+    scratch.clear();
+    for (; i < text.size(); ++i) {
+      char mapped = kTokenBytes[static_cast<unsigned char>(text[i])];
+      if (mapped == 0) break;
+      scratch += mapped;
+    }
+    ++i;  // past the separator
+    if (!scratch.empty() && scratch != "rt" && scratch[0] != '@') {
       emit(std::string_view(scratch));
     }
-    scratch.clear();
-  };
-  for (char raw : text) {
-    unsigned char c = static_cast<unsigned char>(raw);
-    if (std::isalnum(c) || raw == '@' || raw == '#') {
-      scratch += static_cast<char>(std::tolower(c));
-    } else {
-      flush();
-    }
   }
-  flush();
 }
 
 class TweetTextGenerator {

@@ -1,13 +1,26 @@
 // Raw tweet-stream persistence (JSONL).
 //
 // One JSON object per line: {"id":..,"user":..,"time":..,"text":"..",
-// "parent":..}. `parent` is omitted for originals. Ground-truth fields
-// are intentionally NOT serialized — a stored stream looks exactly like
-// crawled data, so the ingestion pipeline (clustering, retweet
-// detection, dependency extraction) can be exercised on files the same
-// way Apollo consumed crawler output. A sidecar labels file carries the
-// hidden assertion labels for grading when the stream came from the
-// simulator.
+// "parent":..}. `parent` is omitted for originals, and the time is
+// written as "%.17g", so it reads back bit for bit.
+//
+// The escape contract, both directions. The writer escapes the text
+// with json_escape (util/string_util.h): `\"`, `\\`, `\n`, `\r`, `\t`,
+// `\u00xx` for every other byte below 0x20, and every other byte as
+// itself. The reader inverts exactly that: `\n`, `\t` and `\r` are their
+// control bytes, `\u00XX` (two hex digits, value below 0x20) is that
+// byte, and a backslash before any other byte stands for that byte
+// (`\u0041` reads as "u0041"). So every text of any bytes round-trips.
+// A field is the value after the first `"key":` in the line: a quoted
+// string up to its closing quote, or a bare value up to the next ',' or
+// '}', trimmed.
+//
+// Ground-truth fields are intentionally NOT serialized — a stored stream
+// looks exactly like crawled data, so the ingestion pipeline
+// (clustering, retweet detection, dependency extraction) can be
+// exercised on files the same way Apollo consumed crawler output. A
+// sidecar labels file carries the hidden assertion labels for grading
+// when the stream came from the simulator.
 #pragma once
 
 #include <string>
@@ -55,7 +68,9 @@ std::vector<Tweet> load_tweets(const std::string& path,
 
 // Per-tweet grading labels ("tweet_id,label" CSV) — the shape human
 // grading takes in the paper's protocol. Keyed by tweet id so the file
-// survives any reordering of the stream.
+// survives any reordering of the stream. A row whose id is not a u32
+// or whose label is not one of label_name's four spellings throws
+// std::runtime_error("load_tweet_labels: bad row <row>").
 void save_tweet_labels(const std::vector<Tweet>& tweets,
                        const std::string& path);
 std::unordered_map<std::uint32_t, Label> load_tweet_labels(

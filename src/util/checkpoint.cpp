@@ -47,7 +47,7 @@ void BinWriter::vec_f64(const std::vector<double>& v) {
   for (double x : v) f64(x);
 }
 
-void BinWriter::str(const std::string& s) {
+void BinWriter::str(std::string_view s) {
   u64(s.size());
   buf_.append(s);
 }

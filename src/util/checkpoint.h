@@ -22,6 +22,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/annotations.h"
@@ -38,7 +39,7 @@ class BinWriter {
   void u64(std::uint64_t v);
   void f64(double v);
   void vec_f64(const std::vector<double>& v);
-  void str(const std::string& s);
+  void str(std::string_view s);
 
   const std::string& bytes() const { return buf_; }
   std::string take() { return std::move(buf_); }

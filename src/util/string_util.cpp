@@ -1,7 +1,7 @@
 #include "util/string_util.h"
 
 #include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -30,7 +30,7 @@ std::string join(const std::vector<std::string>& parts,
   return out;
 }
 
-std::string trim(std::string_view s) {
+std::string_view trim_view(std::string_view s) {
   std::size_t begin = 0;
   std::size_t end = s.size();
   while (begin < end &&
@@ -41,8 +41,10 @@ std::string trim(std::string_view s) {
          std::isspace(static_cast<unsigned char>(s[end - 1]))) {
     --end;
   }
-  return std::string(s.substr(begin, end - begin));
+  return s.substr(begin, end - begin);
 }
+
+std::string trim(std::string_view s) { return std::string(trim_view(s)); }
 
 std::string to_lower(std::string_view s) {
   std::string out(s);
@@ -85,22 +87,33 @@ std::string format_double(double v, int precision) {
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
+  json_escape_append(out, s);
+  return out;
+}
+
+void json_escape_append(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  // Copies each run of bytes that need no escape in one append.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strprintf("\\u%04x", c);
-        } else {
-          out += c;
-        }
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xf]};
+        out.append(escape, sizeof escape);
+      }
     }
   }
-  return out;
+  out.append(s.data() + run, s.size() - run);
 }
 
 std::string csv_escape(std::string_view field) {
@@ -147,16 +160,17 @@ std::vector<std::string> csv_parse_line(std::string_view line) {
 }
 
 bool try_parse_u64(std::string_view field, std::uint64_t* out) {
-  std::string s = trim(field);
+  std::string_view s = trim_view(field);
   if (s.empty()) return false;
   for (char c : s) {
     if (c < '0' || c > '9') return false;
   }
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno == ERANGE || end != s.c_str() + s.size()) return false;
-  *out = static_cast<std::uint64_t>(v);
+  // Digits only, so the one failure left is overflow.
+  std::uint64_t v = 0;
+  if (std::from_chars(s.data(), s.data() + s.size(), v).ec != std::errc()) {
+    return false;
+  }
+  *out = v;
   return true;
 }
 
@@ -168,9 +182,16 @@ bool try_parse_u32(std::string_view field, std::uint32_t* out) {
 }
 
 bool try_parse_f64(std::string_view field, double* out) {
-  std::string s = trim(field);
-  if (s.empty()) return false;
-  errno = 0;
+  std::string_view view = trim_view(field);
+  if (view.empty()) return false;
+  const char* last = view.data() + view.size();
+  double fast = 0.0;
+  auto [stop, error] = std::from_chars(view.data(), last, fast);
+  if (error == std::errc() && stop == last) {
+    *out = fast;
+    return true;
+  }
+  std::string s(view);
   char* end = nullptr;
   double v = std::strtod(s.c_str(), &end);
   if (end != s.c_str() + s.size()) return false;

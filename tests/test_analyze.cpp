@@ -8,8 +8,9 @@
 //    cyclic *declared* graph is refused outright; the DOT rendering of
 //    the conforming tree matches its golden snapshot byte for byte;
 //  - suppressions round-trip: a reasoned allow() silences the finding,
-//    stripping the marker brings it back, and a malformed allow is
-//    itself a diagnostic;
+//    stripping the marker brings it back, and a malformed allow, or one
+//    of a check that ran and found nothing on its line, is itself a
+//    diagnostic;
 //  - the real src/ tree is clean against tools/analyze/layers.conf
 //    (the invariant tools/check.sh gates CI on) and without a config,
 //    a missing input is a usage error, and injecting a bad
@@ -117,6 +118,7 @@ TEST(AnalyzeBadFixtures, EachCheckFiresAtItsSeededLines) {
        {19, 23, 24, 27, 36}},
       {"bad/hot_loop.cpp", "hot-loop-alloc", {13, 14, 15, 23}},
       {"bad/suppress_bad.cpp", "bad-suppression", {6, 10}},
+      {"bad/unused_suppression.cpp", "unused-suppression", {9, 12, 13}},
   };
   for (const BadCase& c : cases) {
     expect_fires_at_seeded_lines(fixture(c.file), c);
@@ -222,6 +224,48 @@ TEST(AnalyzeSuppression, StrippingTheMarkerBringsDiagnosticsBack) {
       << run.output;
 }
 
+TEST(AnalyzeSuppression, AllowThatSilencesNothingIsReported) {
+  // Three stale allows, each reported at its marker; the one allow that
+  // still silences its finding (line 14's raw-log-exp) stays quiet.
+  AnalyzeRun run = run_analyze(fixture("bad/unused_suppression.cpp"));
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_EQ(count_occurrences(run.output, "[unused-suppression]"), 3u)
+      << run.output;
+  EXPECT_EQ(run.output.find("[raw-log-exp]"), std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find("allow(float-equality) silences no "
+                            "float-equality diagnostic on line 14"),
+            std::string::npos)
+      << run.output;
+
+  // allow(layering) is judged only when layering ran, under --config.
+  run = run_analyze(fixture("good/suppression_used.cpp"));
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  run = run_analyze("--config " + std::string(SS_ANALYZE_CONF) + " " +
+                    fixture("good/suppression_used.cpp"));
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_NE(run.output.find("suppression_used.cpp:8: [unused-suppression] "
+                            "allow(layering)"),
+            std::string::npos)
+      << run.output;
+
+  // Like bad-suppression, unused-suppression cannot itself be allowed.
+  ss::test::TempDir dir("analyze_unused");
+  std::string tmp = dir.file("allow_unused_analyze_fixture.cpp");
+  {
+    std::ofstream out(tmp);
+    ASSERT_TRUE(out.is_open());
+    out << "// ss-analyze: allow(unused-suppression): not allowable\n"
+           "int x = 0;\n";
+  }
+  run = run_analyze(tmp);
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_NE(run.output.find("[bad-suppression] unknown rule "
+                            "`unused-suppression`"),
+            std::string::npos)
+      << run.output;
+}
+
 TEST(AnalyzeJson, OneEntryPerDiagnostic) {
   AnalyzeRun run = run_analyze("--json " + fixture("bad/hot_loop.cpp"));
   EXPECT_EQ(run.exit_code, 1) << run.output;
@@ -238,7 +282,7 @@ TEST(AnalyzeCli, ListChecksNamesEveryCheck) {
   AnalyzeRun run = run_analyze("--list-checks");
   EXPECT_EQ(run.exit_code, 0) << run.output;
   for (const char* check : {"layering", "must-use", "unordered-reduction",
-                            "hot-loop-alloc"}) {
+                            "hot-loop-alloc", "unused-suppression"}) {
     EXPECT_NE(run.output.find(check), std::string::npos) << check;
   }
 }

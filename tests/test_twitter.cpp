@@ -4,15 +4,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
+#include <cerrno>
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <limits>
 #include <set>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "kernel_golden.h"
+#include "data/io.h"
 #include "temp_dir.h"
 #include "twitter/builder.h"
 #include "twitter/clustering.h"
@@ -23,6 +32,7 @@
 #include "twitter/tweet_io.h"
 #include "util/checkpoint.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace ss {
 namespace {
@@ -246,6 +256,13 @@ TEST(Builder, RetweetClaimsAreDependent) {
 
 TEST(TweetIo, JsonlRoundtrip) {
   TwitterSimulation sim = simulate_twitter(small_scenario(), 31);
+  // One more tweet holds every byte value, so every escape round-trips.
+  Tweet every_byte;
+  every_byte.id = 4294967294u;
+  every_byte.user = 3;
+  every_byte.time = 1e-300;
+  for (int c = 0; c < 256; ++c) every_byte.text += static_cast<char>(c);
+  sim.tweets.push_back(every_byte);
   test::TempDir dir("twitter_jsonl");
   std::string path = dir.file("tweets.jsonl");
   save_tweets(sim.tweets, path);
@@ -256,7 +273,9 @@ TEST(TweetIo, JsonlRoundtrip) {
     EXPECT_EQ(loaded[t].user, sim.tweets[t].user);
     EXPECT_EQ(loaded[t].text, sim.tweets[t].text);
     EXPECT_EQ(loaded[t].parent, sim.tweets[t].parent);
-    EXPECT_NEAR(loaded[t].time, sim.tweets[t].time, 1e-6);
+    // "%.17g" round-trips a double exactly.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded[t].time),
+              std::bit_cast<std::uint64_t>(sim.tweets[t].time));
     // Ground truth is deliberately not serialized.
     EXPECT_EQ(loaded[t].hidden_label, Label::kUnknown);
   }
@@ -271,6 +290,33 @@ TEST(TweetIo, LabelSidecars) {
   ASSERT_EQ(labels.size(), sim.tweets.size());
   for (const Tweet& t : sim.tweets) {
     EXPECT_EQ(labels.at(t.id), t.hidden_label);
+  }
+}
+
+TEST(TweetIo, LabelSidecarsRejectBadRows) {
+  test::TempDir dir("twitter_bad_labels");
+  std::string path = dir.file("tweet_labels.csv");
+  auto load = [&](const std::string& row) {
+    {
+      std::ofstream out(path);
+      out << "tweet,label\n7,Unknown\n" << row << "\n";
+    }
+    return load_tweet_labels(path);
+  };
+  EXPECT_EQ(load("8,Opinion").at(8), Label::kOpinion);
+  EXPECT_EQ(load("8,Opinion").at(7), Label::kUnknown);
+  // An id past 32 bits, a non-numeric id and an unknown label word each
+  // name their row.
+  for (const char* row : {"4294967297,True", "abc,True", "8,Maybe",
+                          "-1,False", "8,true", "8"}) {
+    SCOPED_TRACE(row);
+    try {
+      load(row);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("load_tweet_labels: bad row ") + row);
+    }
   }
 }
 
@@ -403,14 +449,18 @@ TEST(BuilderFromStream, ExternalIngestionMatchesShapes) {
   EXPECT_GT(external.dataset.dependency.exposed_cell_count(), 0u);
 }
 
-// --- References: the text passes before tokens were interned ----------
+// --- References: the ingestion passes before they went flat ----------
 //
 // The string-keyed clusterer (with its own copy of the tokenizer), the
 // concatenated-key retweet matcher and the per-cluster-map majority vote
-// exactly as they were before the clusterer moved to dense token ids.
-// The oracle tests below require the library to give the same cluster
-// ids, counters, labels, purity and save_state bytes on inputs built to
-// reach their edge cases.
+// exactly as they were before the clusterer moved to dense token ids;
+// the JSONL reader and writer as they were before they worked in place
+// (std::istringstream lines, std::string fields, strtoull/strtod,
+// std::ostringstream and "%.17g"), the reader with `\u00XX` decoding
+// added; and build_dataset's user map as a hash map. The oracle tests
+// below require the library to give the same cluster ids, counters,
+// labels, purity, save_state bytes, records, reports, bytes and
+// datasets on inputs built to reach their edge cases.
 namespace reference {
 
 constexpr double kJaccardThreshold = 0.5;
@@ -614,6 +664,261 @@ Votes vote(const std::vector<Tweet>& tweets,
   out.purity = tweets.empty() ? 1.0
                               : static_cast<double>(agree) /
                                     static_cast<double>(tweets.size());
+  return out;
+}
+
+std::string trim(const std::string& s) {
+  std::size_t begin = 0;
+  std::size_t end = s.size();
+  while (begin < end && std::isspace(static_cast<unsigned char>(s[begin]))) {
+    ++begin;
+  }
+  while (end > begin &&
+         std::isspace(static_cast<unsigned char>(s[end - 1]))) {
+    --end;
+  }
+  return s.substr(begin, end - begin);
+}
+
+bool parse_u32(const std::string& field, std::uint32_t* out) {
+  std::string s = trim(field);
+  if (s.empty()) return false;
+  for (char c : s) {
+    if (c < '0' || c > '9') return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  if (errno == ERANGE || end != s.c_str() + s.size() || v > 0xffffffffULL) {
+    return false;
+  }
+  *out = static_cast<std::uint32_t>(v);
+  return true;
+}
+
+bool parse_f64(const std::string& field, double* out) {
+  std::string s = trim(field);
+  if (s.empty()) return false;
+  char* end = nullptr;
+  double v = std::strtod(s.c_str(), &end);
+  if (end != s.c_str() + s.size()) return false;
+  *out = v;
+  return true;
+}
+
+bool extract_field(const std::string& line, const std::string& key,
+                   std::string& out) {
+  std::string marker = "\"" + key + "\":";
+  auto pos = line.find(marker);
+  if (pos == std::string::npos) return false;
+  pos += marker.size();
+  if (pos >= line.size()) return false;
+  if (line[pos] == '"') {
+    std::string value;
+    for (std::size_t i = pos + 1; i < line.size(); ++i) {
+      char c = line[i];
+      if (c == '\\' && i + 1 < line.size()) {
+        char next = line[++i];
+        std::string hex = line.substr(i + 1, 4);
+        auto is_hex = [](char h) {
+          return std::isxdigit(static_cast<unsigned char>(h)) != 0;
+        };
+        switch (next) {
+          case 'n': value += '\n'; break;
+          case 't': value += '\t'; break;
+          case 'r': value += '\r'; break;
+          case 'u':
+            if (hex.size() == 4 && hex[0] == '0' && hex[1] == '0' &&
+                is_hex(hex[2]) && is_hex(hex[3]) &&
+                std::stoi(hex, nullptr, 16) < 0x20) {
+              value += static_cast<char>(std::stoi(hex, nullptr, 16));
+              i += 4;
+            } else {
+              value += 'u';
+            }
+            break;
+          default: value += next;
+        }
+      } else if (c == '"') {
+        out = std::move(value);
+        return true;
+      } else {
+        value += c;
+      }
+    }
+    return false;
+  }
+  auto end = line.find_first_of(",}", pos);
+  if (end == std::string::npos) return false;
+  out = trim(line.substr(pos, end - pos));
+  return true;
+}
+
+Expected<std::vector<Tweet>> parse_tweets_jsonl(const std::string& text,
+                                                const std::string& path,
+                                                const IngestOptions& options,
+                                                IngestReport* report) {
+  std::istringstream in(text);
+  IngestReport& rep = *report;
+  std::vector<Tweet> tweets;
+  std::string line;
+  std::size_t line_no = 0;
+  auto defect = [&](ErrorCode code, std::string detail, bool repairable) {
+    rep.note(code, path, line_no, detail, options.max_recorded_errors);
+    if (options.mode == IngestMode::kStrict) {
+      throw TaxonomyError(
+          code,
+          RecordError{code, path, line_no, std::move(detail)}.to_string());
+    }
+    return options.mode == IngestMode::kRepair && repairable;
+  };
+  try {
+    while (std::getline(in, line)) {
+      ++line_no;
+      if (trim(line).empty()) continue;
+      ++rep.rows_total;
+      Tweet t;
+      std::string field;
+      if (!extract_field(line, "id", field)) {
+        defect(ErrorCode::kMissingField, "missing field \"id\"", false);
+        ++rep.rows_skipped;
+        continue;
+      }
+      if (!parse_u32(field, &t.id)) {
+        defect(ErrorCode::kBadNumber, "bad id: " + field, false);
+        ++rep.rows_skipped;
+        continue;
+      }
+      if (!extract_field(line, "user", field)) {
+        defect(ErrorCode::kMissingField, "missing field \"user\"", false);
+        ++rep.rows_skipped;
+        continue;
+      }
+      if (!parse_u32(field, &t.user)) {
+        defect(ErrorCode::kBadNumber, "bad user: " + field, false);
+        ++rep.rows_skipped;
+        continue;
+      }
+      bool repaired = false;
+      if (!extract_field(line, "time", field)) {
+        if (!defect(ErrorCode::kMissingField, "missing field \"time\"",
+                    true)) {
+          ++rep.rows_skipped;
+          continue;
+        }
+        t.time = 0.0;
+        repaired = true;
+      } else if (!parse_f64(field, &t.time)) {
+        if (!defect(ErrorCode::kBadNumber, "bad time: " + field, true)) {
+          ++rep.rows_skipped;
+          continue;
+        }
+        t.time = 0.0;
+        repaired = true;
+      } else if (!std::isfinite(t.time)) {
+        if (!defect(ErrorCode::kNonFinite, "non-finite time: " + field,
+                    true)) {
+          ++rep.rows_skipped;
+          continue;
+        }
+        t.time = 0.0;
+        repaired = true;
+      }
+      if (!extract_field(line, "text", field)) {
+        if (!defect(ErrorCode::kMissingField, "missing field \"text\"",
+                    true)) {
+          ++rep.rows_skipped;
+          continue;
+        }
+        field.clear();
+        repaired = true;
+      }
+      t.text = field;
+      if (extract_field(line, "parent", field)) {
+        if (!parse_u32(field, &t.parent)) {
+          if (!defect(ErrorCode::kBadNumber, "bad parent: " + field, true)) {
+            ++rep.rows_skipped;
+            continue;
+          }
+          t.parent = Tweet::kNoParent;
+          repaired = true;
+        }
+      }
+      if (repaired) ++rep.rows_repaired;
+      else ++rep.rows_ok;
+      tweets.push_back(std::move(t));
+    }
+  } catch (const TaxonomyError& e) {
+    return Error{e.code(), e.what()};
+  }
+  return tweets;
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += strprintf("\\u%04x", c);
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string tweets_to_jsonl(const std::vector<Tweet>& tweets) {
+  std::ostringstream out;
+  for (const Tweet& t : tweets) {
+    out << "{\"id\":" << t.id << ",\"user\":" << t.user
+        << ",\"time\":" << strprintf("%.17g", t.time) << ",\"text\":\""
+        << json_escape(t.text) << "\"";
+    if (t.is_retweet()) out << ",\"parent\":" << t.parent;
+    out << "}\n";
+  }
+  return out.str();
+}
+
+BuiltDataset build_dataset(const TwitterSimulation& sim) {
+  BuiltDataset out;
+  out.clustering = cluster_tweets(sim.tweets);
+  std::unordered_map<std::uint32_t, std::uint32_t> source_of_user;
+  for (const Tweet& t : sim.tweets) {
+    if (source_of_user.emplace(t.user, 0).second) {
+      out.user_of_source.push_back(t.user);
+    }
+  }
+  std::sort(out.user_of_source.begin(), out.user_of_source.end());
+  for (std::size_t s = 0; s < out.user_of_source.size(); ++s) {
+    source_of_user[out.user_of_source[s]] = static_cast<std::uint32_t>(s);
+  }
+  std::size_t n = out.user_of_source.size();
+  std::size_t m = out.clustering.cluster_count;
+  std::vector<Claim> claims;
+  for (std::size_t t = 0; t < sim.tweets.size(); ++t) {
+    const Tweet& tweet = sim.tweets[t];
+    claims.push_back({source_of_user.at(tweet.user),
+                      out.clustering.cluster_of[t], tweet.time});
+  }
+  out.follows = Digraph(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t followee : sim.follows.following(out.user_of_source[s])) {
+      auto it = source_of_user.find(static_cast<std::uint32_t>(followee));
+      if (it != source_of_user.end()) out.follows.add_edge(s, it->second);
+    }
+  }
+  out.dataset.name = sim.scenario.name;
+  out.dataset.claims = SourceClaimMatrix(n, m, claims);
+  out.dataset.dependency =
+      DependencyIndicators::from_graph(out.dataset.claims, out.follows);
+  out.dataset.truth = out.clustering.cluster_labels;
   return out;
 }
 
@@ -862,6 +1167,237 @@ TEST(RetweetOracle, RandomStreamsMatchConcatenatedKeyReference) {
   TwitterSimulation sim = simulate_twitter(small_scenario(), 36);
   for (Tweet& t : sim.tweets) t.parent = Tweet::kNoParent;
   expect_same_parents(sim.tweets);
+}
+
+TEST(RetweetOracle, EdgeCaseStreamsMatchConcatenatedKeyReference) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    expect_same_parents(edge_case_stream(seed, 3000));
+  }
+}
+
+// --- The JSONL reader and writer against their references -------------
+
+std::uint64_t time_bits(double time) {
+  return std::bit_cast<std::uint64_t>(time);
+}
+
+// The library's reader and the reference give the same records (time as
+// bits), or the same Error, and the same report.
+void expect_same_parse(const std::string& text, const IngestOptions& options) {
+  IngestReport want_report;
+  IngestReport got_report;
+  Expected<std::vector<Tweet>> want =
+      reference::parse_tweets_jsonl(text, "stream", options, &want_report);
+  Expected<std::vector<Tweet>> got =
+      parse_tweets_jsonl(text, "stream", options, &got_report);
+  ASSERT_EQ(got.ok(), want.ok());
+  if (want.ok()) {
+    const std::vector<Tweet>& a = got.value();
+    const std::vector<Tweet>& b = want.value();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t t = 0; t < a.size(); ++t) {
+      EXPECT_EQ(a[t].id, b[t].id) << "record " << t;
+      EXPECT_EQ(a[t].user, b[t].user) << "record " << t;
+      EXPECT_EQ(time_bits(a[t].time), time_bits(b[t].time)) << "record " << t;
+      EXPECT_EQ(a[t].text, b[t].text) << "record " << t;
+      EXPECT_EQ(a[t].parent, b[t].parent) << "record " << t;
+    }
+  } else {
+    EXPECT_EQ(got.error().code, want.error().code);
+    EXPECT_EQ(got.error().message, want.error().message);
+  }
+  EXPECT_EQ(got_report.rows_total, want_report.rows_total);
+  EXPECT_EQ(got_report.rows_ok, want_report.rows_ok);
+  EXPECT_EQ(got_report.rows_repaired, want_report.rows_repaired);
+  EXPECT_EQ(got_report.rows_skipped, want_report.rows_skipped);
+  EXPECT_EQ(got_report.code_counts, want_report.code_counts);
+  ASSERT_EQ(got_report.errors.size(), want_report.errors.size());
+  for (std::size_t e = 0; e < got_report.errors.size(); ++e) {
+    EXPECT_EQ(got_report.errors[e].to_string(),
+              want_report.errors[e].to_string());
+  }
+}
+
+TEST(JsonlOracle, ByteFlipsParseLikeTheReference) {
+  // Retweets, every escape the writer emits, a `\u00XX` above 0x1F and a
+  // cut one, times with exponents, a quoted time, padded numbers, a
+  // blank line, and no newline after the last record.
+  Tweet escapes = make_tweet(1, 2, "say \"hi\" \\ back\nslash\t\r\x01\x1f!");
+  escapes.time = 2.5e-7;  // written as 2.4999999999999999e-07
+  Tweet retweet = make_tweet(2, 3, "RT @user2: say \"hi\"");
+  retweet.time = -1e300;
+  retweet.parent = 1;
+  std::string text = tweets_to_jsonl({escapes, retweet});
+  text += "   \n";
+  text += "{\"id\": 3 ,\"user\":4,\"time\":1E21,"
+          "\"text\":\"a\\u0041b\\u00\",\"parent\":x}\n";
+  text += "{\"id\":4,\"user\":2,\"time\":\" 7 \",\"text\":\"x\\u001F\"}\n";
+  text += "{\"id\":5,\"user\":5,\"time\":0.1,\"text\":\"last\"}";
+  for (IngestMode mode : {IngestMode::kStrict, IngestMode::kPermissive,
+                          IngestMode::kRepair}) {
+    IngestOptions options;
+    options.mode = mode;
+    options.max_recorded_errors = 4;
+    SCOPED_TRACE(static_cast<int>(mode));
+    expect_same_parse(text, options);
+    for (std::size_t at = 0; at < text.size(); ++at) {
+      std::string flipped = text;
+      flipped[at] = static_cast<char>(flipped[at] ^ 0x40);
+      SCOPED_TRACE(at);
+      expect_same_parse(flipped, options);
+    }
+  }
+}
+
+TEST(JsonlOracle, WriterMatchesTheReferenceByteForByte) {
+  const double times[] = {0.0,
+                          -0.0,
+                          1e-300,
+                          std::numeric_limits<double>::denorm_min(),
+                          DBL_MIN / 3,
+                          1e21,
+                          0.1,
+                          DBL_MAX,
+                          -DBL_MAX,
+                          1.0 / 3,
+                          123456789012345678.0,
+                          1e16,
+                          1e17,
+                          1e-4,
+                          1e-5,
+                          -2.5,
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN(),
+                          -std::numeric_limits<double>::quiet_NaN()};
+  std::vector<Tweet> tweets;
+  std::string every_byte;
+  for (int c = 0; c < 256; ++c) {
+    every_byte += static_cast<char>(c);
+    Tweet t = make_tweet(static_cast<std::uint32_t>(c), 7, "x");
+    t.text[0] = static_cast<char>(c);
+    t.time = times[static_cast<std::size_t>(c) % std::size(times)];
+    if (c % 3 == 0) t.parent = static_cast<std::uint32_t>(c / 3);
+    tweets.push_back(t);
+  }
+  tweets.push_back(make_tweet(4294967295u, 4294967295u, every_byte));
+  tweets.back().parent = 4294967294u;
+  tweets.push_back(make_tweet(0, 0, ""));
+  EXPECT_EQ(tweets_to_jsonl(tweets), reference::tweets_to_jsonl(tweets));
+  EXPECT_EQ(tweets_to_jsonl({}), "");
+}
+
+TEST(Text, TokenByteTableIsTheCLocaleRule) {
+  for (int c = 0; c < 256; ++c) {
+    char want = 0;
+    if (std::isalnum(c)) want = static_cast<char>(std::tolower(c));
+    if (c == '@' || c == '#') want = static_cast<char>(c);
+    EXPECT_EQ(kTokenBytes[static_cast<std::size_t>(c)], want) << c;
+  }
+}
+
+TEST(ClusteringOracle, DictionaryKeepsFirstSeenIdsAcrossGrowths) {
+  TokenDictionary dictionary;
+  std::unordered_map<std::string, std::uint32_t> want;
+  std::size_t capacity = dictionary.capacity();
+  std::size_t growths = 0;
+  Rng rng(5);
+  for (std::size_t k = 0; k < 20000; ++k) {
+    std::string token = "t";
+    token += std::to_string(rng.uniform_u32(6000));
+    if (rng.bernoulli(0.1)) token += std::string(rng.uniform_u32(20), 'z');
+    auto expected = static_cast<std::uint32_t>(want.size());
+    expected = want.emplace(token, expected).first->second;
+    ASSERT_EQ(dictionary.intern(token), expected) << token;
+    growths += dictionary.capacity() != capacity;
+    capacity = dictionary.capacity();
+  }
+  EXPECT_GE(growths, 3u);
+  ASSERT_EQ(dictionary.size(), want.size());
+  for (const auto& [token, id] : want) EXPECT_EQ(dictionary.token(id), token);
+  TokenDictionary copy = dictionary;
+  EXPECT_EQ(copy.intern("t17"), dictionary.intern("t17"));
+  EXPECT_EQ(copy.intern("fresh"), dictionary.size());
+  // Values are 32-bit, so a table for more keys is refused up front.
+  EXPECT_THROW(FlatIndex(std::size_t{FlatIndex::kMissing}),
+               std::length_error);
+}
+
+TEST(ClusteringOracle, ManyDistinctTokensMatchStringKeyedReference) {
+  // Thousands of distinct tokens grow the dictionary's table many times
+  // (it doubles past every power of two from 16); every tweet also
+  // shares a topic word, so overlap counts keep tying.
+  std::vector<Tweet> tweets;
+  Rng rng(11);
+  std::set<std::string> distinct;
+  for (std::uint32_t k = 0; k < 4000; ++k) {
+    std::string text = "Topic";
+    for (std::size_t w = 0; w < 3; ++w) {
+      text += " e";
+      text += std::to_string(rng.uniform_u32(3000));
+    }
+    for (const std::string& token : reference::tokenize(text)) {
+      distinct.insert(token);
+    }
+    tweets.push_back(make_tweet(k, rng.uniform_u32(50), text));
+  }
+  ASSERT_GT(distinct.size(), 16u << 3);
+  expect_same_clustering(tweets);
+}
+
+// build_dataset and its reference write the same dataset bytes and map
+// the same users and follow edges.
+void expect_same_dataset(const TwitterSimulation& sim) {
+  BuiltDataset got = build_dataset(sim);
+  BuiltDataset want = reference::build_dataset(sim);
+  EXPECT_EQ(got.user_of_source, want.user_of_source);
+  ASSERT_EQ(got.follows.node_count(), want.follows.node_count());
+  EXPECT_EQ(got.follows.edge_count(), want.follows.edge_count());
+  for (std::size_t u = 0; u < got.follows.node_count(); ++u) {
+    EXPECT_EQ(got.follows.following(u), want.follows.following(u)) << u;
+  }
+  test::TempDir dir("twitter_builder_oracle");
+  save_dataset_jsonl(got.dataset, dir.file("got.jsonl"));
+  save_dataset_jsonl(want.dataset, dir.file("want.jsonl"));
+  std::ifstream a(dir.file("got.jsonl"));
+  std::ifstream b(dir.file("want.jsonl"));
+  std::stringstream got_bytes;
+  std::stringstream want_bytes;
+  got_bytes << a.rdbuf();
+  want_bytes << b.rdbuf();
+  EXPECT_EQ(got_bytes.str(), want_bytes.str());
+}
+
+TEST(BuilderOracle, EdgeCaseStreamsMatchHashMapReference) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    TwitterSimulation sim;
+    sim.scenario.name = "edge";
+    // Users 0-19 tweet; 20-24 exist only in the graph.
+    sim.follows = Digraph(25);
+    Rng rng(seed + 100);
+    for (std::size_t e = 0; e < 120; ++e) {
+      sim.follows.add_edge(rng.uniform_u32(25), rng.uniform_u32(25));
+    }
+    sim.tweets = edge_case_stream(seed, 3000);
+    expect_same_dataset(sim);
+    sim.tweets.resize(1);
+    expect_same_dataset(sim);
+  }
+  TwitterSimulation sim = simulate_twitter(small_scenario(), 37);
+  expect_same_dataset(sim);
+}
+
+TEST(BuilderOracle, UserOutsideTheFollowerGraphThrows) {
+  TwitterSimulation sim;
+  sim.follows = Digraph(3);
+  sim.tweets = {make_tweet(0, 2, "in the graph"),
+                make_tweet(1, 3, "outside it")};
+  EXPECT_THROW(build_dataset(sim), std::invalid_argument);
+  sim.tweets.pop_back();
+  EXPECT_EQ(build_dataset(sim).user_of_source,
+            std::vector<std::uint32_t>{2});
 }
 
 // --- Goldens recorded before the clusterer interned its tokens --------

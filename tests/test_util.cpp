@@ -4,10 +4,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -186,6 +190,52 @@ TEST(StringUtil, Trim) {
   EXPECT_EQ(trim("  hi \t\n"), "hi");
   EXPECT_EQ(trim(""), "");
   EXPECT_EQ(trim("   "), "");
+  std::string_view padded = " \r x y\v";
+  EXPECT_EQ(trim_view(padded), "x y");
+  EXPECT_EQ(trim_view(padded).data(), padded.data() + 3);
+}
+
+TEST(StringUtil, NumericParsesMatchStrtoullAndStrtod) {
+  // from_chars reads what it can; the rest goes through strtod, so the
+  // accepted syntax and every value are strtod's on the trimmed field.
+  for (const char* field :
+       {"0", "-0", "1.5", " 2 ", "\t7\n", "+1.5", "0x1p3", ".5", "5.", "1e",
+        "1e400", "-1e-400", "4.9e-324", "2.2250738585072011e-308", "nan",
+        "-nan", "inf", "Infinity", "1,5", "1.5x", "", "  ", "1e+21",
+        "0.10000000000000001", "18446744073709551615",
+        "18446744073709551616", "4294967295", "4294967296", "007", "-1",
+        "1 2"}) {
+    SCOPED_TRACE(field);
+    std::string trimmed = trim(field);
+    char* end = nullptr;
+    double want = std::strtod(trimmed.c_str(), &end);
+    bool want_ok = !trimmed.empty() && end == trimmed.c_str() + trimmed.size();
+    double got = 0.0;
+    ASSERT_EQ(try_parse_f64(field, &got), want_ok);
+    if (want_ok && !std::isnan(want)) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want));
+    }
+    if (want_ok && std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(got));
+    }
+
+    bool digits = !trimmed.empty() &&
+                  trimmed.find_first_not_of("0123456789") == std::string::npos;
+    errno = 0;
+    unsigned long long whole = std::strtoull(trimmed.c_str(), &end, 10);
+    bool u64_ok = digits && errno != ERANGE;
+    std::uint64_t u64 = 0;
+    ASSERT_EQ(try_parse_u64(field, &u64), u64_ok);
+    if (u64_ok) {
+      EXPECT_EQ(u64, whole);
+    }
+    std::uint32_t u32 = 0;
+    ASSERT_EQ(try_parse_u32(field, &u32), u64_ok && whole <= 0xffffffffULL);
+    if (u64_ok && whole <= 0xffffffffULL) {
+      EXPECT_EQ(u32, whole);
+    }
+  }
 }
 
 TEST(StringUtil, CaseAndAffixes) {
@@ -203,6 +253,11 @@ TEST(StringUtil, Strprintf) {
 
 TEST(StringUtil, JsonEscape) {
   EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+  EXPECT_EQ(json_escape(std::string_view("\x00\x01\x1f\r\t\x7f\xff", 7)),
+            "\\u0000\\u0001\\u001f\\r\\t\x7f\xff");
+  std::string out = "<";
+  json_escape_append(out, "\"q\"");
+  EXPECT_EQ(out, "<\\\"q\\\"");
 }
 
 TEST(StringUtil, CsvEscapeAndParse) {

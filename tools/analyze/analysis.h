@@ -4,12 +4,12 @@
 // plus comment/string-scrubbed code lines — and hands the same
 // SourceFile to each checker. Checkers emit diagnostics freely; the
 // driver filters them through the per-line suppression map (the
-// ss-analyze marker plus `allow(<check>): <reason>`), dedupes, sorts.
+// ss-analyze marker plus `allow(<check>): <reason>`), reports the
+// allows that silenced nothing, dedupes, sorts.
 #pragma once
 
 #include <cstddef>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -35,11 +35,24 @@ inline std::string module_of(const std::string& rel) {
 
 // Per-file suppression map, built by the driver from the raw lines.
 struct FileSuppressions {
-  std::map<std::size_t, std::set<std::string>> by_line;
+  struct Allow {
+    std::size_t marker_line;  // the line holding the comment
+    std::string check;
+    bool used;  // silenced a diagnostic in this run
+  };
+  // Target line -> the allows aimed at it.
+  std::map<std::size_t, std::vector<Allow>> by_line;
 
-  bool suppressed(std::size_t line, const std::string& rule) const {
+  // True when an allow aimed at `line` names `rule`; marks each such
+  // allow used.
+  bool suppress(std::size_t line, const std::string& rule) {
     auto it = by_line.find(line);
-    return it != by_line.end() && it->second.count(rule) > 0;
+    if (it == by_line.end()) return false;
+    bool hit = false;
+    for (Allow& allow : it->second) {
+      if (allow.check == rule) hit = allow.used = true;
+    }
+    return hit;
   }
 };
 

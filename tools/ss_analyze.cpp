@@ -29,7 +29,9 @@
 // comment on (or alone above) the line: the marker (ss-analyze plus a
 // colon) followed by `allow(<check>[,<check>...]): <reason>`. A
 // reasonless or unknown-check allow is itself a diagnostic
-// (bad-suppression).
+// (bad-suppression), and so is an allow of a check that ran and found
+// nothing on its line (unused-suppression); layering runs only with
+// --config, so without it an allow(layering) is not judged.
 //
 // Exit codes: 0 clean, 1 diagnostics, 2 usage or I/O error
 // (tools/check.sh relies on them).
@@ -60,8 +62,9 @@ struct CheckInfo {
   const char* summary;
 };
 
-// The one catalogue: every id an allow() may name, in --list-checks
-// order. bad-suppression is listed but cannot itself be allowed.
+// The one catalogue, in --list-checks order: every id an allow() may
+// name, then the two diagnostics about suppressions themselves, which
+// cannot be allowed.
 const CheckInfo kChecks[] = {
     {"raw-log-exp",
      "raw std::log/exp family outside src/math/; use math/logprob.h"},
@@ -94,9 +97,12 @@ const CheckInfo kChecks[] = {
      "heap allocation inside a loop in a hot (kernel/E-M) body"},
     {"bad-suppression",
      "malformed suppression comment (unknown check or missing reason)"},
+    {"unused-suppression",
+     "allow() of a check that ran and found nothing on its line"},
 };
 
-bool known_check(const std::string& id) {
+bool allowable_check(const std::string& id) {
+  if (id == "bad-suppression" || id == "unused-suppression") return false;
   for (const CheckInfo& c : kChecks) {
     if (id == c.id) return true;
   }
@@ -279,14 +285,18 @@ int main(int argc, char** argv) {
     analyze::FileSuppressions& fsup = suppressions[sf.path];
     for (std::size_t li = 0; li < sf.raw.size(); ++li) {
       scan::Suppression sup;
-      if (!scan::parse_suppression(sf.raw[li], known_check, sup)) continue;
+      if (!scan::parse_suppression(sf.raw[li], allowable_check, sup)) {
+        continue;
+      }
       if (!sup.valid) {
         diags.push_back({sf.path, li + 1, "bad-suppression", sup.error});
         continue;
       }
       std::size_t target =
           scan::comment_only_line(sf.raw[li]) ? li + 2 : li + 1;
-      fsup.by_line[target].insert(sup.rules.begin(), sup.rules.end());
+      for (const std::string& check : sup.rules) {
+        fsup.by_line[target].push_back({li + 1, check, false});
+      }
     }
   }
 
@@ -314,15 +324,29 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Filter through suppressions, dedupe, sort.
+  // Filter through suppressions, report the allows that silenced
+  // nothing among the checks that ran, dedupe, sort.
   std::vector<scan::Diagnostic> kept;
   for (const scan::Diagnostic& d : diags) {
     auto it = suppressions.find(d.file);
     if (it != suppressions.end() && d.rule != "bad-suppression" &&
-        it->second.suppressed(d.line, d.rule)) {
+        it->second.suppress(d.line, d.rule)) {
       continue;
     }
     kept.push_back(d);
+  }
+  for (const auto& [path, fsup] : suppressions) {
+    for (const auto& [target, allows] : fsup.by_line) {
+      for (const analyze::FileSuppressions::Allow& allow : allows) {
+        if (allow.used || (allow.check == "layering" && config_path.empty())) {
+          continue;
+        }
+        kept.push_back({path, allow.marker_line, "unused-suppression",
+                        "allow(" + allow.check + ") silences no " +
+                            allow.check + " diagnostic on line " +
+                            std::to_string(target)});
+      }
+    }
   }
   scan::sort_diagnostics(kept);
   kept.erase(std::unique(kept.begin(), kept.end(),
